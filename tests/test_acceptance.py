@@ -339,8 +339,24 @@ def test_11_command_line_runs_are_reproducible(tmp_path):
         tables.append([",".join(p if i != 3 else "-" for i, p in
                                 enumerate(line.split(","))) for line in rows])
     table_ok = tables[0] == tables[1] and len(tables[0]) == 5
+    # (method, N) -> (cycles, final_kl_error) of this seed-3 comparison
+    golden = {
+        ("loping-osem", "2"): (10, 0.07769491571017148),
+        ("oracle-osem", "2"): (10, 0.07769491571017148),
+        ("loping-osem", "4"): (8, 0.0596295328998699),
+        ("oracle-osem", "4"): (10, 0.04386236480801024),
+    }
+    got = {}
+    for line in tables[0][1:]:
+        method, n, cycles, _, err = line.split(",")
+        got[(method, n)] = (int(cycles), float(err))
+    golden_ok = got.keys() == golden.keys() and all(
+        got[k][0] == c and got[k][1] == pytest.approx(e, rel=1e-9)
+        for k, (c, e) in golden.items()
+    )
     verdict(
         "11 repeated runs are byte-identical apart from wall time",
-        trace_ok and table_ok,
-        f"trace bytes equal {trace_ok}, comparison table equal {table_ok}",
+        trace_ok and table_ok and golden_ok,
+        f"trace bytes equal {trace_ok}, comparison table equal {table_ok}, "
+        f"table matches golden values {golden_ok}",
     )

@@ -277,6 +277,35 @@ def test_phantom_subcommand(tmp_path):
     assert (out / "phantom.scale").exists()
 
 
+def _summary(path):
+    return dict(
+        line.split("=", 1) for line in path.read_text().splitlines() if "=" in line
+    )
+
+
+# seed-0 results of the bundled configs; floats at the tolerance of the
+# benchmark's golden gate, which catches a single changed solver step
+GOLDEN_RUNS = {
+    "exact_em_64.cfg": {"cycles_run": 25, "final_kl_error": 0.13617457176662007},
+    "loping_n10.cfg": {
+        "k_star": 50, "cycles_run": 6, "final_kl_error": 0.05830524873768009,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_bundled_runs_match_golden_values(tmp_path, name):
+    cfg = importlib.resources.files("losem") / "configs" / name
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--seed", "0", "--out", str(out), "--quiet"]) == 0
+    summary = _summary(out / "summary.txt")
+    for key, want in GOLDEN_RUNS[name].items():
+        if isinstance(want, int):
+            assert int(summary[key]) == want, key
+        else:
+            assert float(summary[key]) == pytest.approx(want, rel=1e-9), key
+
+
 def test_seed_override_changes_noise(tmp_path):
     cfg = write_cfg(tmp_path, BASE)
     a, b = tmp_path / "a", tmp_path / "b"
