@@ -18,6 +18,7 @@ import datetime
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,7 +49,7 @@ from .kl_core import (
     uniform_density,
 )
 from .operators import RadonBlockOperator, SmoothingKernel, effective_bounds
-from .solvers import SolverConfig, loping_osem_run, osem_run
+from .solvers import SolverConfig, loping_osem_run, osem_run, skip_threshold
 
 __all__ = ["entry", "main"]
 
@@ -71,67 +72,85 @@ def _stack(blocks) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# data assembly
+# data assembly, on a system the command has built
 
 
-class PreparedRun:
-    """Everything a solver run needs, assembled from a config."""
+class SolverData(NamedTuple):
+    """Shifted data a solver sees, with the noise bounds of its blocks.
 
-    def __init__(self, cfg: RunConfig, seed: int, quiet: bool,
-                 n_blocks: int | None = None):
-        self.cfg = cfg
-        self.system = cfg.build_system(n_blocks=n_blocks)
-        self.x_star = render_phantom(cfg.phantom, self.system.pixel_grid)
-        self.x0 = uniform_density(self.system.pixel_grid)
-        self.noise_info = None
-        self.raw_deltas = None
-        if cfg.noise_level == 0.0:
-            # exact data: the rendered phantom solves the discrete system
-            self.noisy_blocks = None
-            self.data = consistent_data(self.x_star, self.system)
-            self.deltas = np.zeros(self.system.n_blocks)
-            _say(quiet, "data: exact (consistent with the discrete system)")
-            return
-        _say(quiet, f"simulating data (oversample {cfg.oversample}) ...")
-        clean = simulate_data(
-            cfg.phantom, self.system, cfg.oversample, cfg.max_sim_nodes
-        )
-        spec = NoiseSpec(cfg.noise_level, cfg.counts_scale, seed)
-        noisy, raw_l1, info = add_poisson_noise(clean, spec)
-        ord = 2 if cfg.gamma_mode == "l2" else 1
-        self.raw_deltas = raw_l1 if ord == 1 else realized_deltas(clean, noisy, ord=2)
-        self.noisy_blocks = noisy
-        self.data = self.system.shift_data([b.values for b in noisy])
-        self.deltas = self.system.shifted_deltas(self.raw_deltas)
-        self.noise_info = info
-        _say(
-            quiet,
-            f"noise: counts_scale={info['counts_scale']:.6g} realized "
-            f"{info['aggregate_error']:.4f} (target {info['target']})",
-        )
+    ``raw_deltas`` bound the unshifted data and ``deltas`` the shifted
+    system's; for exact data the deltas are zero and the noise fields None.
+    """
 
-    def resolve_gamma(self) -> float | None:
-        cfg = self.cfg
-        if cfg.gamma_mode == "explicit":
-            return cfg.gamma
-        if cfg.gamma_mode == "l2":
-            return None
-        bounds = effective_bounds(self.system, self.data)
-        return bounds.gamma()
+    values: list
+    deltas: np.ndarray
+    raw_deltas: np.ndarray | None = None
+    noisy: list | None = None
+    info: dict | None = None
 
 
-def _write_noise_meta(path: Path, prepared: PreparedRun) -> None:
+def _add_noise(cfg: RunConfig, clean, quiet: bool):
+    """Poisson noise on clean blocks at the configured level, scale and seed."""
+    noisy, _, info = add_poisson_noise(
+        clean, NoiseSpec(cfg.noise_level, cfg.counts_scale, cfg.seed)
+    )
+    _say(
+        quiet,
+        f"noise: counts_scale={info['counts_scale']:.6g} realized "
+        f"{info['aggregate_error']:.4f} (target {info['target']})",
+    )
+    return noisy, info
+
+
+def _shifted(cfg: RunConfig, system, clean, noisy, info) -> SolverData:
+    """Shift noisy blocks for the system; the noise bounds are measured in
+    the norm of the configured gamma mode."""
+    raw = realized_deltas(clean, noisy, ord=2 if cfg.gamma_mode == "l2" else 1)
+    return SolverData(
+        system.shift_data([b.values for b in noisy]),
+        system.shifted_deltas(raw), raw, noisy, info,
+    )
+
+
+def _solver_data(cfg: RunConfig, system, x_star, quiet: bool) -> SolverData:
+    """Data of a single run: exact, or simulated with noise drawn per block."""
+    if cfg.noise_level == 0.0:
+        # exact data: the rendered phantom solves the discrete system
+        _say(quiet, "data: exact (consistent with the discrete system)")
+        return SolverData(consistent_data(x_star, system), np.zeros(system.n_blocks))
+    _say(quiet, f"simulating data (oversample {cfg.oversample}) ...")
+    clean = simulate_data(cfg.phantom, system, cfg.oversample, cfg.max_sim_nodes)
+    return _shifted(cfg, system, clean, *_add_noise(cfg, clean, quiet))
+
+
+def _gamma(cfg: RunConfig, system, data) -> float | None:
+    """The threshold constant of the configured gamma mode (None: adaptive)."""
+    if cfg.gamma_mode == "explicit":
+        return cfg.gamma
+    if cfg.gamma_mode == "l2":
+        return None
+    return effective_bounds(system, data).gamma()
+
+
+def _solver_config(cfg: RunConfig, system, deltas) -> SolverConfig:
+    return SolverConfig(
+        n_blocks=system.n_blocks, tau=cfg.resolved_tau(), gamma_mode=cfg.gamma_mode,
+        gamma=cfg.gamma, delta=deltas, max_cycles=cfg.max_cycles,
+    )
+
+
+def _write_noise_meta(path: Path, data: SolverData) -> None:
     with open(path, "w") as fh:
-        if prepared.noise_info is None:
+        if data.info is None:
             fh.write("noise=none\n")
             return
-        info = prepared.noise_info
+        info = data.info
         fh.write(f"algorithm={info['algorithm']}\n")
         fh.write(f"seed={info['seed']}\n")
         fh.write(f"counts_scale={info['counts_scale']!r}\n")
         fh.write(f"target={info['target']!r}\n")
         fh.write(f"aggregate_error={info['aggregate_error']!r}\n")
-        for j, (dr, du) in enumerate(zip(prepared.raw_deltas, prepared.deltas)):
+        for j, (dr, du) in enumerate(zip(data.raw_deltas, data.deltas)):
             fh.write(f"delta_raw_{j}={dr!r}\n")
             fh.write(f"delta_shifted_{j}={du!r}\n")
 
@@ -173,35 +192,32 @@ def _run_single(cfg: RunConfig, out: Path, quiet: bool) -> int:
             "mode em is the single-block case; set n_blocks = 1 "
             "(use mode osem for several blocks)"
         )
-    prepared = PreparedRun(cfg, cfg.seed, quiet)
-    system, x_star, x0 = prepared.system, prepared.x_star, prepared.x0
+    system = cfg.build_system()
+    x_star = render_phantom(cfg.phantom, system.pixel_grid)
+    x0 = uniform_density(system.pixel_grid)
+    data = _solver_data(cfg, system, x_star, quiet)
 
     x_star.to_pgm(out / "phantom.pgm")
-    if prepared.noisy_blocks is not None:
-        save_pgm(out / "sinogram.pgm", _stack(prepared.noisy_blocks))
-    save_matrix_csv(out / "data.csv", _stack(prepared.data))
-    _write_noise_meta(out / "noise_meta.txt", prepared)
+    if data.noisy is not None:
+        save_pgm(out / "sinogram.pgm", _stack(data.noisy))
+    save_matrix_csv(out / "data.csv", _stack(data.values))
+    _write_noise_meta(out / "noise_meta.txt", data)
 
     summary: dict = {}
     t0 = time.perf_counter()
     if cfg.mode in ("em", "osem"):
         _say(quiet, f"running {cfg.mode} for {cfg.cycles} cycles ...")
-        vals, trace = osem_run(x0, system, prepared.data, cfg.cycles, x_star=x_star)
-        report = None
+        vals, trace = osem_run(x0, system, data.values, cfg.cycles, x_star=x_star)
     else:
-        tau = cfg.resolved_tau()
-        gamma = prepared.resolve_gamma()
+        solver_cfg = _solver_config(cfg, system, data.deltas)
+        gamma = _gamma(cfg, system, data.values)
         _say(
             quiet,
-            f"running loping-osem (tau={tau:.4g}, "
+            f"running loping-osem (tau={solver_cfg.tau:.4g}, "
             f"gamma={'adaptive' if gamma is None else format(gamma, '.4g')}) ...",
         )
-        solver_cfg = SolverConfig(
-            n_blocks=system.n_blocks, tau=tau, gamma_mode=cfg.gamma_mode,
-            gamma=cfg.gamma, delta=prepared.deltas, max_cycles=cfg.max_cycles,
-        )
         vals, trace, report = loping_osem_run(
-            x0, system, prepared.data, solver_cfg, x_star=x_star, gamma=gamma,
+            x0, system, data.values, solver_cfg, x_star=x_star, gamma=gamma,
         )
         report.write_text(out / "stop_report.txt")
         summary["k_star"] = (
@@ -242,14 +258,7 @@ def _run_compare(cfg: RunConfig, out: Path, quiet: bool) -> int:
     clean_base = simulate_clean_base(
         hi_density, cfg.n_angle, cfg.n_r, cfg.K, cfg.max_sim_nodes
     )
-    spec = NoiseSpec(cfg.noise_level, cfg.counts_scale, cfg.seed)
-    noisy_bases, _, info = add_poisson_noise([clean_base], spec)
-    noisy_base = noisy_bases[0]
-    _say(
-        quiet,
-        f"noise: counts_scale={info['counts_scale']:.6g} realized "
-        f"{info['aggregate_error']:.4f} (target {info['target']})",
-    )
+    (noisy_base,), info = _add_noise(cfg, [clean_base], quiet)
 
     x_star.to_pgm(out / "phantom.pgm")
     save_pgm(out / "sinogram.pgm", noisy_base.values)
@@ -258,28 +267,16 @@ def _run_compare(cfg: RunConfig, out: Path, quiet: bool) -> int:
     summary: dict = {}
     for N in cfg.compare_subsets:
         system = cfg.build_system(n_blocks=N)
-        grid_N = system.sino_grid
-        clean_blocks = reblock(clean_base, grid_N)
-        noisy_blocks = reblock(noisy_base, grid_N)
-        ord = 2 if cfg.gamma_mode == "l2" else 1
-        raw_deltas = realized_deltas(clean_blocks, noisy_blocks, ord=ord)
-        data = system.shift_data([b.values for b in noisy_blocks])
-        deltas = system.shifted_deltas(raw_deltas)
-
-        tau = cfg.resolved_tau()
-        gamma = None
-        if cfg.gamma_mode == "explicit":
-            gamma = cfg.gamma
-        elif cfg.gamma_mode == "bounds":
-            gamma = effective_bounds(system, data).gamma()
-        solver_cfg = SolverConfig(
-            n_blocks=N, tau=tau, gamma_mode=cfg.gamma_mode, gamma=cfg.gamma,
-            delta=deltas, max_cycles=cfg.max_cycles,
+        data = _shifted(
+            cfg, system, reblock(clean_base, system.sino_grid),
+            reblock(noisy_base, system.sino_grid), info,
         )
+        solver_cfg = _solver_config(cfg, system, data.deltas)
+        gamma = _gamma(cfg, system, data.values)
         _say(quiet, f"N={N}: loping run ...")
         t0 = time.perf_counter()
         vals, trace, report = loping_osem_run(
-            x0, system, data, solver_cfg, x_star=x_star, gamma=gamma,
+            x0, system, data.values, solver_cfg, x_star=x_star, gamma=gamma,
         )
         wall_loping = time.perf_counter() - t0
         err_loping = trace.final_error
@@ -290,7 +287,7 @@ def _run_compare(cfg: RunConfig, out: Path, quiet: bool) -> int:
 
         _say(quiet, f"N={N}: oracle run ({cfg.max_cycles} cycles) ...")
         t0 = time.perf_counter()
-        oracle = oracle_stopped_osem(x0, system, data, x_star, cfg.max_cycles)
+        oracle = oracle_stopped_osem(x0, system, data.values, x_star, cfg.max_cycles)
         wall_oracle = time.perf_counter() - t0
         err_oracle = float(oracle.errors[oracle.best_cycle])
         DensityGrid(pixel_grid, oracle.values).to_pgm(
@@ -354,35 +351,31 @@ def cmd_verify(args) -> int:
         )
 
     system = cfg.build_system()
-    raw_sup = system.raw_kernel_sup("probe")
-    M = system.ops[0].kernel_upper(raw_sup)
+    M = system.ops[0].kernel_upper(system.raw_kernel_sup())
     print(f"kernel_sup_M={M!r}")
 
-    prepared = PreparedRun(cfg, cfg.seed, quiet)
-    blocks = prepared.noisy_blocks
-    if blocks is not None:
-        mass_dev = max(abs(bl.mass - 1.0) for bl in blocks)
+    x_star = render_phantom(cfg.phantom, system.pixel_grid)
+    data = _solver_data(cfg, system, x_star, quiet)
+    if data.noisy is not None:
+        mass_dev = max(abs(bl.mass - 1.0) for bl in data.noisy)
         print(f"block_mass_max_dev={mass_dev!r}")
-    bounds = effective_bounds(system, prepared.data)
+    bounds = effective_bounds(system, data.values)
     print(f"data_floor_m1={bounds.m1!r}")
     print(f"data_sup_M1={bounds.M1!r}")
-    gamma = bounds.gamma()
-    print(f"gamma_bounds={gamma!r}")
+    print(f"gamma_bounds={bounds.gamma()!r}")
 
     tau = cfg.resolved_tau()
     print(f"tau={tau!r}")
-    print(f"delta_min={float(prepared.deltas.min())!r}")
-    print(f"delta_max={float(prepared.deltas.max())!r}")
-    if np.all(prepared.deltas == 0.0):
+    print(f"delta_min={float(data.deltas.min())!r}")
+    print(f"delta_max={float(data.deltas.max())!r}")
+    if np.all(data.deltas == 0.0):
         print("warning: exact data; loping performs every step and only "
               "max_cycles ends the run")
     elif cfg.gamma_mode != "l2":
-        g = cfg.gamma if cfg.gamma_mode == "explicit" else gamma
-        x0 = prepared.x0
-        thresholds = tau * g * prepared.deltas
+        thresholds = skip_threshold(tau, _gamma(cfg, system, data.values), data.deltas)
+        x0 = uniform_density(system.pixel_grid).values
         residuals = np.array([
-            kl_distance(prepared.data[j], system.forward(x0.values, j),
-                        system.block_weight)
+            kl_distance(data.values[j], system.forward(x0, j), system.block_weight)
             for j in range(system.n_blocks)
         ])
         print(f"threshold_max={float(thresholds.max())!r}")

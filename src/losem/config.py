@@ -90,17 +90,13 @@ class RunConfig:
             )
         return SinogramGrid(n_blocks=N, n_phi=self.n_angle // N, n_r=self.n_r)
 
-    def build_system(self, n_blocks: int | None = None,
-                     cache_plans: bool = True) -> RadonSystem:
+    def build_system(self, n_blocks: int | None = None) -> RadonSystem:
         if not self.lam > 0.0:
             raise ConfigError(
                 "lambda must be positive to run the solver; the unshifted "
                 "kernel touches zero (run 'verify' to see the violation)"
             )
-        return RadonSystem(
-            self.pixel_grid(), self.sino_grid(n_blocks), self.lam, self.K,
-            cache_plans=cache_plans,
-        )
+        return RadonSystem(self.pixel_grid(), self.sino_grid(n_blocks), self.lam, self.K)
 
     def resolved_tau(self) -> float:
         if self.tau_mode == "scheduled":

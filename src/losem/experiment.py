@@ -246,7 +246,7 @@ def add_poisson_noise(blocks: list[SinogramBlock], spec: NoiseSpec):
     if spec.counts_scale is not None:
         noisy, agg = _draw(blocks, spec.counts_scale, spec.seed)
         if noisy is None:
-            raise RuntimeError(
+            raise FloatingPointError(
                 f"counts scale {spec.counts_scale} lost the whole signal"
             )
         c = spec.counts_scale

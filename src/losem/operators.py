@@ -225,6 +225,45 @@ class RadonBlockOperator:
         """Smoothed circular means: radial smoothing after ``forward_raw``."""
         return smooth_radial(self.forward_raw(x), self.kernel)
 
+    def kernel_sup(self) -> float:
+        """Supremum of the block's discrete smoothed kernel over its samples
+        and the domain nodes.
+
+        Accumulates the bilinear quadrature footprint of every sample, which
+        equals running ``forward`` on unit-mass single-node densities.
+        """
+        grid = self.pixel_grid
+        n_nodes = (grid.n_t + 1) ** 2
+        n_samples = self.sino_grid.n_r + 1
+        counts, _, coef = self._radial_structure
+        # the sample radius of every quadrature point, and its weight per unit mass
+        radius = np.repeat(np.arange(1, n_samples), counts[1:])
+        scale = np.repeat(coef / grid.cell_measure, counts[1:])
+        mask = grid.mask.ravel()
+        sup = 0.0
+        for phi in self.sino_grid.block_angles(self.j):
+            ix, iy, fx, fy = self._angle_plan(phi)
+            cells = []
+            weights = []
+            for di, dj, w in (
+                (0, 0, (1 - fx) * (1 - fy)),
+                (0, 1, (1 - fx) * fy),
+                (1, 0, fx * (1 - fy)),
+                (1, 1, fx * fy),
+            ):
+                ii = ix + di
+                jj = iy + dj
+                ok = (ii >= 0) & (ii <= grid.n_t) & (jj >= 0) & (jj <= grid.n_t)
+                node = ii[ok] * (grid.n_t + 1) + jj[ok]
+                cells.append(node * n_samples + radius[ok])
+                weights.append(scale[ok] * w[ok])
+            raw = np.bincount(
+                np.concatenate(cells), np.concatenate(weights),
+                minlength=n_nodes * n_samples,
+            ).reshape(n_nodes, n_samples)
+            sup = max(sup, float(smooth_radial(raw, self.kernel)[mask].max()))
+        return sup
+
     # -- backprojection -----------------------------------------------------
 
     def _adjoint_plan(self):
@@ -342,7 +381,6 @@ class RadonSystem:
         sino_grid: SinogramGrid,
         lam: float,
         K: int,
-        cache_plans: bool = True,
     ):
         self.pixel_grid = pixel_grid
         self.sino_grid = sino_grid
@@ -350,8 +388,7 @@ class RadonSystem:
         self.kernel = SmoothingKernel(sino_grid.n_r, K)
         self.ops = [
             ShiftedBlockOperator(
-                RadonBlockOperator(pixel_grid, sino_grid, j, self.kernel, cache_plans),
-                lam,
+                RadonBlockOperator(pixel_grid, sino_grid, j, self.kernel), lam
             )
             for j in range(sino_grid.n_blocks)
         ]
@@ -384,72 +421,13 @@ class RadonSystem:
         deltas = np.asarray(deltas, dtype=np.float64)
         return deltas * (1.0 + self.lam) / (1.0 + self.lam * self.sino_grid.block_measure)
 
-    def raw_kernel_sup(self, mode: str = "probe") -> float:
-        """Upper bound of the unshifted smoothed kernel.
-
-        ``probe`` computes the exact discrete supremum by accumulating the
-        bilinear quadrature footprint of every sample (equivalent to running
-        the forward map on unit-mass single-pixel densities); ``conservative``
-        returns the crude analytic bound n_blocks * n_t.
-        """
-        if mode == "conservative":
-            return float(self.sino_grid.n_blocks * self.pixel_grid.n_t)
-        if mode != "probe":
-            raise ValueError(f"unknown kernel bound mode {mode!r}")
+    def raw_kernel_sup(self) -> float:
+        """Exact supremum of the unshifted smoothed kernel over the samples
+        of every block and the domain nodes (see
+        :meth:`RadonBlockOperator.kernel_sup`)."""
         if self._raw_kernel_sup is None:
-            self._raw_kernel_sup = _probe_kernel_sup(
-                self.pixel_grid, self.sino_grid, self.kernel
-            )
+            self._raw_kernel_sup = max(op.base.kernel_sup() for op in self.ops)
         return self._raw_kernel_sup
-
-
-def _probe_kernel_sup(
-    pixel_grid: PixelGrid, sino_grid: SinogramGrid, kernel: SmoothingKernel
-) -> float:
-    """Exact supremum of the discrete smoothed kernel over samples and nodes."""
-    n_t = pixel_grid.n_t
-    n_nodes = (n_t + 1) ** 2
-    radii = sino_grid.radii
-    counts = _omega_counts(radii, n_t)
-    coef = radii[1:] * sino_grid.n_blocks / counts[1:] / pixel_grid.cell_measure
-    mask_flat = pixel_grid.mask.ravel()
-    sup = 0.0
-    for phi in sino_grid.angles:
-        cx, cy = math.cos(phi), math.sin(phi)
-        raw = np.zeros((sino_grid.n_r + 1, n_nodes))
-        for i_r in range(1, sino_grid.n_r + 1):
-            n_om = counts[i_r]
-            theta = 2.0 * math.pi * np.arange(n_om) / n_om
-            px = cx + radii[i_r] * np.cos(theta)
-            py = cy + radii[i_r] * np.sin(theta)
-            ix, iy, fx, fy = _bilinear_plan(px, py, n_t)
-            c = coef[i_r - 1]
-            row = raw[i_r]
-            for di, dj, w in (
-                (0, 0, (1 - fx) * (1 - fy)),
-                (0, 1, (1 - fx) * fy),
-                (1, 0, fx * (1 - fy)),
-                (1, 1, fx * fy),
-            ):
-                ii = ix + di
-                jj = iy + dj
-                ok = (ii >= 0) & (ii <= n_t) & (jj >= 0) & (jj <= n_t)
-                flat = ii[ok] * (n_t + 1) + jj[ok]
-                np.add.at(row, flat, c * w[ok])
-        smoothed = np.zeros_like(raw)
-        K = kernel.K
-        for d in range(-K, K + 1):
-            wd = kernel.weights[d + K]
-            if wd == 0.0:
-                continue
-            if d == 0:
-                smoothed += wd * raw
-            elif d > 0:
-                smoothed[: raw.shape[0] - d] += wd * raw[d:]
-            else:
-                smoothed[-d:] += wd * raw[:d]
-        sup = max(sup, float(smoothed[:, mask_flat].max()))
-    return sup
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +448,7 @@ class EffectiveBounds:
         return max(abs(math.log(self.m1 / self.M)), abs(math.log(self.M1 / self.m)))
 
 
-def effective_bounds(
-    system: RadonSystem, shifted_blocks, kernel_sup_mode: str = "probe"
-) -> EffectiveBounds:
+def effective_bounds(system: RadonSystem, shifted_blocks) -> EffectiveBounds:
     """Bounds of the shifted system for the given shifted data blocks.
 
     ``shifted_blocks`` are the data arrays the solver will see.  Raises if
@@ -480,7 +456,7 @@ def effective_bounds(
     formed in that case.
     """
     m = system.ops[0].m
-    M = system.ops[0].kernel_upper(system.raw_kernel_sup(kernel_sup_mode))
+    M = system.ops[0].kernel_upper(system.raw_kernel_sup())
     m1 = min(float(np.min(b)) for b in shifted_blocks)
     M1 = max(float(np.max(b)) for b in shifted_blocks)
     if not m1 > 0.0:

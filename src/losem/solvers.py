@@ -30,6 +30,7 @@ __all__ = [
     "osem_run",
     "loping_osem_run",
     "loping_condition_l2",
+    "skip_threshold",
     "tau_schedule",
     "monotonicity_audit",
 ]
@@ -224,10 +225,7 @@ def osem_run(x0, system, data, cycles, x_star=None, audit=False):
     Returns the final iterate values and the :class:`IterationTrace`.
     ``audit`` additionally records the same-block residual after each step.
     """
-    return _run_loop(
-        x0, system, data, max_cycles=cycles, thresholds=None, config=None,
-        x_star=x_star, audit=audit,
-    )[:2]
+    return _run_loop(x0, system, data, cycles, x_star, audit)[:2]
 
 
 def loping_osem_run(x0, system, data, config: SolverConfig, x_star=None,
@@ -243,11 +241,8 @@ def loping_osem_run(x0, system, data, config: SolverConfig, x_star=None,
     delta = config.delta
     if delta is None:
         delta = np.zeros(config.n_blocks)
-    thresholds = None
-    g = None
-    if config.gamma_mode == "l2":
-        pass  # adaptive threshold, evaluated per step
-    else:
+    g = None  # the adaptive rule forms its gamma per step
+    if config.gamma_mode != "l2":
         g = config.gamma if config.gamma_mode == "explicit" else gamma
         if g is None:
             if np.any(delta > 0):
@@ -255,10 +250,9 @@ def loping_osem_run(x0, system, data, config: SolverConfig, x_star=None,
                     "gamma_mode 'bounds' needs a resolved gamma for noisy data"
                 )
             g = math.nan
-        thresholds = config.tau * g * delta
     vals, trace, report = _run_loop(
-        x0, system, data, max_cycles=config.max_cycles, thresholds=thresholds,
-        config=config, x_star=x_star, audit=audit, delta=delta,
+        x0, system, data, config.max_cycles, x_star, audit,
+        rule=(config.tau, g, delta),
     )
     report.gamma = g
     report.tau = config.tau
@@ -276,8 +270,9 @@ def loping_osem_run(x0, system, data, config: SolverConfig, x_star=None,
     return vals, trace, report
 
 
-def _run_loop(x0, system, data, max_cycles, thresholds, config, x_star,
-              audit, delta=None):
+def _run_loop(x0, system, data, max_cycles, x_star, audit, rule=None):
+    """Cycle the blocks; ``rule`` is the (tau, gamma, delta) of the skip
+    rule, or None to perform every step."""
     N = system.n_blocks
     if len(data) != N:
         raise ValueError(f"expected {N} data blocks, got {len(data)}")
@@ -286,9 +281,12 @@ def _run_loop(x0, system, data, max_cycles, thresholds, config, x_star,
     xs = None if x_star is None else _values_of(x_star)
     w_nodes = system.node_weights
     w_block = system.block_weight
-    loping = config is not None
-    l2_mode = loping and config.gamma_mode == "l2"
-    tau = config.tau if loping else math.nan
+    loping = rule is not None
+    if loping:
+        tau, gamma, delta = rule
+
+    def threshold(j, fx):
+        return skip_threshold(tau, gamma, delta[j], data[j], fx, w_block)
 
     trace = IterationTrace(N)
     stopped = False
@@ -299,12 +297,7 @@ def _run_loop(x0, system, data, max_cycles, thresholds, config, x_star,
             fx = system.forward(x, j)
             f = kl_distance(data[j], fx, w_block)
             err = math.nan if xs is None else kl_distance(xs, x, w_nodes)
-            if not loping or delta[j] == 0.0:
-                perform = True
-            elif l2_mode:
-                perform = f > tau * delta[j] * _log_ratio_norm(data[j], fx, w_block)
-            else:
-                perform = f > thresholds[j]
+            perform = not loping or delta[j] == 0.0 or f > threshold(j, fx)
             if perform:
                 any_performed = True
                 x_new, mass = _update(x, system, j, data[j], fx)
@@ -331,10 +324,7 @@ def _run_loop(x0, system, data, max_cycles, thresholds, config, x_star,
     for j in range(N):
         fx = system.forward(x, j)
         final_res[j] = kl_distance(data[j], fx, w_block)
-        if l2_mode:
-            final_thr[j] = tau * delta[j] * _log_ratio_norm(data[j], fx, w_block)
-        else:
-            final_thr[j] = thresholds[j]
+        final_thr[j] = threshold(j, fx)
     cycles_run = trace.n_cycles
     report = StopReport(
         stopped_by_rule=stopped,
@@ -344,6 +334,19 @@ def _run_loop(x0, system, data, max_cycles, thresholds, config, x_star,
         thresholds=final_thr,
     )
     return x, trace, report
+
+
+def skip_threshold(tau, gamma, delta, y=None, fx=None, weight=None):
+    """Noise threshold tau * gamma * delta of a block step.
+
+    A loping step is performed while its block residual exceeds this.  With
+    ``gamma`` None (the adaptive rule) gamma is the weighted L2 norm of
+    log(y / fx) for the block's data ``y`` and forward values ``fx``.
+    ``delta`` may be an array of block bounds when gamma is given.
+    """
+    if gamma is None:
+        return tau * delta * _log_ratio_norm(y, fx, weight)
+    return tau * gamma * delta
 
 
 def _log_ratio_norm(y, fx, weight) -> float:
@@ -366,7 +369,7 @@ def loping_condition_l2(x, system, j, y_j, delta_j, tau) -> bool:
     fx = system.forward(vals, j)
     y = np.asarray(y_j, dtype=np.float64)
     f = kl_distance(y, fx, system.block_weight)
-    return f > tau * delta_j * _log_ratio_norm(y, fx, system.block_weight)
+    return f > skip_threshold(tau, None, delta_j, y, fx, system.block_weight)
 
 
 def tau_schedule(delta_level: float, tau_infinity: float, c: float | None = None) -> float:

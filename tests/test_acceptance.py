@@ -131,9 +131,7 @@ def test_02_shifted_backprojection_of_ones():
     worst = 0.0
     outside_clean = True
     for n in (1, 5, 10, 20):
-        system = RadonSystem(
-            pixel, SinogramGrid(n, 100 // n, 100), 0.01, 1, cache_plans=False
-        )
+        system = RadonSystem(pixel, SinogramGrid(n, 100 // n, 100), 0.01, 1)
         for j in range(n):
             a = system.adjoint(np.ones(system.sino_grid.block_shape), j)
             worst = max(worst, float(np.max(np.abs(a[pixel.mask] - 1.0))))
@@ -293,7 +291,7 @@ def test_10_simulated_data_matches_closed_form():
     R = 0.6
     pixel = PixelGrid(200, 2.0 / 200.0)
     sino = SinogramGrid(1, 8, 200)
-    system = RadonSystem(pixel, sino, 0.01, 1, cache_plans=False)
+    system = RadonSystem(pixel, sino, 0.01, 1)
     block = simulate_data(PhantomSpec((Disc(0.0, 0.0, R, 1.0),)), system, 4)[0]
 
     # arc of the circle of radius r around a boundary point inside the disc

@@ -253,6 +253,16 @@ def test_exit_codes(tmp_path):
     assert main(["run", str(missing), "--quiet"]) == 2
 
 
+def test_lost_signal_is_a_numerical_failure(tmp_path, capsys):
+    # at this counts scale every Poisson draw is zero, so no data survives
+    cfg = write_cfg(tmp_path, BASE + "counts_scale = 1e-6\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 4
+    assert (out / "FAILED").exists()
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "Traceback" not in err
+
+
 def test_verify_ok_and_warnings(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE)
     assert main(["verify", str(cfg), "--quiet"]) == 0

@@ -180,7 +180,7 @@ def test_large_counts_scale_means_tiny_noise(clean_blocks):
 
 
 def test_tiny_counts_scale_raises(clean_blocks):
-    with pytest.raises(RuntimeError, match="signal"):
+    with pytest.raises(FloatingPointError, match="signal"):
         add_poisson_noise(
             clean_blocks, NoiseSpec(level=0.05, counts_scale=1e-8, seed=0)
         )

@@ -244,8 +244,9 @@ def test_probe_kernel_sup_dominates_forward_on_random_densities():
     grid = PixelGrid(40, 0.05)
     sino = SinogramGrid(n_blocks=4, n_phi=5, n_r=40)
     system = RadonSystem(grid, sino, lam=0.01, K=1)
-    sup = system.raw_kernel_sup("probe")
-    assert sup <= system.raw_kernel_sup("conservative")
+    sup = system.raw_kernel_sup()
+    assert sup == pytest.approx(14.895515609333438, rel=1e-12)
+    assert sup <= sino.n_blocks * grid.n_t  # crude analytic bound, 160 here
     rng = np.random.default_rng(5)
     for _ in range(5):
         raw = np.where(grid.mask, rng.random(grid.shape), 0.0)
