@@ -39,7 +39,6 @@ from .operators import (
     EffectiveBounds,
     RadonBlockOperator,
     RadonSystem,
-    ShiftedBlockOperator,
     SmoothingKernel,
     effective_bounds,
     smooth_radial,

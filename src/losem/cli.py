@@ -60,9 +60,11 @@ def _say(quiet: bool, msg: str) -> None:
 
 
 def _outdir(args, cfg: RunConfig) -> Path:
-    out = args.out or cfg.out or "losem_out"
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    path = Path(args.out or cfg.out or "losem_out")
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create output directory {path}: {e}") from e
     return path
 
 
@@ -132,10 +134,11 @@ def _gamma(cfg: RunConfig, system, data) -> float | None:
     return effective_bounds(system, data).gamma()
 
 
-def _solver_config(cfg: RunConfig, system, deltas) -> SolverConfig:
+def _solver_config(cfg: RunConfig, system, data: SolverData) -> SolverConfig:
     return SolverConfig(
-        n_blocks=system.n_blocks, tau=cfg.resolved_tau(), gamma_mode=cfg.gamma_mode,
-        gamma=cfg.gamma, delta=deltas, max_cycles=cfg.max_cycles,
+        n_blocks=system.n_blocks, tau=cfg.resolved_tau(),
+        gamma=_gamma(cfg, system, data.values), delta=data.deltas,
+        max_cycles=cfg.max_cycles,
     )
 
 
@@ -209,15 +212,15 @@ def _run_single(cfg: RunConfig, out: Path, quiet: bool) -> int:
         _say(quiet, f"running {cfg.mode} for {cfg.cycles} cycles ...")
         vals, trace = osem_run(x0, system, data.values, cfg.cycles, x_star=x_star)
     else:
-        solver_cfg = _solver_config(cfg, system, data.deltas)
-        gamma = _gamma(cfg, system, data.values)
+        solver_cfg = _solver_config(cfg, system, data)
+        gamma = solver_cfg.gamma
         _say(
             quiet,
             f"running loping-osem (tau={solver_cfg.tau:.4g}, "
             f"gamma={'adaptive' if gamma is None else format(gamma, '.4g')}) ...",
         )
         vals, trace, report = loping_osem_run(
-            x0, system, data.values, solver_cfg, x_star=x_star, gamma=gamma,
+            x0, system, data.values, solver_cfg, x_star=x_star
         )
         report.write_text(out / "stop_report.txt")
         summary["k_star"] = (
@@ -271,12 +274,11 @@ def _run_compare(cfg: RunConfig, out: Path, quiet: bool) -> int:
             cfg, system, reblock(clean_base, system.sino_grid),
             reblock(noisy_base, system.sino_grid), info,
         )
-        solver_cfg = _solver_config(cfg, system, data.deltas)
-        gamma = _gamma(cfg, system, data.values)
+        solver_cfg = _solver_config(cfg, system, data)
         _say(quiet, f"N={N}: loping run ...")
         t0 = time.perf_counter()
         vals, trace, report = loping_osem_run(
-            x0, system, data.values, solver_cfg, x_star=x_star, gamma=gamma,
+            x0, system, data.values, solver_cfg, x_star=x_star
         )
         wall_loping = time.perf_counter() - t0
         err_loping = trace.final_error
@@ -341,17 +343,15 @@ def cmd_verify(args) -> int:
             f"backprojection of flat data deviates from flat by {dev}"
         )
 
-    b = sino_grid.block_measure
-    m = cfg.lam / (1.0 + cfg.lam * b) if cfg.lam > 0 else 0.0
-    print(f"kernel_floor_m={m!r}")
-    if not m > 0.0:
+    if not cfg.lam > 0.0:
+        print("kernel_floor_m=0.0")
         raise AssumptionError(
             "the effective kernel floor is zero at lambda = 0; the "
             "multiplicative iteration needs lambda > 0"
         )
-
     system = cfg.build_system()
-    M = system.ops[0].kernel_upper(system.raw_kernel_sup())
+    print(f"kernel_floor_m={system.m!r}")
+    M = system.kernel_upper(system.raw_kernel_sup())
     print(f"kernel_sup_M={M!r}")
 
     x_star = render_phantom(cfg.phantom, system.pixel_grid)
@@ -364,15 +364,16 @@ def cmd_verify(args) -> int:
     print(f"data_sup_M1={bounds.M1!r}")
     print(f"gamma_bounds={bounds.gamma()!r}")
 
-    tau = cfg.resolved_tau()
+    solver_cfg = _solver_config(cfg, system, data)
+    tau = solver_cfg.tau
     print(f"tau={tau!r}")
     print(f"delta_min={float(data.deltas.min())!r}")
     print(f"delta_max={float(data.deltas.max())!r}")
     if np.all(data.deltas == 0.0):
         print("warning: exact data; loping performs every step and only "
               "max_cycles ends the run")
-    elif cfg.gamma_mode != "l2":
-        thresholds = skip_threshold(tau, _gamma(cfg, system, data.values), data.deltas)
+    elif solver_cfg.gamma is not None:
+        thresholds = skip_threshold(tau, solver_cfg.gamma, data.deltas)
         x0 = uniform_density(system.pixel_grid).values
         residuals = np.array([
             kl_distance(data.values[j], system.forward(x0, j), system.block_weight)

@@ -13,6 +13,7 @@ other is derived, or give both and the margin must cover the kernel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -118,6 +119,13 @@ _LIST_KEYS = {"compare_subsets"}
 _ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _LIST_KEYS | {"disc"}
 
 
+def _finite_float(text: str) -> float:
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError(f"{text!r} is not a finite number")
+    return v
+
+
 def _parse_disc(text: str, where: str) -> Disc:
     parts = text.replace(",", " ").split()
     if len(parts) != 4:
@@ -125,7 +133,7 @@ def _parse_disc(text: str, where: str) -> Disc:
             f"{where}: disc needs 'cx cy radius amplitude', got {text!r}"
         )
     try:
-        cx, cy, r, a = (float(p) for p in parts)
+        cx, cy, r, a = (_finite_float(p) for p in parts)
         return Disc(cx, cy, r, a)
     except ValueError as e:
         raise ConfigError(f"{where}: bad disc: {e}") from e
@@ -191,6 +199,9 @@ def parse_config_text(text: str, path: str = "<config>",
         raise ConfigError(f"{where['mode']}: mode must be one of {', '.join(MODES)}")
     n_t = require("n_t", int)
     n_r = require("n_r", int)
+    if n_r < 2:
+        # checked here because the margin is derived from 2K/n_r below
+        raise ConfigError(f"{path}: n_r must be >= 2, got {n_r}")
 
     n_angle = take("n_angle", int)
     n_phi = take("n_phi", int)
@@ -209,14 +220,14 @@ def parse_config_text(text: str, path: str = "<config>",
             )
         n_phi = n_angle // n_blocks
 
-    epsilon = take("epsilon", float)
+    epsilon = take("epsilon", _finite_float)
     K = take("K", int)
     if K is None and epsilon is None:
         K = 1
     if K is None:
         # the margin must correspond to a whole smoothing half-width
         k_real = epsilon * n_r / 2.0
-        K = round(k_real)
+        K = round(k_real) if math.isfinite(k_real) else 0
         if K < 1 or abs(k_real - K) > 1e-9:
             raise ConfigError(
                 f"{where['epsilon']}: epsilon = {epsilon} does not equal 2K/n_r "
@@ -267,16 +278,16 @@ def parse_config_text(text: str, path: str = "<config>",
         epsilon=epsilon, K=K, phantom=phantom, compare_subsets=subsets,
     )
     for key, attr, conv in (
-        ("lambda", "lam", float),
+        ("lambda", "lam", _finite_float),
         ("oversample", "oversample", int),
-        ("tau", "tau", float),
+        ("tau", "tau", _finite_float),
         ("tau_mode", "tau_mode", str),
         ("gamma_mode", "gamma_mode", str),
-        ("gamma", "gamma", float),
+        ("gamma", "gamma", _finite_float),
         ("max_cycles", "max_cycles", int),
         ("cycles", "cycles", int),
-        ("noise_level", "noise_level", float),
-        ("counts_scale", "counts_scale", float),
+        ("noise_level", "noise_level", _finite_float),
+        ("counts_scale", "counts_scale", _finite_float),
         ("seed", "seed", int),
         ("out", "out", str),
         ("max_sim_nodes", "max_sim_nodes", int),
@@ -293,14 +304,11 @@ def _validate(cfg: RunConfig, path: str) -> None:
     def bad(msg):
         raise ConfigError(f"{path}: {msg}")
 
-    if cfg.n_t < 2:
-        bad(f"n_t must be >= 2, got {cfg.n_t}")
-    if cfg.n_r < 2:
-        bad(f"n_r must be >= 2, got {cfg.n_r}")
-    if cfg.n_phi < 1:
-        bad(f"n_phi must be >= 1, got {cfg.n_phi}")
-    if not 0.0 < cfg.epsilon < 1.0:
-        bad(f"epsilon must be in (0, 1), got {cfg.epsilon}")
+    try:
+        cfg.sino_grid()
+        cfg.pixel_grid()
+    except ValueError as e:
+        bad(str(e))
     if cfg.lam < 0.0:
         bad(f"lambda must be nonnegative, got {cfg.lam}")
     if cfg.oversample < 1:

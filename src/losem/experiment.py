@@ -31,7 +31,7 @@ from .kl_core import (
     weighted_l2,
 )
 from .operators import RadonBlockOperator, RadonSystem, SmoothingKernel
-from .solvers import osem_run
+from .solvers import em_step
 
 __all__ = [
     "Disc",
@@ -351,6 +351,8 @@ def oracle_stopped_osem(x0, system, data, x_star, max_cycles: int) -> OracleResu
     This stopping rule needs the ground truth and serves as the reference
     against which automatic stopping is judged.
     """
+    if len(data) != system.n_blocks:
+        raise ValueError(f"expected {system.n_blocks} data blocks, got {len(data)}")
     x = x0.values if isinstance(x0, DensityGrid) else np.asarray(x0, dtype=np.float64)
     xs = x_star.values if isinstance(x_star, DensityGrid) else np.asarray(x_star)
     errors = [kl_distance(xs, x, system.node_weights)]
@@ -358,7 +360,8 @@ def oracle_stopped_osem(x0, system, data, x_star, max_cycles: int) -> OracleResu
     best_cycle = 0
     best = x.copy()
     for cycle in range(1, max_cycles + 1):
-        x, _ = osem_run(x, system, data, cycles=1)
+        for j in range(system.n_blocks):
+            x = em_step(x, system, j, data[j])
         err = kl_distance(xs, x, system.node_weights)
         errors.append(err)
         if err < best_err:

@@ -34,7 +34,6 @@ __all__ = [
     "SmoothingKernel",
     "smooth_radial",
     "RadonBlockOperator",
-    "ShiftedBlockOperator",
     "RadonSystem",
     "EffectiveBounds",
     "effective_bounds",
@@ -318,61 +317,20 @@ class RadonBlockOperator:
         return self.backproject(smooth_radial(y, self.kernel))
 
 
-class ShiftedBlockOperator:
-    """Additive shift of a block operator that floors its kernel.
-
-    With shift parameter lam > 0 and block measure b, the samples become
-    (A x + lam * integral(x)) / (1 + lam * b) and the adjoint gains the
-    matching lam * integral(y) term.  The effective kernel then lies in
-    [m, M] with m = lam / (1 + lam * b) > 0.
-    """
-
-    def __init__(self, base: RadonBlockOperator, lam: float):
-        if not lam > 0.0:
-            raise ValueError(f"shift parameter lambda must be positive, got {lam}")
-        self.base = base
-        self.lam = lam
-        self._scale = 1.0 + lam * base.sino_grid.block_measure
-
-    @property
-    def j(self) -> int:
-        return self.base.j
-
-    @property
-    def m(self) -> float:
-        """Lower bound of the effective kernel."""
-        return self.lam / self._scale
-
-    def kernel_upper(self, raw_sup: float) -> float:
-        """Upper bound of the effective kernel given the raw kernel sup."""
-        return (raw_sup + self.lam) / self._scale
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        mass = float(np.sum(self.base.pixel_grid.node_weights * x))
-        return (self.base.forward(x) + self.lam * mass) / self._scale
-
-    def adjoint(self, y: np.ndarray) -> np.ndarray:
-        integral = float(np.sum(y) * self.base.sino_grid.sample_weight)
-        out = self.base.adjoint(y) + self.lam * integral
-        out /= self._scale
-        return np.where(self.base.pixel_grid.mask, out, 0.0)
-
-    def shift_data(self, y: np.ndarray) -> np.ndarray:
-        """Apply the additive shift to block data."""
-        y = np.asarray(y, dtype=np.float64)
-        integral = float(np.sum(y) * self.base.sino_grid.sample_weight)
-        return (y + self.lam * integral) / self._scale
-
-
 # ---------------------------------------------------------------------------
 # system of blocks
 
 
 class RadonSystem:
-    """The family of shifted block operators sharing one geometry.
+    """The block operators sharing one geometry, with the additive shift
+    that floors their kernel.
 
-    This is the object the solvers consume: it exposes per-block forward and
-    adjoint maps of the shifted system together with the two quadratures.
+    This is the object the solvers consume.  With shift parameter lam > 0
+    and block measure b, the samples of block j become
+    (A_j x + lam * integral(x)) / (1 + lam * b) and the adjoint gains the
+    matching lam * integral(y) term.  The effective kernel then lies in
+    [m, M] with m = lam / (1 + lam * b) > 0.  ``ops`` holds the unshifted
+    block operators A_j.
     """
 
     def __init__(
@@ -382,14 +340,15 @@ class RadonSystem:
         lam: float,
         K: int,
     ):
+        if not lam > 0.0:
+            raise ValueError(f"shift parameter lambda must be positive, got {lam}")
         self.pixel_grid = pixel_grid
         self.sino_grid = sino_grid
         self.lam = lam
+        self._scale = 1.0 + lam * sino_grid.block_measure
         self.kernel = SmoothingKernel(sino_grid.n_r, K)
         self.ops = [
-            ShiftedBlockOperator(
-                RadonBlockOperator(pixel_grid, sino_grid, j, self.kernel), lam
-            )
+            RadonBlockOperator(pixel_grid, sino_grid, j, self.kernel)
             for j in range(sino_grid.n_blocks)
         ]
         self._raw_kernel_sup = None
@@ -406,27 +365,45 @@ class RadonSystem:
     def block_weight(self) -> float:
         return self.sino_grid.sample_weight
 
+    @property
+    def m(self) -> float:
+        """Lower bound of the effective kernel."""
+        return self.lam / self._scale
+
+    def kernel_upper(self, raw_sup: float) -> float:
+        """Upper bound of the effective kernel given the raw kernel sup."""
+        return (raw_sup + self.lam) / self._scale
+
     def forward(self, x: np.ndarray, j: int) -> np.ndarray:
-        return self.ops[j].forward(x)
+        mass = float(np.sum(self.node_weights * x))
+        return (self.ops[j].forward(x) + self.lam * mass) / self._scale
 
     def adjoint(self, y: np.ndarray, j: int) -> np.ndarray:
-        return self.ops[j].adjoint(y)
+        integral = float(np.sum(y) * self.block_weight)
+        out = self.ops[j].adjoint(y) + self.lam * integral
+        out /= self._scale
+        return np.where(self.pixel_grid.mask, out, 0.0)
 
     def shift_data(self, blocks) -> list[np.ndarray]:
         """Apply the additive shift to a full dataset (one array per block)."""
-        return [self.ops[j].shift_data(np.asarray(b)) for j, b in enumerate(blocks)]
+        out = []
+        for b in blocks:
+            y = np.asarray(b, dtype=np.float64)
+            integral = float(np.sum(y) * self.block_weight)
+            out.append((y + self.lam * integral) / self._scale)
+        return out
 
     def shifted_deltas(self, deltas) -> np.ndarray:
         """Noise bounds of the shifted system from raw per-block bounds."""
         deltas = np.asarray(deltas, dtype=np.float64)
-        return deltas * (1.0 + self.lam) / (1.0 + self.lam * self.sino_grid.block_measure)
+        return deltas * (1.0 + self.lam) / self._scale
 
     def raw_kernel_sup(self) -> float:
         """Exact supremum of the unshifted smoothed kernel over the samples
         of every block and the domain nodes (see
         :meth:`RadonBlockOperator.kernel_sup`)."""
         if self._raw_kernel_sup is None:
-            self._raw_kernel_sup = max(op.base.kernel_sup() for op in self.ops)
+            self._raw_kernel_sup = max(op.kernel_sup() for op in self.ops)
         return self._raw_kernel_sup
 
 
@@ -455,8 +432,8 @@ def effective_bounds(system: RadonSystem, shifted_blocks) -> EffectiveBounds:
     the data floor is not positive, since the threshold constant cannot be
     formed in that case.
     """
-    m = system.ops[0].m
-    M = system.ops[0].kernel_upper(system.raw_kernel_sup())
+    m = system.m
+    M = system.kernel_upper(system.raw_kernel_sup())
     m1 = min(float(np.min(b)) for b in shifted_blocks)
     M1 = max(float(np.max(b)) for b in shifted_blocks)
     if not m1 > 0.0:

@@ -42,13 +42,11 @@ TRACE_HEADER = "step,cycle,block,performed,residual,step_kl,error_kl"
 class SolverConfig:
     """Parameters of a loping run.
 
-    ``gamma_mode`` selects how the skip threshold is formed:
-
-      * ``explicit``: threshold tau * gamma * delta_j with the given gamma;
-      * ``bounds``: same, with gamma computed from the effective kernel and
-        data bounds of the system (can be pessimistic);
-      * ``l2``: adaptive threshold tau * delta_j * ||log(y_j / A_j x)||_2
-        with delta_j a weighted-L2 noise bound, no gamma needed.
+    ``gamma`` is the resolved threshold constant: a step on block j is
+    skipped while its residual is at or below tau * gamma * delta_j.  With
+    ``gamma`` None the adaptive rule applies instead, with threshold
+    tau * delta_j * ||log(y_j / A_j x)||_2 and delta_j a weighted-L2 noise
+    bound (see :func:`skip_threshold`).
 
     ``delta`` holds one noise bound per block; ``None`` or zeros mean exact
     data, in which case every step is performed and the run only ends at
@@ -57,7 +55,6 @@ class SolverConfig:
 
     n_blocks: int
     tau: float = 1.5
-    gamma_mode: str = "bounds"
     gamma: float | None = None
     delta: np.ndarray | None = None
     max_cycles: int = 200
@@ -65,10 +62,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.n_blocks < 1:
             raise ValueError(f"n_blocks must be >= 1, got {self.n_blocks}")
-        if self.gamma_mode not in ("explicit", "bounds", "l2"):
-            raise ValueError(f"unknown gamma_mode {self.gamma_mode!r}")
-        if self.gamma_mode == "explicit" and (self.gamma is None or self.gamma <= 0):
-            raise ValueError("explicit gamma_mode requires a positive gamma")
+        if self.gamma is not None and not 0.0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         if self.max_cycles < 1:
             raise ValueError("max_cycles must be >= 1")
         if self.delta is not None:
@@ -229,27 +224,17 @@ def osem_run(x0, system, data, cycles, x_star=None, audit=False):
 
 
 def loping_osem_run(x0, system, data, config: SolverConfig, x_star=None,
-                    audit=False, gamma: float | None = None):
+                    audit=False):
     """Loping variant: steps whose block residual is at or below the noise
     threshold are skipped, and the run stops after the first fully skipped
     cycle.
 
-    ``gamma`` must be supplied resolved for gamma_mode ``bounds`` (use
-    :func:`losem.operators.effective_bounds`), and is taken from the config
-    for ``explicit``.  Returns (values, trace, stop_report).
+    Returns (values, trace, stop_report).
     """
     delta = config.delta
     if delta is None:
         delta = np.zeros(config.n_blocks)
-    g = None  # the adaptive rule forms its gamma per step
-    if config.gamma_mode != "l2":
-        g = config.gamma if config.gamma_mode == "explicit" else gamma
-        if g is None:
-            if np.any(delta > 0):
-                raise ValueError(
-                    "gamma_mode 'bounds' needs a resolved gamma for noisy data"
-                )
-            g = math.nan
+    g = config.gamma
     vals, trace, report = _run_loop(
         x0, system, data, config.max_cycles, x_star, audit,
         rule=(config.tau, g, delta),
@@ -259,7 +244,6 @@ def loping_osem_run(x0, system, data, config: SolverConfig, x_star=None,
     if (
         x_star is not None
         and g is not None
-        and math.isfinite(g)
         and config.tau > 1.0
         and float(np.min(delta)) > 0.0
     ):

@@ -90,8 +90,8 @@ def noisy_runs():
         noisy, raw_l1, _ = add_poisson_noise(clean, NoiseSpec(cfg.noise_level, seed=seed))
         data = system.shift_data([b.values for b in noisy])
         solver = SolverConfig(
-            n_blocks=system.n_blocks, tau=cfg.tau, gamma_mode="explicit",
-            gamma=cfg.gamma, delta=system.shifted_deltas(raw_l1),
+            n_blocks=system.n_blocks, tau=cfg.tau, gamma=cfg.gamma,
+            delta=system.shifted_deltas(raw_l1),
             max_cycles=cfg.max_cycles,
         )
         _, trace, report = loping_osem_run(x0, system, data, solver, x_star=x_star)
@@ -263,7 +263,7 @@ def test_09_degenerate_cases_reduce_bitwise(identity_system):
     system = RadonSystem(pixel, SinogramGrid(4, 8, 32), 0.01, 1)
     data = consistent_data(x_star, system)
     plain, _ = osem_run(x0, system, data, cycles=5)
-    solver = SolverConfig(n_blocks=4, tau=1.5, gamma_mode="bounds", max_cycles=5)
+    solver = SolverConfig(n_blocks=4, tau=1.5, max_cycles=5)
     loping, _, report = loping_osem_run(x0, system, data, solver)
     zero_delta_ok = np.array_equal(plain, loping) and report.k_star is None
 

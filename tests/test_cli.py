@@ -1,11 +1,15 @@
 import importlib.resources
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from losem.cli import main
 from losem.config import (
     ConfigError,
+    RunConfig,
     load_config,
     parse_config_text,
     parse_phantom_file,
@@ -147,6 +151,45 @@ def test_lambda_zero_parses_but_cannot_build():
         cfg.build_system()
 
 
+def test_gamma_mode_validation():
+    with pytest.raises(ConfigError, match="gamma_mode must be one of"):
+        parse_config_text(BASE.replace("gamma_mode = explicit", "gamma_mode = nope"),
+                          "<x>")
+    with pytest.raises(ConfigError, match="explicit requires a positive gamma"):
+        parse_config_text(BASE.replace("gamma = 0.045\n", ""), "<x>")
+
+
+NUMERIC_KEYS = (
+    "n_t", "n_r", "n_angle", "n_phi", "n_blocks", "K", "oversample",
+    "max_cycles", "cycles", "seed", "max_sim_nodes",
+    "epsilon", "lambda", "tau", "gamma", "noise_level", "counts_scale",
+)
+
+
+def _with_values(text, values):
+    """``text`` with the lines of the given keys replaced by new values."""
+    lines = [ln for ln in text.splitlines() if ln.split("=")[0].strip() not in values]
+    lines += [f"{k} = {v!r}" for k, v in values.items()]
+    return "\n".join(lines) + "\n"
+
+
+@given(st.dictionaries(
+    st.sampled_from(NUMERIC_KEYS),
+    st.one_of(
+        st.integers(-4, 4), st.integers(),
+        st.sampled_from([0.0, math.nan, math.inf, -math.inf]), st.floats(),
+    ),
+    min_size=1, max_size=3,
+))
+@settings(max_examples=300, deadline=None)
+def test_any_numeric_value_parses_or_is_a_config_error(values):
+    try:
+        cfg = parse_config_text(_with_values(BASE, values), "<x>")
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
+
+
 def test_resolved_tau_schedule():
     cfg = parse_config_text(BASE + "tau_mode = scheduled\n", "<x>")
     assert cfg.resolved_tau() == pytest.approx(1.5 / (1 + 25 / 1.5 * 0.05))
@@ -251,6 +294,30 @@ def test_exit_codes(tmp_path):
     assert main(["verify", str(lam0), "--quiet"]) == 3
     missing = tmp_path / "nope.cfg"
     assert main(["run", str(missing), "--quiet"]) == 2
+
+
+@pytest.mark.parametrize("old,new", [
+    ("n_r = 32", "n_r = 0"),
+    ("K = 1", "epsilon = inf"),
+    ("K = 1", "epsilon = nan"),
+    ("tau = 1.5", "tau = nan"),
+    ("gamma = 0.045", "gamma = nan"),
+    ("gamma = 0.045", "gamma = inf"),
+    ("lambda = 0.01", "lambda = inf"),
+])
+def test_unusable_values_are_config_errors(tmp_path, capsys, old, new):
+    cfg = write_cfg(tmp_path, BASE.replace(old, new))
+    assert main(["run", str(cfg), "--quiet", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_out_naming_a_file_is_a_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BASE)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["run", str(cfg), "--quiet", "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert "output directory" in err and "Traceback" not in err
 
 
 def test_lost_signal_is_a_numerical_failure(tmp_path, capsys):

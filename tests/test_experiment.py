@@ -19,6 +19,7 @@ from losem.experiment import (
 )
 from losem.kl_core import PixelGrid, SinogramGrid, uniform_density, weighted_l1
 from losem.operators import RadonSystem
+from losem.solvers import osem_run
 
 
 # ---------------------------------------------------------------------------
@@ -219,3 +220,21 @@ def test_oracle_stopped_osem_picks_the_minimum(sim_setup, clean_blocks):
     assert kl_distance(
         x_star.values, result.values, system.node_weights
     ) == pytest.approx(float(result.errors[result.best_cycle]), rel=1e-12)
+
+
+def test_oracle_matches_one_uninterrupted_run(small_setup, two_disc_phantom):
+    # the oracle's cycle errors and kept iterate are those of plain cyclic runs
+    system, x_star = small_setup
+    clean = simulate_data(two_disc_phantom, system, oversample=1)
+    # at this noise level the best cycle (4) lies inside the run
+    noisy, _, _ = add_poisson_noise(clean, NoiseSpec(level=0.2, seed=1))
+    data = system.shift_data([b.values for b in noisy])
+    x0 = uniform_density(system.pixel_grid)
+    oracle = oracle_stopped_osem(x0, system, data, x_star, max_cycles=8)
+    assert oracle.best_cycle < 8
+    _, trace = osem_run(x0, system, data, 8, x_star=x_star)
+    assert np.array_equal(oracle.errors, trace.cycle_errors())
+    best, _ = osem_run(x0, system, data, oracle.best_cycle)
+    assert np.array_equal(oracle.values, best)
+    with pytest.raises(ValueError, match="data blocks"):
+        oracle_stopped_osem(x0, system, data[:-1], x_star, max_cycles=1)

@@ -9,7 +9,6 @@ from losem.operators import (
     EffectiveBounds,
     RadonBlockOperator,
     RadonSystem,
-    ShiftedBlockOperator,
     SmoothingKernel,
     effective_bounds,
     smooth_radial,
@@ -161,62 +160,59 @@ def test_forward_mass_is_near_one_per_block():
 
 
 # ---------------------------------------------------------------------------
-# shifted operator
+# shifted system
 
 
 def test_shift_requires_positive_lambda(op_setup):
     grid, sino, ops = op_setup
-    with pytest.raises(ValueError):
-        ShiftedBlockOperator(ops[0], 0.0)
+    with pytest.raises(ValueError, match="lambda must be positive"):
+        RadonSystem(grid, sino, lam=0.0, K=1)
 
 
 def test_shifted_kernel_floor_formula():
     # lambda = 0.01, ten blocks: m = 0.01 / (1 + 0.01 * 4 pi / 10)
     grid = PixelGrid(20, 0.1)
     sino = SinogramGrid(n_blocks=10, n_phi=2, n_r=20)
-    op = ShiftedBlockOperator(
-        RadonBlockOperator(grid, sino, 0, SmoothingKernel(20, 1)), 0.01
-    )
-    assert op.m == pytest.approx(0.0098759, abs=1e-7)
-    assert op.m == pytest.approx(0.01 / (1 + 0.01 * 4 * math.pi / 10), rel=1e-15)
+    system = RadonSystem(grid, sino, lam=0.01, K=1)
+    assert system.m == pytest.approx(0.0098759, abs=1e-7)
+    assert system.m == pytest.approx(0.01 / (1 + 0.01 * 4 * math.pi / 10), rel=1e-15)
 
 
 def test_shifted_forward_respects_floor(op_setup):
     grid, sino, ops = op_setup
-    lam = 0.01
-    sop = ShiftedBlockOperator(ops[0], lam)
+    system = RadonSystem(grid, sino, lam=0.01, K=1)
     x = uniform_density(grid).values
-    out = sop.forward(x)
-    assert float(out.min()) >= sop.m - 1e-15
+    out = system.forward(x, 0)
+    assert float(out.min()) >= system.m - 1e-15
     # r = 0 samples hit the floor exactly
-    npt.assert_allclose(out[:, 0], sop.m, rtol=1e-13)
+    npt.assert_allclose(out[:, 0], system.m, rtol=1e-13)
 
 
 def test_shifted_forward_equals_scaled_base_plus_mass(op_setup):
     grid, sino, ops = op_setup
     lam = 0.2
-    sop = ShiftedBlockOperator(ops[2], lam)
+    system = RadonSystem(grid, sino, lam=lam, K=1)
     rng = np.random.default_rng(3)
     x = np.where(grid.mask, rng.random(grid.shape), 0.0)
     mass = float(np.sum(x * grid.node_weights))
     expected = (ops[2].forward(x) + lam * mass) / (1 + lam * sino.block_measure)
-    npt.assert_allclose(sop.forward(x), expected, rtol=1e-14)
+    npt.assert_allclose(system.forward(x, 2), expected, rtol=1e-14)
 
 
 def test_shift_data_preserves_unit_mass(op_setup):
     grid, sino, ops = op_setup
-    sop = ShiftedBlockOperator(ops[0], 0.05)
+    system = RadonSystem(grid, sino, lam=0.05, K=1)
     rng = np.random.default_rng(4)
     y = rng.random(sino.block_shape)
     y /= y.sum() * sino.sample_weight
-    shifted = sop.shift_data(y)
+    (shifted,) = system.shift_data([y])
     assert float(shifted.sum() * sino.sample_weight) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_shifted_adjoint_of_ones_is_one(op_setup):
     grid, sino, ops = op_setup
-    sop = ShiftedBlockOperator(ops[1], 0.01)
-    a = sop.adjoint(np.ones(sino.block_shape))
+    system = RadonSystem(grid, sino, lam=0.01, K=1)
+    a = system.adjoint(np.ones(sino.block_shape), 1)
     npt.assert_allclose(a[grid.mask], 1.0, atol=5e-14)
     assert np.all(a[~grid.mask] == 0.0)
 
@@ -252,8 +248,7 @@ def test_probe_kernel_sup_dominates_forward_on_random_densities():
         raw = np.where(grid.mask, rng.random(grid.shape), 0.0)
         x = DensityGrid.normalized(grid, raw)
         for j in range(4):
-            base = system.ops[j].base
-            assert float(base.forward(x.values).max()) <= sup + 1e-9
+            assert float(system.ops[j].forward(x.values).max()) <= sup + 1e-9
     # single-pixel densities come close to attaining the sup
     peak = 0.0
     for (i, k) in ((20, 20), (12, 25), (28, 15)):
@@ -262,7 +257,7 @@ def test_probe_kernel_sup_dominates_forward_on_random_densities():
         vals[i, k] = 1.0
         x = DensityGrid.normalized(grid, vals)
         for j in range(4):
-            peak = max(peak, float(system.ops[j].base.forward(x.values).max()))
+            peak = max(peak, float(system.ops[j].forward(x.values).max()))
     assert peak <= sup + 1e-9
 
 
@@ -273,7 +268,7 @@ def test_effective_bounds_requires_positive_data_floor():
     good = [np.full(sino.block_shape, 0.3), np.full(sino.block_shape, 0.5)]
     b = effective_bounds(system, good)
     assert b.m1 == pytest.approx(0.3) and b.M1 == pytest.approx(0.5)
-    assert b.m == pytest.approx(system.ops[0].m)
+    assert b.m == pytest.approx(system.m)
     bad = [np.zeros(sino.block_shape), good[1]]
     with pytest.raises(ValueError, match="floor"):
         effective_bounds(system, bad)
@@ -281,11 +276,13 @@ def test_effective_bounds_requires_positive_data_floor():
 
 def test_system_forward_matches_block_ops(op_setup):
     grid, sino, ops = op_setup
-    system = RadonSystem(grid, sino, lam=0.01, K=1)
+    lam = 0.01
+    system = RadonSystem(grid, sino, lam=lam, K=1)
     x = uniform_density(grid).values
+    mass = float(np.sum(x * grid.node_weights))
     for j in range(3):
         npt.assert_allclose(
             system.forward(x, j),
-            ShiftedBlockOperator(ops[j], 0.01).forward(x),
+            (ops[j].forward(x) + lam * mass) / (1 + lam * sino.block_measure),
             rtol=1e-14,
         )

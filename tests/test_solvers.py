@@ -28,9 +28,9 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(n_blocks=0)
     with pytest.raises(ValueError):
-        SolverConfig(n_blocks=3, gamma_mode="nope")
+        SolverConfig(n_blocks=3, gamma=0.0)
     with pytest.raises(ValueError):
-        SolverConfig(n_blocks=3, gamma_mode="explicit")  # gamma missing
+        SolverConfig(n_blocks=3, gamma=math.nan)
     with pytest.raises(ValueError):
         SolverConfig(n_blocks=3, delta=np.zeros(2))  # wrong length
     with pytest.raises(ValueError):
@@ -169,7 +169,7 @@ def test_loping_stops_and_reports(small_setup, tmp_path):
     # pretend noise bounds large enough that loping kicks in quickly
     delta = np.full(N, 0.05)
     cfg = SolverConfig(
-        n_blocks=N, tau=1.5, gamma_mode="explicit", gamma=0.5, delta=delta,
+        n_blocks=N, tau=1.5, gamma=0.5, delta=delta,
         max_cycles=50,
     )
     vals, trace, report = loping_osem_run(x0, system, data, cfg, x_star=x_star)
@@ -195,7 +195,7 @@ def test_loping_skips_do_not_change_the_iterate(small_setup):
     data = consistent_data(x_star, system)
     x0 = uniform_density(system.pixel_grid)
     cfg = SolverConfig(
-        n_blocks=N, tau=1.5, gamma_mode="explicit", gamma=0.5,
+        n_blocks=N, tau=1.5, gamma=0.5,
         delta=np.full(N, 0.05), max_cycles=50,
     )
     _, trace, report = loping_osem_run(x0, system, data, cfg)
@@ -214,7 +214,7 @@ def test_loping_max_cycles_sentinel(small_setup, tmp_path):
     x0 = uniform_density(system.pixel_grid)
     # thresholds far below reach: the rule never fires before the cap
     cfg = SolverConfig(
-        n_blocks=N, tau=1.5, gamma_mode="explicit", gamma=1e-9,
+        n_blocks=N, tau=1.5, gamma=1e-9,
         delta=np.full(N, 1e-9), max_cycles=3,
     )
     _, trace, report = loping_osem_run(x0, system, data, cfg)
@@ -223,18 +223,6 @@ def test_loping_max_cycles_sentinel(small_setup, tmp_path):
     path = tmp_path / "stop.txt"
     report.write_text(path)
     assert "k_star=max_cycles_reached" in path.read_text()
-
-
-def test_bounds_mode_requires_resolved_gamma(small_setup):
-    system, x_star = small_setup
-    data = consistent_data(x_star, system)
-    x0 = uniform_density(system.pixel_grid)
-    cfg = SolverConfig(
-        n_blocks=system.n_blocks, gamma_mode="bounds",
-        delta=np.full(system.n_blocks, 0.1),
-    )
-    with pytest.raises(ValueError, match="gamma"):
-        loping_osem_run(x0, system, data, cfg)
 
 
 def test_l2_condition_far_vs_near(small_setup):
@@ -253,7 +241,7 @@ def test_l2_mode_full_run(small_setup):
     data = consistent_data(x_star, system)
     x0 = uniform_density(system.pixel_grid)
     cfg = SolverConfig(
-        n_blocks=N, tau=1.5, gamma_mode="l2", delta=np.full(N, 0.02),
+        n_blocks=N, tau=1.5, delta=np.full(N, 0.02),
         max_cycles=50,
     )
     vals, trace, report = loping_osem_run(x0, system, data, cfg, x_star=x_star)
@@ -296,7 +284,7 @@ def test_monotonicity_audit_checks_stop_bound(small_setup):
     data = consistent_data(x_star, system)
     x0 = uniform_density(system.pixel_grid)
     cfg = SolverConfig(
-        n_blocks=N, tau=1.5, gamma_mode="explicit", gamma=0.5,
+        n_blocks=N, tau=1.5, gamma=0.5,
         delta=np.full(N, 0.05), max_cycles=50,
     )
     _, trace, report = loping_osem_run(x0, system, data, cfg, x_star=x_star)
