@@ -48,7 +48,12 @@ from .kl_core import (
     save_pgm,
     uniform_density,
 )
-from .operators import RadonBlockOperator, SmoothingKernel, effective_bounds
+from .operators import (
+    RadonBlockOperator,
+    SmoothingKernel,
+    effective_bounds,
+    kernel_floor,
+)
 from .solvers import SolverConfig, loping_osem_run, osem_run, skip_threshold
 
 __all__ = ["entry", "main"]
@@ -343,14 +348,14 @@ def cmd_verify(args) -> int:
             f"backprojection of flat data deviates from flat by {dev}"
         )
 
-    if not cfg.lam > 0.0:
-        print("kernel_floor_m=0.0")
+    m = kernel_floor(cfg.lam, sino_grid.block_measure)
+    print(f"kernel_floor_m={m!r}")
+    if not m > 0.0:
         raise AssumptionError(
-            "the effective kernel floor is zero at lambda = 0; the "
-            "multiplicative iteration needs lambda > 0"
+            f"the effective kernel floor is zero at lambda = {cfg.lam!r}; the "
+            "multiplicative iteration needs lambda > 0 with 1 + lambda*b finite"
         )
     system = cfg.build_system()
-    print(f"kernel_floor_m={system.m!r}")
     M = system.kernel_upper(system.raw_kernel_sup())
     print(f"kernel_sup_M={M!r}")
 

@@ -18,6 +18,11 @@ Discretization choices:
     so backprojecting constant one returns exactly one at every domain node;
   * the radial smoothing weights are the triangular hat of half-width
     K samples, renormalized to unit sum.
+
+The quadrature of one angle is stored as sparse rows: for each sample, the
+in-square bilinear corners of its circle points with weight
+(circle weight) * (bilinear weight), so that ``forward_raw`` is one
+segment sum per angle.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ __all__ = [
     "smooth_radial",
     "RadonBlockOperator",
     "RadonSystem",
+    "kernel_floor",
     "EffectiveBounds",
     "effective_bounds",
 ]
@@ -104,43 +110,6 @@ def smooth_radial(values: np.ndarray, kernel: SmoothingKernel) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# bilinear sampling of densities
-
-
-def _bilinear_plan(px: np.ndarray, py: np.ndarray, n_t: int):
-    """Cell indices and fractional offsets of points on the pixel grid."""
-    ux = (px + 1.0) * (n_t / 2.0)
-    uy = (py + 1.0) * (n_t / 2.0)
-    ix = np.floor(ux).astype(np.int32)
-    iy = np.floor(uy).astype(np.int32)
-    return ix, iy, ux - ix, uy - iy
-
-
-def _bilinear_gather(values: np.ndarray, ix, iy, fx, fy) -> np.ndarray:
-    """Sample a node array at plan points, zero outside the square."""
-    n_t = values.shape[0] - 1
-
-    def corner(i, j):
-        valid = (i >= 0) & (i <= n_t) & (j >= 0) & (j <= n_t)
-        v = values[np.clip(i, 0, n_t), np.clip(j, 0, n_t)]
-        return np.where(valid, v, 0.0)
-
-    v00 = corner(ix, iy)
-    v01 = corner(ix, iy + 1)
-    v10 = corner(ix + 1, iy)
-    v11 = corner(ix + 1, iy + 1)
-    lo = v00 + fy * (v01 - v00)
-    hi = v10 + fy * (v11 - v10)
-    return lo + fx * (hi - lo)
-
-
-def _omega_counts(radii: np.ndarray, n_t: int) -> np.ndarray:
-    """Number of circle quadrature points per radius."""
-    counts = np.ceil(3.0 * radii * n_t).astype(np.int64)
-    return np.maximum(counts, 8)
-
-
-# ---------------------------------------------------------------------------
 # per-block operators
 
 
@@ -149,8 +118,11 @@ class RadonBlockOperator:
 
     ``forward_raw`` maps a density array to circular means on the block
     samples, ``forward`` additionally applies the radial smoothing, and
-    ``adjoint`` is backprojection after smoothing.  Quadrature point plans
-    are built lazily and cached when ``cache_plans`` is set.
+    ``adjoint`` is backprojection after smoothing.  The forward map of each
+    angle is a set of sparse rows, one per sample, built from circle offsets
+    shared by all angles.  The rows and the backprojection's gather indices
+    are built lazily and cached when ``cache_plans`` is set; otherwise the
+    rows are streamed angle by angle and the indices rebuilt on each call.
     """
 
     def __init__(
@@ -173,51 +145,76 @@ class RadonBlockOperator:
         self.j = j
         self.kernel = kernel
         self.cache_plans = cache_plans
-        self._fwd_plan = None
+        self._fwd_rows = None
         self._adj_plan = None
 
     # -- forward ------------------------------------------------------------
 
     @cached_property
-    def _radial_structure(self):
-        radii = self.sino_grid.radii
-        counts = _omega_counts(radii, self.pixel_grid.n_t)
-        offsets = np.concatenate(([0], np.cumsum(counts[1:])))[:-1]
-        # per-sample scale r * n_blocks / n_omega(r) for r > 0
-        coef = radii[1:] * self.sino_grid.n_blocks / counts[1:]
-        return counts, offsets, coef
+    def _circle_points(self):
+        """Offsets r*(cos theta, sin theta) of the quadrature points of all
+        radii r > 0, radius by radius, with each point's weight
+        r*n_blocks/n_omega(r) and the index of each radius's first point."""
+        radii = self.sino_grid.radii[1:]
+        counts = np.ceil(3.0 * radii * self.pixel_grid.n_t).astype(np.int64)
+        counts = np.maximum(counts, 8)
+        first = np.cumsum(counts) - counts
+        k = np.arange(counts.sum()) - np.repeat(first, counts)
+        theta = 2.0 * math.pi * k / np.repeat(counts, counts)
+        r = np.repeat(radii, counts)
+        coef = np.repeat(radii * self.sino_grid.n_blocks / counts, counts)
+        return r * np.cos(theta), r * np.sin(theta), coef, first
 
-    def _angle_plan(self, phi: float):
-        radii = self.sino_grid.radii
-        counts = self._radial_structure[0]
-        cx, cy = math.cos(phi), math.sin(phi)
-        px = []
-        py = []
-        for r, n_om in zip(radii[1:], counts[1:]):
-            theta = 2.0 * math.pi * np.arange(n_om) / n_om
-            px.append(cx + r * np.cos(theta))
-            py.append(cy + r * np.sin(theta))
-        return _bilinear_plan(np.concatenate(px), np.concatenate(py), self.pixel_grid.n_t)
+    def _angle_rows(self, phi: float):
+        """Sparse rows of the angle ``phi``: the samples that have entries,
+        the start of each one's segment, and the node index and weight of
+        every in-square bilinear corner, ordered by quadrature point."""
+        n_t = self.pixel_grid.n_t
+        offx, offy, coef, first = self._circle_points
+        ux = (math.cos(phi) + offx + 1.0) * (n_t / 2.0)
+        uy = (math.sin(phi) + offy + 1.0) * (n_t / 2.0)
+        ix = np.floor(ux).astype(np.int32)
+        iy = np.floor(uy).astype(np.int32)
+        # only points with a corner in the square take part
+        near = np.flatnonzero((ix >= -1) & (ix <= n_t) & (iy >= -1) & (iy <= n_t))
+        ix, iy, coef = ix.take(near), iy.take(near), coef.take(near)
+        fx = ux.take(near) - ix
+        fy = uy.take(near) - iy
+        # corners (ix + a, iy + b), four to a point; a near point's corner
+        # a = 0 is in the square iff ix >= 0, and a = 1 iff ix < n_t
+        corners = ((0, 0), (0, 1), (1, 0), (1, 1))
+        x_ok, y_ok = (ix >= 0, ix < n_t), (iy >= 0, iy < n_t)
+        wx, wy = (coef * (1.0 - fx), coef * fx), (1.0 - fy, fy)
+        node = ix * (n_t + 1) + iy
+        ok = np.stack([x_ok[a] & y_ok[b] for a, b in corners], axis=1)
+        nz = np.flatnonzero(ok)
+        cols = np.stack([node + (a * (n_t + 1) + b) for a, b in corners], axis=1)
+        w = np.stack([wx[a] * wy[b] for a, b in corners], axis=1)
+        # segment bounds per sample; empty rows (circles that miss the
+        # square) stay out of reduceat
+        bounds = np.searchsorted(nz, 4 * np.searchsorted(near, first))
+        rows = np.flatnonzero(np.diff(bounds, append=len(nz)))
+        return rows + 1, bounds[rows], cols.ravel().take(nz), w.ravel().take(nz)
+
+    def _rows(self):
+        """Sparse rows of every block angle, cached or streamed."""
+        if self._fwd_rows is not None:
+            return self._fwd_rows
+        rows = map(self._angle_rows, self.sino_grid.block_angles(self.j))
+        if self.cache_plans:
+            rows = self._fwd_rows = list(rows)
+        return rows
 
     def forward_raw(self, x: np.ndarray) -> np.ndarray:
-        """Circular means of the density array on the block samples."""
+        """Circular means of the density array on the block samples; the
+        samples at r = 0 are exactly zero."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != self.pixel_grid.shape:
             raise ValueError(f"density shape {x.shape} does not match grid")
-        _, offsets, coef = self._radial_structure
-        angles = self.sino_grid.block_angles(self.j)
-        plans = None
-        if self.cache_plans:
-            if self._fwd_plan is None:
-                self._fwd_plan = [self._angle_plan(phi) for phi in angles]
-            plans = self._fwd_plan
-        sg = self.sino_grid
-        out = np.zeros(sg.block_shape)
-        for a, phi in enumerate(angles):
-            ix, iy, fx, fy = plans[a] if plans is not None else self._angle_plan(phi)
-            vals = _bilinear_gather(x, ix, iy, fx, fy)
-            sums = np.add.reduceat(vals, offsets)
-            out[a, 1:] = sums * coef
+        flat = x.ravel()
+        out = np.zeros(self.sino_grid.block_shape)
+        for a, (rows, starts, cols, w) in enumerate(self._rows()):
+            out[a, rows] = np.add.reduceat(w * flat.take(cols), starts)
         return out
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -228,38 +225,18 @@ class RadonBlockOperator:
         """Supremum of the block's discrete smoothed kernel over its samples
         and the domain nodes.
 
-        Accumulates the bilinear quadrature footprint of every sample, which
-        equals running ``forward`` on unit-mass single-node densities.
+        Accumulates each angle's sparse rows per node, which equals running
+        ``forward`` on unit-mass single-node densities.
         """
         grid = self.pixel_grid
-        n_nodes = (grid.n_t + 1) ** 2
         n_samples = self.sino_grid.n_r + 1
-        counts, _, coef = self._radial_structure
-        # the sample radius of every quadrature point, and its weight per unit mass
-        radius = np.repeat(np.arange(1, n_samples), counts[1:])
-        scale = np.repeat(coef / grid.cell_measure, counts[1:])
         mask = grid.mask.ravel()
         sup = 0.0
-        for phi in self.sino_grid.block_angles(self.j):
-            ix, iy, fx, fy = self._angle_plan(phi)
-            cells = []
-            weights = []
-            for di, dj, w in (
-                (0, 0, (1 - fx) * (1 - fy)),
-                (0, 1, (1 - fx) * fy),
-                (1, 0, fx * (1 - fy)),
-                (1, 1, fx * fy),
-            ):
-                ii = ix + di
-                jj = iy + dj
-                ok = (ii >= 0) & (ii <= grid.n_t) & (jj >= 0) & (jj <= grid.n_t)
-                node = ii[ok] * (grid.n_t + 1) + jj[ok]
-                cells.append(node * n_samples + radius[ok])
-                weights.append(scale[ok] * w[ok])
+        for rows, starts, cols, w in self._rows():
+            sample = np.repeat(rows, np.diff(starts, append=len(cols)))
             raw = np.bincount(
-                np.concatenate(cells), np.concatenate(weights),
-                minlength=n_nodes * n_samples,
-            ).reshape(n_nodes, n_samples)
+                sample * mask.size + cols, w, minlength=n_samples * mask.size
+            ).reshape(n_samples, mask.size).T / grid.cell_measure
             sup = max(sup, float(smooth_radial(raw, self.kernel)[mask].max()))
         return sup
 
@@ -282,7 +259,11 @@ class RadonBlockOperator:
         u = rho * (sg.n_r / 2.0)
         ir = np.floor(u).astype(np.int32)
         fr = u - ir
-        plan = (idx, ir, fr)
+        # flat indices into the data padded with one zero column: domain
+        # nodes lie within distance 2 of every center, so ir <= n_r and
+        # ir + 1 reads the zero beyond the radial range at most
+        lo = ir + np.arange(sg.n_phi) * (sg.n_r + 2)
+        plan = (idx, lo, lo + 1, fr)
         if self.cache_plans:
             self._adj_plan = plan
         return plan
@@ -298,15 +279,10 @@ class RadonBlockOperator:
         sg = self.sino_grid
         if y.shape != sg.block_shape:
             raise ValueError(f"block shape {y.shape} does not match grid")
-        idx, ir, fr = self._adjoint_plan()
-        n_r = sg.n_r
-        lo_ok = (ir >= 0) & (ir <= n_r)
-        hi_ok = (ir + 1 >= 0) & (ir + 1 <= n_r)
-        cols_lo = np.clip(ir, 0, n_r)
-        cols_hi = np.clip(ir + 1, 0, n_r)
-        rows = np.arange(sg.n_phi)[None, :]
-        y0 = np.where(lo_ok, y[rows, cols_lo], 0.0)
-        y1 = np.where(hi_ok, y[rows, cols_hi], 0.0)
+        idx, lo, hi, fr = self._adjoint_plan()
+        padded = np.pad(y, ((0, 0), (0, 1))).ravel()
+        y0 = padded.take(lo)
+        y1 = padded.take(hi)
         vals = y0 + fr * (y1 - y0)
         out = np.zeros(self.pixel_grid.shape)
         out.ravel()[idx] = vals.sum(axis=1) / sg.n_phi
@@ -319,6 +295,13 @@ class RadonBlockOperator:
 
 # ---------------------------------------------------------------------------
 # system of blocks
+
+
+def kernel_floor(lam: float, block_measure: float) -> float:
+    """Floor lam / (1 + lam*b) of the shifted kernel, or 0.0 where the shift
+    gives none: at lam <= 0 and where 1 + lam*b overflows."""
+    scale = 1.0 + lam * block_measure
+    return lam / scale if lam > 0.0 and math.isfinite(scale) else 0.0
 
 
 class RadonSystem:
@@ -340,8 +323,11 @@ class RadonSystem:
         lam: float,
         K: int,
     ):
-        if not lam > 0.0:
-            raise ValueError(f"shift parameter lambda must be positive, got {lam}")
+        if not kernel_floor(lam, sino_grid.block_measure) > 0.0:
+            raise ValueError(
+                f"shift parameter lambda must be positive, with 1 + lambda*b "
+                f"finite, got {lam}"
+            )
         self.pixel_grid = pixel_grid
         self.sino_grid = sino_grid
         self.lam = lam
@@ -368,7 +354,7 @@ class RadonSystem:
     @property
     def m(self) -> float:
         """Lower bound of the effective kernel."""
-        return self.lam / self._scale
+        return kernel_floor(self.lam, self.sino_grid.block_measure)
 
     def kernel_upper(self, raw_sup: float) -> float:
         """Upper bound of the effective kernel given the raw kernel sup."""

@@ -1,5 +1,6 @@
 import importlib.resources
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -286,12 +287,20 @@ def test_run_compare_writes_table(tmp_path):
     assert strip_wall(a / "table.csv") == strip_wall(b / "table.csv")
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     bad = write_cfg(tmp_path, "mode = em\nfrob = 1\n", "bad.cfg")
     assert main(["run", str(bad), "--quiet"]) == 2
     lam0 = write_cfg(tmp_path, BASE.replace("lambda = 0.01", "lambda = 0"), "l0.cfg")
     assert main(["run", str(lam0), "--quiet", "--out", str(tmp_path / "o")]) == 2
     assert main(["verify", str(lam0), "--quiet"]) == 3
+    # finite, but 1 + lambda*b overflows and the kernel floor vanishes
+    huge = write_cfg(tmp_path, BASE.replace("lambda = 0.01", "lambda = 1e308"), "lh.cfg")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(huge), "--quiet", "--out", str(tmp_path / "h")]) == 2
+    capsys.readouterr()
+    assert main(["verify", str(huge), "--quiet"]) == 3
+    assert "kernel_floor_m=0.0" in capsys.readouterr().out
     missing = tmp_path / "nope.cfg"
     assert main(["run", str(missing), "--quiet"]) == 2
 

@@ -125,6 +125,76 @@ def test_forward_rotation_equivariance():
     assert np.abs(a - b).max() / scale < 1e-2
 
 
+def _bilinear_gather(values: np.ndarray, ix, iy, fx, fy) -> np.ndarray:
+    """Sample a node array at points, zero outside the square."""
+    n_t = values.shape[0] - 1
+
+    def corner(i, j):
+        valid = (i >= 0) & (i <= n_t) & (j >= 0) & (j <= n_t)
+        v = values[np.clip(i, 0, n_t), np.clip(j, 0, n_t)]
+        return np.where(valid, v, 0.0)
+
+    v00 = corner(ix, iy)
+    v01 = corner(ix, iy + 1)
+    v10 = corner(ix + 1, iy)
+    v11 = corner(ix + 1, iy + 1)
+    lo = v00 + fy * (v01 - v00)
+    hi = v10 + fy * (v11 - v10)
+    return lo + fx * (hi - lo)
+
+
+def _gather_forward_raw(op: RadonBlockOperator, x: np.ndarray) -> np.ndarray:
+    """Reference circular means: one bilinear gather per angle and radius,
+    with n_omega(r) = max(8, ceil(3*r*n_t)) equally weighted points."""
+    n_t = op.pixel_grid.n_t
+    sg = op.sino_grid
+    out = np.zeros(sg.block_shape)
+    for a, phi in enumerate(sg.block_angles(op.j)):
+        for i, r in enumerate(sg.radii[1:], start=1):
+            n_om = max(8, math.ceil(3.0 * r * n_t))
+            theta = 2.0 * math.pi * np.arange(n_om) / n_om
+            ux = (math.cos(phi) + r * np.cos(theta) + 1.0) * (n_t / 2.0)
+            uy = (math.sin(phi) + r * np.sin(theta) + 1.0) * (n_t / 2.0)
+            ix = np.floor(ux).astype(np.int32)
+            iy = np.floor(uy).astype(np.int32)
+            vals = _bilinear_gather(x, ix, iy, ux - ix, uy - iy)
+            out[a, i] = vals.sum() * (r * sg.n_blocks / n_om)
+    return out
+
+
+@pytest.mark.parametrize("n_t,n_blocks,n_phi,K", [(40, 4, 5, 1), (64, 1, 64, 1), (60, 3, 4, 3)])
+def test_sparse_rows_match_gather_reference(n_t, n_blocks, n_phi, K):
+    grid = PixelGrid(n_t, 2.0 * K / n_t)
+    sino = SinogramGrid(n_blocks=n_blocks, n_phi=n_phi, n_r=n_t)
+    kernel = SmoothingKernel(n_t, K)
+    rng = np.random.default_rng(n_t)
+    x = np.where(grid.mask, rng.random(grid.shape), 0.0)
+    for j in range(n_blocks):
+        op = RadonBlockOperator(grid, sino, j, kernel)
+        ref = _gather_forward_raw(op, x)
+        npt.assert_allclose(op.forward_raw(x), ref, rtol=1e-13, atol=0.0)
+        npt.assert_allclose(op.forward(x), smooth_radial(ref, kernel), rtol=1e-13, atol=0.0)
+        streamed = RadonBlockOperator(grid, sino, j, kernel, cache_plans=False)
+        assert np.array_equal(streamed.forward(x), op.forward(x))
+
+
+def test_rows_without_entries_stay_zero():
+    # push the points of sample 5 out of the square: that row has no
+    # entries and must read zero, and every other row is unchanged
+    grid = PixelGrid(40, 0.05)
+    sino = SinogramGrid(n_blocks=4, n_phi=5, n_r=40)
+    kernel = SmoothingKernel(40, 1)
+    x = np.where(grid.mask, np.random.default_rng(2).random(grid.shape), 0.0)
+    expected = RadonBlockOperator(grid, sino, 1, kernel).forward_raw(x)
+    expected[:, 5] = 0.0
+    op = RadonBlockOperator(grid, sino, 1, kernel)
+    offx, offy, coef, first = op._circle_points
+    offx = offx.copy()
+    offx[first[4] : first[5]] = 10.0
+    op._circle_points = (offx, offy, coef, first)
+    assert np.array_equal(op.forward_raw(x), expected)
+
+
 def test_backprojection_of_ones_is_one_on_domain(op_setup):
     grid, sino, ops = op_setup
     ones = np.ones(sino.block_shape)
@@ -167,6 +237,9 @@ def test_shift_requires_positive_lambda(op_setup):
     grid, sino, ops = op_setup
     with pytest.raises(ValueError, match="lambda must be positive"):
         RadonSystem(grid, sino, lam=0.0, K=1)
+    # finite, but the scale 1 + lambda*b overflows and the floor vanishes
+    with pytest.raises(ValueError, match="lambda must be positive"):
+        RadonSystem(grid, sino, lam=1e308, K=1)
 
 
 def test_shifted_kernel_floor_formula():
