@@ -31,7 +31,6 @@ from .kl_core import (
     SinogramBlock,
     SinogramGrid,
     kl_distance,
-    kl_residual,
     normalize_to_simplex,
     uniform_density,
 )

@@ -30,7 +30,6 @@ from .config import (
     load_config,
 )
 from .experiment import (
-    NoiseSpec,
     add_poisson_noise,
     consistent_data,
     oracle_stopped_osem,
@@ -42,7 +41,6 @@ from .experiment import (
 )
 from .kl_core import (
     DensityGrid,
-    PixelGrid,
     kl_distance,
     save_matrix_csv,
     save_pgm,
@@ -98,9 +96,7 @@ class SolverData(NamedTuple):
 
 def _add_noise(cfg: RunConfig, clean, quiet: bool):
     """Poisson noise on clean blocks at the configured level, scale and seed."""
-    noisy, _, info = add_poisson_noise(
-        clean, NoiseSpec(cfg.noise_level, cfg.counts_scale, cfg.seed)
-    )
+    noisy, _, info = add_poisson_noise(clean, cfg.noise_spec())
     _say(
         quiet,
         f"noise: counts_scale={info['counts_scale']:.6g} realized "
@@ -140,10 +136,8 @@ def _gamma(cfg: RunConfig, system, data) -> float | None:
 
 
 def _solver_config(cfg: RunConfig, system, data: SolverData) -> SolverConfig:
-    return SolverConfig(
-        n_blocks=system.n_blocks, tau=cfg.resolved_tau(),
-        gamma=_gamma(cfg, system, data.values), delta=data.deltas,
-        max_cycles=cfg.max_cycles,
+    return cfg.solver_config(
+        system.n_blocks, _gamma(cfg, system, data.values), data.deltas
     )
 
 
@@ -195,11 +189,6 @@ def cmd_run(args) -> int:
 
 
 def _run_single(cfg: RunConfig, out: Path, quiet: bool) -> int:
-    if cfg.mode == "em" and cfg.n_blocks != 1:
-        raise ConfigError(
-            "mode em is the single-block case; set n_blocks = 1 "
-            "(use mode osem for several blocks)"
-        )
     system = cfg.build_system()
     x_star = render_phantom(cfg.phantom, system.pixel_grid)
     x0 = uniform_density(system.pixel_grid)
@@ -255,16 +244,17 @@ def _run_compare(cfg: RunConfig, out: Path, quiet: bool) -> int:
     One noise realization is drawn on the unsplit angle set and shared by
     every block count, so rows differ only in the grouping.
     """
-    if cfg.noise_level == 0.0:
-        raise ConfigError("compare mode needs noise_level > 0")
+    # reject a lambda without a kernel floor before simulating; the loop
+    # below builds each system again, so one set of cached rows is alive
+    for N in cfg.compare_subsets:
+        cfg.build_system(n_blocks=N)
     pixel_grid = cfg.pixel_grid()
     x_star = render_phantom(cfg.phantom, pixel_grid)
     x0 = uniform_density(pixel_grid)
     _say(quiet, f"simulating shared data (oversample {cfg.oversample}) ...")
-    hi = PixelGrid(cfg.n_t * cfg.oversample, cfg.epsilon)
-    hi_density = render_phantom(cfg.phantom, hi)
     clean_base = simulate_clean_base(
-        hi_density, cfg.n_angle, cfg.n_r, cfg.K, cfg.max_sim_nodes
+        cfg.phantom, pixel_grid, cfg.n_angle, cfg.n_r, cfg.K, cfg.oversample,
+        cfg.max_sim_nodes,
     )
     (noisy_base,), info = _add_noise(cfg, [clean_base], quiet)
 

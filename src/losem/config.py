@@ -17,10 +17,10 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .experiment import Disc, PhantomSpec
+from .experiment import Disc, NoiseSpec, PhantomSpec
 from .kl_core import PixelGrid, SinogramGrid
 from .operators import RadonSystem
-from .solvers import tau_schedule
+from .solvers import SolverConfig, tau_schedule
 
 __all__ = [
     "ConfigError",
@@ -86,37 +86,37 @@ class RunConfig:
     def sino_grid(self, n_blocks: int | None = None) -> SinogramGrid:
         N = self.n_blocks if n_blocks is None else n_blocks
         if self.n_angle % N:
-            raise ConfigError(
-                f"{self.n_angle} angles do not split into {N} equal blocks"
-            )
+            raise ValueError(f"block count {N} does not divide n_angle = {self.n_angle}")
         return SinogramGrid(n_blocks=N, n_phi=self.n_angle // N, n_r=self.n_r)
 
     def build_system(self, n_blocks: int | None = None) -> RadonSystem:
-        if not self.lam > 0.0:
-            raise ConfigError(
-                "lambda must be positive to run the solver; the unshifted "
-                "kernel touches zero (run 'verify' to see the violation)"
+        try:
+            return RadonSystem(
+                self.pixel_grid(), self.sino_grid(n_blocks), self.lam, self.K
             )
-        return RadonSystem(self.pixel_grid(), self.sino_grid(n_blocks), self.lam, self.K)
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
 
     def resolved_tau(self) -> float:
         if self.tau_mode == "scheduled":
             return tau_schedule(self.noise_level, self.tau)
         return self.tau
 
+    def noise_spec(self) -> NoiseSpec:
+        """Noise of a run on simulated data (``noise_level`` > 0)."""
+        return NoiseSpec(self.noise_level, self.counts_scale, self.seed)
+
+    def solver_config(self, n_blocks: int, gamma: float | None,
+                      delta=None) -> SolverConfig:
+        """Loping parameters for ``n_blocks`` blocks with a resolved gamma."""
+        return SolverConfig(
+            n_blocks=n_blocks, tau=self.resolved_tau(), gamma=gamma,
+            delta=delta, max_cycles=self.max_cycles,
+        )
+
 
 # ---------------------------------------------------------------------------
 # parsing
-
-
-_INT_KEYS = {
-    "n_t", "n_r", "n_angle", "n_phi", "n_blocks", "K", "oversample",
-    "max_cycles", "cycles", "seed", "max_sim_nodes",
-}
-_FLOAT_KEYS = {"epsilon", "lambda", "tau", "gamma", "noise_level", "counts_scale"}
-_STR_KEYS = {"mode", "tau_mode", "gamma_mode", "out", "phantom"}
-_LIST_KEYS = {"compare_subsets"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _LIST_KEYS | {"disc"}
 
 
 def _finite_float(text: str) -> float:
@@ -124,6 +124,27 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(v):
         raise ValueError(f"{text!r} is not a finite number")
     return v
+
+
+def _subsets(text: str) -> tuple[int, ...]:
+    subsets = tuple(int(s) for s in text.replace(",", " ").split())
+    if not subsets or any(s < 1 for s in subsets):
+        raise ValueError("compare_subsets needs positive block counts")
+    return subsets
+
+
+# converter of each key's value; 'disc' lines are parsed apart, since the
+# key repeats
+_CONVERTERS = {
+    "mode": str, "tau_mode": str, "gamma_mode": str, "out": str, "phantom": str,
+    "n_t": int, "n_r": int, "n_angle": int, "n_phi": int, "n_blocks": int,
+    "K": int, "oversample": int, "max_cycles": int, "cycles": int, "seed": int,
+    "max_sim_nodes": int,
+    "epsilon": _finite_float, "lambda": _finite_float, "tau": _finite_float,
+    "gamma": _finite_float, "noise_level": _finite_float,
+    "counts_scale": _finite_float,
+    "compare_subsets": _subsets,
+}
 
 
 def _parse_disc(text: str, where: str) -> Disc:
@@ -159,57 +180,49 @@ def parse_phantom_file(path) -> PhantomSpec:
 
 def parse_config_text(text: str, path: str = "<config>",
                       base_dir: Path | None = None) -> RunConfig:
-    raw: dict[str, str] = {}
+    vals: dict = {}
     where: dict[str, str] = {}
     discs: list[Disc] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
+        here = f"{path}:{lineno}"
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+            raise ConfigError(f"{here}: expected 'key = value', got {line!r}")
         k, v = (s.strip() for s in line.split("=", 1))
-        if k not in _ALL_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key '{k}'")
         if k == "disc":
-            discs.append(_parse_disc(v, f"{path}:{lineno}"))
+            discs.append(_parse_disc(v, here))
             continue
-        if k in raw:
-            raise ConfigError(f"{path}:{lineno}: duplicate key '{k}'")
-        raw[k] = v
-        where[k] = f"{path}:{lineno}"
-
-    def take(k, conv):
-        v = raw.pop(k, None)
-        if v is None:
-            return None
+        if k not in _CONVERTERS:
+            raise ConfigError(f"{here}: unknown key '{k}'")
+        if k in vals:
+            raise ConfigError(f"{here}: duplicate key '{k}'")
         try:
-            return conv(v)
+            vals[k] = _CONVERTERS[k](v)
         except ValueError as e:
-            raise ConfigError(f"{where[k]}: bad value for '{k}': {e}") from e
+            raise ConfigError(f"{here}: bad value for '{k}': {e}") from e
+        where[k] = here
 
-    def require(k, conv):
-        v = take(k, conv)
-        if v is None:
+    def require(k):
+        if k not in vals:
             raise ConfigError(f"{path}: missing required key '{k}'")
-        return v
+        return vals.pop(k)
 
-    mode = require("mode", str)
+    mode = require("mode")
     if mode not in MODES:
         raise ConfigError(f"{where['mode']}: mode must be one of {', '.join(MODES)}")
-    n_t = require("n_t", int)
-    n_r = require("n_r", int)
+    n_t = require("n_t")
+    n_r = require("n_r")
     if n_r < 2:
         # checked here because the margin is derived from 2K/n_r below
         raise ConfigError(f"{path}: n_r must be >= 2, got {n_r}")
 
-    n_angle = take("n_angle", int)
-    n_phi = take("n_phi", int)
+    n_angle = vals.pop("n_angle", None)
+    n_phi = vals.pop("n_phi", None)
     if (n_angle is None) == (n_phi is None):
         raise ConfigError(f"{path}: give exactly one of 'n_angle' or 'n_phi'")
-    n_blocks = take("n_blocks", int)
-    if n_blocks is None:
-        n_blocks = 1
+    n_blocks = vals.pop("n_blocks", 1)
     if n_blocks < 1:
         raise ConfigError(f"{where['n_blocks']}: n_blocks must be >= 1")
     if n_phi is None:
@@ -220,8 +233,8 @@ def parse_config_text(text: str, path: str = "<config>",
             )
         n_phi = n_angle // n_blocks
 
-    epsilon = take("epsilon", _finite_float)
-    K = take("K", int)
+    epsilon = vals.pop("epsilon", None)
+    K = vals.pop("K", None)
     if K is None and epsilon is None:
         K = 1
     if K is None:
@@ -241,7 +254,7 @@ def parse_config_text(text: str, path: str = "<config>",
             f"smoothing width 2K/n_r = {2.0 * K / n_r}"
         )
 
-    phantom_ref = take("phantom", str)
+    phantom_ref = vals.pop("phantom", None)
     if phantom_ref is not None and discs:
         raise ConfigError(
             f"{path}: give either a phantom file or inline 'disc =' lines, not both"
@@ -258,84 +271,53 @@ def parse_config_text(text: str, path: str = "<config>",
             f"{path}: no phantom given (use 'phantom = <file>' or 'disc =' lines)"
         )
 
-    subsets: tuple[int, ...] = ()
-    if "compare_subsets" in raw:
-        items = raw.pop("compare_subsets").replace(",", " ").split()
-        try:
-            subsets = tuple(int(s) for s in items)
-        except ValueError as e:
-            raise ConfigError(
-                f"{where['compare_subsets']}: bad value for 'compare_subsets': {e}"
-            ) from e
-        if not subsets or any(s < 1 for s in subsets):
-            raise ConfigError(
-                f"{where['compare_subsets']}: compare_subsets needs positive "
-                "block counts"
-            )
-
+    if "lambda" in vals:
+        vals["lam"] = vals.pop("lambda")
     cfg = RunConfig(
         mode=mode, n_t=n_t, n_r=n_r, n_phi=n_phi, n_blocks=n_blocks,
-        epsilon=epsilon, K=K, phantom=phantom, compare_subsets=subsets,
+        epsilon=epsilon, K=K, phantom=phantom, **vals,
     )
-    for key, attr, conv in (
-        ("lambda", "lam", _finite_float),
-        ("oversample", "oversample", int),
-        ("tau", "tau", _finite_float),
-        ("tau_mode", "tau_mode", str),
-        ("gamma_mode", "gamma_mode", str),
-        ("gamma", "gamma", _finite_float),
-        ("max_cycles", "max_cycles", int),
-        ("cycles", "cycles", int),
-        ("noise_level", "noise_level", _finite_float),
-        ("counts_scale", "counts_scale", _finite_float),
-        ("seed", "seed", int),
-        ("out", "out", str),
-        ("max_sim_nodes", "max_sim_nodes", int),
-    ):
-        v = take(key, conv)
-        if v is not None:
-            setattr(cfg, attr, v)
-    assert not raw, f"unconsumed keys: {sorted(raw)}"
     _validate(cfg, path)
     return cfg
 
 
 def _validate(cfg: RunConfig, path: str) -> None:
+    """Reject what no command can use, by building the objects that read
+    the values; each range rule lives in its object."""
     def bad(msg):
         raise ConfigError(f"{path}: {msg}")
 
-    try:
-        cfg.sino_grid()
-        cfg.pixel_grid()
-    except ValueError as e:
-        bad(str(e))
     if cfg.lam < 0.0:
         bad(f"lambda must be nonnegative, got {cfg.lam}")
     if cfg.oversample < 1:
         bad(f"oversample must be >= 1, got {cfg.oversample}")
+    if cfg.cycles < 1:
+        bad("cycles must be >= 1")
     if cfg.tau_mode not in TAU_MODES:
         bad(f"tau_mode must be one of {', '.join(TAU_MODES)}")
     if cfg.gamma_mode not in GAMMA_MODES:
         bad(f"gamma_mode must be one of {', '.join(GAMMA_MODES)}")
-    if cfg.gamma_mode == "explicit" and (cfg.gamma is None or cfg.gamma <= 0):
+    explicit = cfg.gamma_mode == "explicit"
+    if explicit and cfg.gamma is None:
         bad("gamma_mode = explicit requires a positive gamma")
-    if cfg.tau_mode == "fixed" and cfg.tau <= 0:
-        bad(f"tau must be positive, got {cfg.tau}")
-    if cfg.tau_mode == "scheduled" and cfg.tau <= 1.0:
-        bad("scheduled tau_mode interprets tau as the zero-noise limit, "
-            "which must exceed 1")
-    if cfg.max_cycles < 1 or cfg.cycles < 1:
-        bad("max_cycles and cycles must be >= 1")
-    if cfg.noise_level < 0.0 or cfg.noise_level >= 1.0:
-        bad(f"noise_level must be in [0, 1), got {cfg.noise_level}")
-    if cfg.counts_scale is not None and cfg.counts_scale <= 0:
-        bad("counts_scale must be positive")
+    if cfg.mode == "em" and cfg.n_blocks != 1:
+        bad("mode em is the single-block case; set n_blocks = 1 "
+            "(use mode osem for several blocks)")
     if cfg.mode == "compare":
         if not cfg.compare_subsets:
             bad("compare mode needs 'compare_subsets' (e.g. 'compare_subsets = 10 20')")
-        for s in cfg.compare_subsets:
-            if cfg.n_angle % s:
-                bad(f"compare subset {s} does not divide n_angle = {cfg.n_angle}")
+        if cfg.noise_level == 0.0:
+            bad("compare mode needs noise_level > 0")
+    try:
+        cfg.pixel_grid()
+        subsets = cfg.compare_subsets if cfg.mode == "compare" else ()
+        for N in (cfg.n_blocks, *subsets):
+            cfg.sino_grid(N)
+        if cfg.noise_level != 0.0:
+            cfg.noise_spec()
+        cfg.solver_config(cfg.n_blocks, cfg.gamma if explicit else None)
+    except ValueError as e:
+        bad(str(e))
 
 
 def load_config(path) -> RunConfig:

@@ -101,26 +101,33 @@ def render_phantom(spec: PhantomSpec, grid: PixelGrid) -> DensityGrid:
 
 
 def simulate_clean_base(
-    density: DensityGrid,
+    spec: PhantomSpec,
+    pixel_grid: PixelGrid,
     n_angles: int,
     n_r: int,
     K: int,
+    oversample: int = 4,
     max_nodes: int = 16_000_000,
 ) -> SinogramBlock:
-    """Smoothed circular means of a density on the unsplit angle set.
+    """Smoothed circular means of a phantom on the unsplit angle set.
 
-    ``density`` is usually rendered on an oversampled grid.  The result is
-    a single normalized block covering all angles (block count one).
+    The phantom is rendered on ``pixel_grid`` refined to n_t * oversample
+    pixels per axis and projected from there.  The result is a single
+    normalized block covering all angles (block count one).
     """
-    n_nodes = (density.grid.n_t + 1) ** 2
+    if oversample < 1:
+        raise ValueError(f"oversample must be >= 1, got {oversample}")
+    hi = PixelGrid(pixel_grid.n_t * oversample, pixel_grid.epsilon)
+    n_nodes = (hi.n_t + 1) ** 2
     if n_nodes > max_nodes:
         raise ValueError(
             f"simulation grid has {n_nodes} nodes, exceeding the cap {max_nodes}; "
             "lower the oversample factor or raise the cap"
         )
+    density = render_phantom(spec, hi)
     base_grid = SinogramGrid(n_blocks=1, n_phi=n_angles, n_r=n_r)
     kernel = SmoothingKernel(n_r, K)
-    op = RadonBlockOperator(density.grid, base_grid, 0, kernel, cache_plans=False)
+    op = RadonBlockOperator(hi, base_grid, 0, kernel, cache_plans=False)
     vals = op.forward(density.values)
     vals = normalize_to_simplex(vals, base_grid.sample_weight)
     return SinogramBlock(base_grid, 0, vals, normalized=True)
@@ -154,20 +161,14 @@ def simulate_data(
     oversample: int = 4,
     max_nodes: int = 16_000_000,
 ) -> list[SinogramBlock]:
-    """Clean shift-free data blocks for the system, simulated oversampled.
-
-    The phantom is rendered on a grid with n_t * oversample pixels per axis
-    and projected from there onto the system's sinogram samples.
-    """
-    if oversample < 1:
-        raise ValueError(f"oversample must be >= 1, got {oversample}")
-    hi = PixelGrid(system.pixel_grid.n_t * oversample, system.pixel_grid.epsilon)
-    density = render_phantom(spec, hi)
+    """Clean shift-free data blocks for the system, simulated oversampled
+    (see :func:`simulate_clean_base`)."""
+    sg = system.sino_grid
     base = simulate_clean_base(
-        density, system.sino_grid.n_angles, system.sino_grid.n_r,
-        system.kernel.K, max_nodes,
+        spec, system.pixel_grid, sg.n_angles, sg.n_r, system.kernel.K,
+        oversample, max_nodes,
     )
-    return reblock(base, system.sino_grid)
+    return reblock(base, sg)
 
 
 def consistent_data(x_star: DensityGrid, system: RadonSystem) -> list[np.ndarray]:

@@ -20,7 +20,6 @@ __all__ = [
     "SinogramGrid",
     "SinogramBlock",
     "kl_distance",
-    "kl_residual",
     "kl_l1_bound_check",
     "normalize_to_simplex",
     "uniform_density",
@@ -247,12 +246,6 @@ class SinogramBlock:
     def mass(self) -> float:
         return float(np.sum(self.values) * self.grid.sample_weight)
 
-    def to_csv(self, path) -> None:
-        save_matrix_csv(path, self.values)
-
-    def to_pgm(self, path) -> None:
-        save_pgm(path, self.values)
-
 
 # ---------------------------------------------------------------------------
 # Kullback-Leibler machinery
@@ -290,20 +283,6 @@ def kl_distance(v, u, weights=None) -> float:
     total = float(np.sum(w * (v * logterm - v + u)))
     # tiny negative rounding residue is clipped; the functional is >= 0
     return max(total, 0.0)
-
-
-def kl_residual(block_op, x, y, weights=None) -> float:
-    """KL distance between block data ``y`` and the forward image of ``x``.
-
-    ``block_op`` is any callable mapping ``x`` to values on the block of
-    ``y``.  When ``y`` is a :class:`SinogramBlock` its grid weights are used.
-    """
-    if isinstance(y, SinogramBlock):
-        data, w = y.values, y.grid.sample_weight
-    else:
-        data, w = np.asarray(y, dtype=np.float64), weights
-    fx = block_op(x)
-    return kl_distance(data, fx, w)
 
 
 def kl_l1_bound_check(v, u, weights=None, slack: float = 1e-12) -> bool:

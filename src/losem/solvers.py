@@ -29,7 +29,6 @@ __all__ = [
     "em_step",
     "osem_run",
     "loping_osem_run",
-    "loping_condition_l2",
     "skip_threshold",
     "tau_schedule",
     "monotonicity_audit",
@@ -62,6 +61,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.n_blocks < 1:
             raise ValueError(f"n_blocks must be >= 1, got {self.n_blocks}")
+        if not self.tau > 0.0:
+            raise ValueError(f"tau must be positive, got {self.tau}")
         if self.gamma is not None and not 0.0 < self.gamma < math.inf:
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         if self.max_cycles < 1:
@@ -131,12 +132,6 @@ class IterationTrace:
         out = [self.error_kl[c * N] for c in range(self.n_cycles)]
         out.append(self.final_error)
         return np.asarray(out)
-
-    def performed_per_cycle(self) -> np.ndarray:
-        counts = np.zeros(self.n_cycles, dtype=np.int64)
-        for c, p in zip(self.cycle, self.performed):
-            counts[c] += int(p)
-        return counts
 
     def write_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -343,19 +338,6 @@ def _log_ratio_norm(y, fx, weight) -> float:
     return float(math.sqrt(np.sum(weight * logs * logs)))
 
 
-def loping_condition_l2(x, system, j, y_j, delta_j, tau) -> bool:
-    """Whether the block step should be performed under the adaptive rule.
-
-    True when the block residual exceeds tau * delta_j times the weighted L2
-    norm of the log data/forward ratio.
-    """
-    vals = _values_of(x)
-    fx = system.forward(vals, j)
-    y = np.asarray(y_j, dtype=np.float64)
-    f = kl_distance(y, fx, system.block_weight)
-    return f > skip_threshold(tau, None, delta_j, y, fx, system.block_weight)
-
-
 def tau_schedule(delta_level: float, tau_infinity: float, c: float | None = None) -> float:
     """Noise-dependent threshold factor tau(delta) = tau_inf / (1 + c*delta).
 
@@ -364,7 +346,10 @@ def tau_schedule(delta_level: float, tau_infinity: float, c: float | None = None
     noise, trading the per-step guarantee for far fewer skipped updates.
     """
     if not tau_infinity > 1.0:
-        raise ValueError("tau_infinity must exceed 1")
+        raise ValueError(
+            "tau_infinity, the zero-noise limit of tau, must exceed 1, "
+            f"got {tau_infinity}"
+        )
     if delta_level < 0.0:
         raise ValueError("delta_level must be nonnegative")
     if c is None:

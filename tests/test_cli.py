@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from losem.cli import main
 from losem.config import (
+    GAMMA_MODES,
+    MODES,
+    TAU_MODES,
     ConfigError,
-    RunConfig,
     load_config,
     parse_config_text,
     parse_phantom_file,
@@ -170,25 +172,36 @@ NUMERIC_KEYS = (
 def _with_values(text, values):
     """``text`` with the lines of the given keys replaced by new values."""
     lines = [ln for ln in text.splitlines() if ln.split("=")[0].strip() not in values]
-    lines += [f"{k} = {v!r}" for k, v in values.items()]
+    lines += [
+        f"{k} = {v if isinstance(v, str) else repr(v)}" for k, v in values.items()
+    ]
     return "\n".join(lines) + "\n"
 
 
-@given(st.dictionaries(
-    st.sampled_from(NUMERIC_KEYS),
-    st.one_of(
-        st.integers(-4, 4), st.integers(),
-        st.sampled_from([0.0, math.nan, math.inf, -math.inf]), st.floats(),
+@given(
+    st.dictionaries(
+        st.sampled_from(NUMERIC_KEYS),
+        st.one_of(
+            st.integers(-4, 4), st.integers(),
+            st.sampled_from([0.0, math.nan, math.inf, -math.inf]), st.floats(),
+        ),
+        min_size=1, max_size=3,
     ),
-    min_size=1, max_size=3,
-))
+    st.sampled_from(MODES), st.sampled_from(TAU_MODES), st.sampled_from(GAMMA_MODES),
+)
 @settings(max_examples=300, deadline=None)
-def test_any_numeric_value_parses_or_is_a_config_error(values):
+def test_any_numeric_value_parses_or_is_a_config_error(values, mode, tau_mode,
+                                                       gamma_mode):
+    modes = {"mode": mode, "tau_mode": tau_mode, "gamma_mode": gamma_mode}
+    text = _with_values(BASE + "compare_subsets = 2 4\n", {**values, **modes})
     try:
-        cfg = parse_config_text(_with_values(BASE, values), "<x>")
+        cfg = parse_config_text(text, "<x>")
     except ConfigError:
         return
-    assert isinstance(cfg, RunConfig)
+    # a config that parses builds the objects that read its values
+    if cfg.noise_level != 0.0:
+        cfg.noise_spec()
+    cfg.solver_config(cfg.n_blocks, cfg.gamma if gamma_mode == "explicit" else None)
 
 
 def test_resolved_tau_schedule():
@@ -253,9 +266,19 @@ def test_run_exact_em(tmp_path):
     assert "noise=none" in (out / "noise_meta.txt").read_text()
 
 
-def test_em_mode_rejects_multiple_blocks(tmp_path):
-    cfg = write_cfg(tmp_path, BASE.replace("mode = loping-osem", "mode = em"))
-    assert main(["run", str(cfg), "--quiet", "--out", str(tmp_path / "o")]) == 2
+@pytest.mark.parametrize("command", ["run", "verify", "phantom"])
+@pytest.mark.parametrize("text", [
+    BASE.replace("mode = loping-osem", "mode = em"),
+    BASE.replace("mode = loping-osem", "mode = compare")
+    .replace("noise_level = 0.05", "noise_level = 0") + "compare_subsets = 2 4\n",
+], ids=["em-with-4-blocks", "compare-on-exact-data"])
+def test_mode_rules_hold_for_every_command(tmp_path, capsys, text, command):
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "o"
+    assert main([command, str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_run_compare_writes_table(tmp_path):
@@ -285,6 +308,20 @@ def test_run_compare_writes_table(tmp_path):
         return out
 
     assert strip_wall(a / "table.csv") == strip_wall(b / "table.csv")
+
+
+def test_compare_rejects_lambda_before_simulating(tmp_path, capsys):
+    text = (
+        BASE.replace("mode = loping-osem", "mode = compare")
+        .replace("lambda = 0.01", "lambda = 0")
+        + "compare_subsets = 2 4\n"
+    )
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "lambda must be positive" in captured.err
+    assert list(out.iterdir()) == []
 
 
 def test_exit_codes(tmp_path, capsys):

@@ -109,8 +109,7 @@ def test_oversample_self_convergence():
 
 def test_reblock_matches_direct_simulation(sim_setup):
     spec, grid, sino, system = sim_setup
-    hi = PixelGrid(grid.n_t * 2, grid.epsilon)
-    base = simulate_clean_base(render_phantom(spec, hi), sino.n_angles, sino.n_r, 1)
+    base = simulate_clean_base(spec, grid, sino.n_angles, sino.n_r, 1, oversample=2)
     blocks = reblock(base, sino)
     direct = simulate_data(spec, system, oversample=2)
     for a, b in zip(blocks, direct):

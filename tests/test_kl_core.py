@@ -14,7 +14,6 @@ from losem.kl_core import (
     SinogramGrid,
     kl_distance,
     kl_l1_bound_check,
-    kl_residual,
     load_matrix_csv,
     normalize_to_simplex,
     save_matrix_csv,
@@ -158,13 +157,6 @@ def test_kl_rejects_negative_and_mismatched():
         kl_distance((-0.1, 1.0), (0.5, 0.5))
     with pytest.raises(ValueError):
         kl_distance((0.5,), (0.5, 0.5))
-
-
-def test_kl_residual_zero_on_exact_data():
-    fwd = lambda x: 2.0 * x
-    x = np.array([0.3, 0.7])
-    assert kl_residual(fwd, x, 2.0 * x, weights=0.5) == 0.0
-    assert kl_residual(fwd, x, np.array([0.9, 1.1]), weights=0.5) > 0.0
 
 
 def test_l1_bound_pinned_example():

@@ -11,7 +11,6 @@ from losem.kl_core import kl_distance, uniform_density
 from losem.solvers import (
     SolverConfig,
     em_step,
-    loping_condition_l2,
     loping_osem_run,
     monotonicity_audit,
     osem_run,
@@ -27,6 +26,8 @@ def test_solver_config_validation():
     SolverConfig(n_blocks=3)
     with pytest.raises(ValueError):
         SolverConfig(n_blocks=0)
+    with pytest.raises(ValueError, match="tau must be positive"):
+        SolverConfig(n_blocks=3, tau=0.0)
     with pytest.raises(ValueError):
         SolverConfig(n_blocks=3, gamma=0.0)
     with pytest.raises(ValueError):
@@ -227,12 +228,16 @@ def test_loping_max_cycles_sentinel(small_setup, tmp_path):
 
 def test_l2_condition_far_vs_near(small_setup):
     system, x_star = small_setup
+    N = system.n_blocks
     data = consistent_data(x_star, system)
     x0 = uniform_density(system.pixel_grid)
+    cfg = SolverConfig(n_blocks=N, tau=1.5, delta=np.full(N, 0.01), max_cycles=3)
+    # at the solution the residuals vanish, so the first cycle is skipped
+    _, trace, report = loping_osem_run(x_star, system, data, cfg)
+    assert not any(trace.performed) and report.k_star == 0
     # far from the solution the residual dominates the threshold
-    assert loping_condition_l2(x0, system, 0, data[0], delta_j=0.01, tau=1.5)
-    # at the solution the residual vanishes, so the step is skipped
-    assert not loping_condition_l2(x_star, system, 0, data[0], delta_j=0.01, tau=1.5)
+    _, trace, _ = loping_osem_run(x0, system, data, cfg)
+    assert trace.performed[0]
 
 
 def test_l2_mode_full_run(small_setup):
