@@ -11,7 +11,7 @@ The package splits into:
   config/cli  config files and the ``losem`` command
 """
 
-from .config import AssumptionError, ConfigError, NumericalError, RunConfig, load_config
+from .config import AssumptionError, ConfigError, RunConfig, load_config
 from .experiment import (
     Disc,
     NoiseSpec,

@@ -22,13 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import (
-    AssumptionError,
-    ConfigError,
-    NumericalError,
-    RunConfig,
-    load_config,
-)
+from .config import AssumptionError, ConfigError, RunConfig, load_config
 from .experiment import (
     add_poisson_noise,
     consistent_data,
@@ -71,11 +65,6 @@ def _outdir(args, cfg: RunConfig) -> Path:
     return path
 
 
-def _stack(blocks) -> np.ndarray:
-    rows = [b.values if hasattr(b, "values") else np.asarray(b) for b in blocks]
-    return np.vstack(rows)
-
-
 # ---------------------------------------------------------------------------
 # data assembly, on a system the command has built
 
@@ -96,7 +85,7 @@ class SolverData(NamedTuple):
 
 def _add_noise(cfg: RunConfig, clean, quiet: bool):
     """Poisson noise on clean blocks at the configured level, scale and seed."""
-    noisy, _, info = add_poisson_noise(clean, cfg.noise_spec())
+    noisy, info = add_poisson_noise(clean, cfg.noise_spec())
     _say(
         quiet,
         f"noise: counts_scale={info['counts_scale']:.6g} realized "
@@ -183,7 +172,7 @@ def cmd_run(args) -> int:
         if cfg.mode == "compare":
             return _run_compare(cfg, out, args.quiet)
         return _run_single(cfg, out, args.quiet)
-    except (NumericalError, FloatingPointError) as e:
+    except FloatingPointError as e:
         (out / "FAILED").write_text(f"{e}\n")
         raise
 
@@ -191,20 +180,22 @@ def cmd_run(args) -> int:
 def _run_single(cfg: RunConfig, out: Path, quiet: bool) -> int:
     system = cfg.build_system()
     x_star = render_phantom(cfg.phantom, system.pixel_grid)
-    x0 = uniform_density(system.pixel_grid)
+    x0 = uniform_density(system.pixel_grid).values
     data = _solver_data(cfg, system, x_star, quiet)
 
     x_star.to_pgm(out / "phantom.pgm")
     if data.noisy is not None:
-        save_pgm(out / "sinogram.pgm", _stack(data.noisy))
-    save_matrix_csv(out / "data.csv", _stack(data.values))
+        save_pgm(out / "sinogram.pgm", np.vstack([b.values for b in data.noisy]))
+    save_matrix_csv(out / "data.csv", np.vstack(data.values))
     _write_noise_meta(out / "noise_meta.txt", data)
 
     summary: dict = {}
     t0 = time.perf_counter()
     if cfg.mode in ("em", "osem"):
         _say(quiet, f"running {cfg.mode} for {cfg.cycles} cycles ...")
-        vals, trace = osem_run(x0, system, data.values, cfg.cycles, x_star=x_star)
+        vals, trace = osem_run(
+            x0, system, data.values, cfg.cycles, x_star=x_star.values
+        )
     else:
         solver_cfg = _solver_config(cfg, system, data)
         gamma = solver_cfg.gamma
@@ -214,7 +205,7 @@ def _run_single(cfg: RunConfig, out: Path, quiet: bool) -> int:
             f"gamma={'adaptive' if gamma is None else format(gamma, '.4g')}) ...",
         )
         vals, trace, report = loping_osem_run(
-            x0, system, data.values, solver_cfg, x_star=x_star
+            x0, system, data.values, solver_cfg, x_star=x_star.values
         )
         report.write_text(out / "stop_report.txt")
         summary["k_star"] = (
@@ -250,7 +241,7 @@ def _run_compare(cfg: RunConfig, out: Path, quiet: bool) -> int:
         cfg.build_system(n_blocks=N)
     pixel_grid = cfg.pixel_grid()
     x_star = render_phantom(cfg.phantom, pixel_grid)
-    x0 = uniform_density(pixel_grid)
+    x0 = uniform_density(pixel_grid).values
     _say(quiet, f"simulating shared data (oversample {cfg.oversample}) ...")
     clean_base = simulate_clean_base(
         cfg.phantom, pixel_grid, cfg.n_angle, cfg.n_r, cfg.K, cfg.oversample,
@@ -273,7 +264,7 @@ def _run_compare(cfg: RunConfig, out: Path, quiet: bool) -> int:
         _say(quiet, f"N={N}: loping run ...")
         t0 = time.perf_counter()
         vals, trace, report = loping_osem_run(
-            x0, system, data.values, solver_cfg, x_star=x_star
+            x0, system, data.values, solver_cfg, x_star=x_star.values
         )
         wall_loping = time.perf_counter() - t0
         err_loping = trace.final_error
@@ -284,7 +275,9 @@ def _run_compare(cfg: RunConfig, out: Path, quiet: bool) -> int:
 
         _say(quiet, f"N={N}: oracle run ({cfg.max_cycles} cycles) ...")
         t0 = time.perf_counter()
-        oracle = oracle_stopped_osem(x0, system, data.values, x_star, cfg.max_cycles)
+        oracle = oracle_stopped_osem(
+            x0, system, data.values, x_star.values, cfg.max_cycles
+        )
         wall_oracle = time.perf_counter() - t0
         err_oracle = float(oracle.errors[oracle.best_cycle])
         DensityGrid(pixel_grid, oracle.values).to_pgm(
@@ -438,7 +431,7 @@ def main(argv=None) -> int:
     except AssumptionError as e:
         print(f"assumption violated: {e}", file=sys.stderr)
         return 3
-    except (NumericalError, FloatingPointError) as e:
+    except FloatingPointError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 4
 

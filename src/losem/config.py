@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .experiment import Disc, NoiseSpec, PhantomSpec
+from .experiment import Disc, NoiseSpec, PhantomSpec, _simulation_grid
 from .kl_core import PixelGrid, SinogramGrid
 from .operators import RadonSystem
 from .solvers import SolverConfig, tau_schedule
@@ -25,7 +25,6 @@ from .solvers import SolverConfig, tau_schedule
 __all__ = [
     "ConfigError",
     "AssumptionError",
-    "NumericalError",
     "RunConfig",
     "load_config",
     "parse_config_text",
@@ -43,10 +42,6 @@ class ConfigError(Exception):
 
 class AssumptionError(Exception):
     """A mathematical precondition of the method fails (exit code 3)."""
-
-
-class NumericalError(Exception):
-    """The computation degenerated numerically (exit code 4)."""
 
 
 @dataclass
@@ -289,8 +284,6 @@ def _validate(cfg: RunConfig, path: str) -> None:
 
     if cfg.lam < 0.0:
         bad(f"lambda must be nonnegative, got {cfg.lam}")
-    if cfg.oversample < 1:
-        bad(f"oversample must be >= 1, got {cfg.oversample}")
     if cfg.cycles < 1:
         bad("cycles must be >= 1")
     if cfg.tau_mode not in TAU_MODES:
@@ -315,6 +308,7 @@ def _validate(cfg: RunConfig, path: str) -> None:
             cfg.sino_grid(N)
         if cfg.noise_level != 0.0:
             cfg.noise_spec()
+            _simulation_grid(cfg.pixel_grid(), cfg.oversample, cfg.max_sim_nodes)
         cfg.solver_config(cfg.n_blocks, cfg.gamma if explicit else None)
     except ValueError as e:
         bad(str(e))

@@ -100,6 +100,20 @@ def render_phantom(spec: PhantomSpec, grid: PixelGrid) -> DensityGrid:
 # clean data
 
 
+def _simulation_grid(pixel_grid: PixelGrid, oversample: int,
+                     max_nodes: int) -> PixelGrid:
+    """``pixel_grid`` refined by ``oversample``, within ``max_nodes`` nodes."""
+    if oversample < 1:
+        raise ValueError(f"oversample must be >= 1, got {oversample}")
+    n_nodes = (pixel_grid.n_t * oversample + 1) ** 2
+    if n_nodes > max_nodes:
+        raise ValueError(
+            f"simulation grid has {n_nodes} nodes, exceeding the cap {max_nodes}; "
+            "lower the oversample factor or raise the cap"
+        )
+    return PixelGrid(pixel_grid.n_t * oversample, pixel_grid.epsilon)
+
+
 def simulate_clean_base(
     spec: PhantomSpec,
     pixel_grid: PixelGrid,
@@ -115,15 +129,7 @@ def simulate_clean_base(
     pixels per axis and projected from there.  The result is a single
     normalized block covering all angles (block count one).
     """
-    if oversample < 1:
-        raise ValueError(f"oversample must be >= 1, got {oversample}")
-    hi = PixelGrid(pixel_grid.n_t * oversample, pixel_grid.epsilon)
-    n_nodes = (hi.n_t + 1) ** 2
-    if n_nodes > max_nodes:
-        raise ValueError(
-            f"simulation grid has {n_nodes} nodes, exceeding the cap {max_nodes}; "
-            "lower the oversample factor or raise the cap"
-        )
+    hi = _simulation_grid(pixel_grid, oversample, max_nodes)
     density = render_phantom(spec, hi)
     base_grid = SinogramGrid(n_blocks=1, n_phi=n_angles, n_r=n_r)
     kernel = SmoothingKernel(n_r, K)
@@ -216,12 +222,17 @@ def _block_rng(seed: int, j: int) -> np.random.Generator:
 
 def _draw(blocks: list[SinogramBlock], c: float, seed: int):
     """One noise realization at counts scale c; returns blocks and aggregate."""
+    if not math.isfinite(c):
+        raise FloatingPointError(f"counts scale {c} is not a finite number")
     noisy = []
     agg_err = 0.0
     agg_mass = 0.0
     for j, b in enumerate(blocks):
         rng = _block_rng(seed, j)
-        counts = rng.poisson(c * b.values)
+        try:
+            counts = rng.poisson(c * b.values)
+        except ValueError as e:  # expected counts beyond what numpy can draw
+            raise FloatingPointError(f"counts scale {c}: {e}") from e
         vals = counts.astype(np.float64) / c
         total = float(np.sum(vals) * b.grid.sample_weight)
         if total <= 0.0:
@@ -236,11 +247,12 @@ def _draw(blocks: list[SinogramBlock], c: float, seed: int):
 def add_poisson_noise(blocks: list[SinogramBlock], spec: NoiseSpec):
     """Poisson noise on clean blocks, renormalized blockwise.
 
-    Returns ``(noisy_blocks, deltas, info)`` where ``deltas[j]`` is the
-    realized quadrature L1 distance between the j-th clean and noisy block
-    and ``info`` records the counts scale, realized aggregate error and the
-    generator algorithm.  Each block uses its own stream spawned from the
-    seed, so blockwise parallel simulation would not change the draws.
+    Returns ``(noisy_blocks, info)``, where ``info`` records the counts
+    scale, realized aggregate error and the generator algorithm; the
+    per-block distances are :func:`realized_deltas`.  Each block uses its
+    own stream spawned from the seed, so blockwise parallel simulation would
+    not change the draws.  A counts scale that loses the whole signal, or a
+    calibration that cannot reach the target, raises FloatingPointError.
     """
     if not blocks:
         raise ValueError("no data blocks to perturb")
@@ -253,12 +265,6 @@ def add_poisson_noise(blocks: list[SinogramBlock], spec: NoiseSpec):
         c = spec.counts_scale
     else:
         c, noisy, agg = _bisect_counts(blocks, spec)
-    deltas = np.array(
-        [
-            weighted_l1(b.values, nb.values, b.grid.sample_weight)
-            for b, nb in zip(blocks, noisy)
-        ]
-    )
     info = {
         "counts_scale": c,
         "aggregate_error": agg,
@@ -266,7 +272,7 @@ def add_poisson_noise(blocks: list[SinogramBlock], spec: NoiseSpec):
         "seed": spec.seed,
         "algorithm": RNG_ALGORITHM,
     }
-    return noisy, deltas, info
+    return noisy, info
 
 
 def _counts_scale_guess(blocks: list[SinogramBlock], level: float) -> float:
@@ -275,7 +281,10 @@ def _counts_scale_guess(blocks: list[SinogramBlock], level: float) -> float:
         float(np.sum(np.sqrt(b.values)) * b.grid.sample_weight) for b in blocks
     )
     mass = sum(b.mass for b in blocks)
-    return max((2.0 / math.pi) * (s / (level * mass)) ** 2, 1.0)
+    try:
+        return max((2.0 / math.pi) * (s / (level * mass)) ** 2, 1.0)
+    except OverflowError:
+        return math.inf
 
 
 def _bisect_counts(blocks: list[SinogramBlock], spec: NoiseSpec):
@@ -303,7 +312,7 @@ def _bisect_counts(blocks: list[SinogramBlock], spec: NoiseSpec):
         else:
             break
     if not (agg_lo >= target >= agg_hi):
-        raise RuntimeError(
+        raise FloatingPointError(
             f"could not bracket the noise target {target}: realized error is "
             f"{agg_lo} at counts scale {lo} and {agg_hi} at {hi}"
         )
@@ -316,7 +325,7 @@ def _bisect_counts(blocks: list[SinogramBlock], spec: NoiseSpec):
             lo = mid
         else:
             hi = mid
-    raise RuntimeError(
+    raise FloatingPointError(
         f"noise target {target} not attained within the bisection budget; "
         f"last counts scale {mid} realized {agg}"
     )
@@ -349,21 +358,21 @@ def oracle_stopped_osem(x0, system, data, x_star, max_cycles: int) -> OracleResu
     """Run the cyclic iteration and keep the iterate of the best cycle.
 
     "Best" minimizes the ground-truth KL error over cycle ends 1..max_cycles.
-    This stopping rule needs the ground truth and serves as the reference
-    against which automatic stopping is judged.
+    This stopping rule needs the ground truth ``x_star`` (node values, like
+    ``x0``) and serves as the reference against which automatic stopping is
+    judged.
     """
     if len(data) != system.n_blocks:
         raise ValueError(f"expected {system.n_blocks} data blocks, got {len(data)}")
-    x = x0.values if isinstance(x0, DensityGrid) else np.asarray(x0, dtype=np.float64)
-    xs = x_star.values if isinstance(x_star, DensityGrid) else np.asarray(x_star)
-    errors = [kl_distance(xs, x, system.node_weights)]
+    x = x0
+    errors = [kl_distance(x_star, x, system.node_weights)]
     best_err = math.inf
     best_cycle = 0
     best = x.copy()
     for cycle in range(1, max_cycles + 1):
         for j in range(system.n_blocks):
             x = em_step(x, system, j, data[j])
-        err = kl_distance(xs, x, system.node_weights)
+        err = kl_distance(x_star, x, system.node_weights)
         errors.append(err)
         if err < best_err:
             best_err = err

@@ -4,7 +4,8 @@ A system is anything with the small surface used below: ``n_blocks``,
 ``node_weights``, ``block_weight``, ``forward(x, j)`` and ``adjoint(y, j)``.
 The iterates live on the density simplex of the node quadrature: every step
 multiplies the current iterate by the adjoint of the data/forward ratio and
-renormalizes to unit mass.
+renormalizes to unit mass.  Iterates, starting points and ground truths are
+float arrays of node values.
 
 The loping variant evaluates, before each step, whether the block residual
 still exceeds its noise threshold; if not, the step is skipped.  The run
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kl_core import DensityGrid, kl_distance, normalize_to_simplex
+from .kl_core import kl_distance
 
 __all__ = [
     "SolverConfig",
@@ -177,10 +178,6 @@ class StopReport:
 # steps and runs
 
 
-def _values_of(x):
-    return x.values if isinstance(x, DensityGrid) else np.asarray(x, dtype=np.float64)
-
-
 def _update(x, system, j, y_j, fx):
     """One multiplicative update from precomputed forward values.
 
@@ -196,17 +193,9 @@ def _update(x, system, j, y_j, fx):
 
 
 def em_step(x, system, j, y_j):
-    """One multiplicative step on block j followed by renormalization.
-
-    ``x`` may be a :class:`DensityGrid` (a like instance is returned) or a
-    plain array on the system's node quadrature.
-    """
-    vals = _values_of(x)
-    fx = system.forward(vals, j)
-    new_vals, _ = _update(vals, system, j, np.asarray(y_j, dtype=np.float64), fx)
-    if isinstance(x, DensityGrid):
-        return DensityGrid(x.grid, new_vals)
-    return new_vals
+    """One multiplicative step on block j followed by renormalization, of
+    an iterate ``x`` on the system's node quadrature."""
+    return _update(x, system, j, y_j, system.forward(x, j))[0]
 
 
 def osem_run(x0, system, data, cycles, x_star=None, audit=False):
@@ -242,7 +231,7 @@ def loping_osem_run(x0, system, data, config: SolverConfig, x_star=None,
         and config.tau > 1.0
         and float(np.min(delta)) > 0.0
     ):
-        d0 = kl_distance(_values_of(x_star), _values_of(x0), system.node_weights)
+        d0 = kl_distance(x_star, x0, system.node_weights)
         report.step_bound = (
             config.n_blocks * d0 / ((config.tau - 1.0) * g * float(np.min(delta)))
         )
@@ -256,8 +245,7 @@ def _run_loop(x0, system, data, max_cycles, x_star, audit, rule=None):
     if len(data) != N:
         raise ValueError(f"expected {N} data blocks, got {len(data)}")
     data = [np.asarray(b, dtype=np.float64) for b in data]
-    x = _values_of(x0).copy()
-    xs = None if x_star is None else _values_of(x_star)
+    x = np.array(x0, dtype=np.float64)
     w_nodes = system.node_weights
     w_block = system.block_weight
     loping = rule is not None
@@ -275,7 +263,7 @@ def _run_loop(x0, system, data, max_cycles, x_star, audit, rule=None):
         for j in range(N):
             fx = system.forward(x, j)
             f = kl_distance(data[j], fx, w_block)
-            err = math.nan if xs is None else kl_distance(xs, x, w_nodes)
+            err = math.nan if x_star is None else kl_distance(x_star, x, w_nodes)
             perform = not loping or delta[j] == 0.0 or f > threshold(j, fx)
             if perform:
                 any_performed = True
@@ -292,7 +280,7 @@ def _run_loop(x0, system, data, max_cycles, x_star, audit, rule=None):
         if loping and not any_performed:
             stopped = True
             break
-    trace.final_error = math.nan if xs is None else kl_distance(xs, x, w_nodes)
+    trace.final_error = math.nan if x_star is None else kl_distance(x_star, x, w_nodes)
 
     if not loping:
         return x, trace, None
@@ -338,12 +326,12 @@ def _log_ratio_norm(y, fx, weight) -> float:
     return float(math.sqrt(np.sum(weight * logs * logs)))
 
 
-def tau_schedule(delta_level: float, tau_infinity: float, c: float | None = None) -> float:
+def tau_schedule(delta_level: float, tau_infinity: float) -> float:
     """Noise-dependent threshold factor tau(delta) = tau_inf / (1 + c*delta).
 
     ``delta_level`` is the relative noise level (e.g. 0.05 for five percent).
-    The default slope c = 25 / tau_inf pushes the factor below one for large
-    noise, trading the per-step guarantee for far fewer skipped updates.
+    The slope c = 25 / tau_inf pushes the factor below one for large noise,
+    trading the per-step guarantee for far fewer skipped updates.
     """
     if not tau_infinity > 1.0:
         raise ValueError(
@@ -352,8 +340,7 @@ def tau_schedule(delta_level: float, tau_infinity: float, c: float | None = None
         )
     if delta_level < 0.0:
         raise ValueError("delta_level must be nonnegative")
-    if c is None:
-        c = 25.0 / tau_infinity
+    c = 25.0 / tau_infinity
     return tau_infinity / (1.0 + c * delta_level)
 
 

@@ -19,6 +19,7 @@ from losem.experiment import (
     add_poisson_noise,
     consistent_data,
     oracle_stopped_osem,
+    realized_deltas,
     render_phantom,
     simulate_data,
 )
@@ -67,12 +68,14 @@ def exact_runs():
     """25 exact-data cycles at 64x64 with 60 angles, for 1, 5 and 10 blocks."""
     pixel = PixelGrid(64, 2.0 / 64.0)
     x_star = render_phantom(TWO_DISCS, pixel)
-    x0 = uniform_density(pixel)
+    x0 = uniform_density(pixel).values
     out = {}
     for n in (1, 5, 10):
         system = RadonSystem(pixel, SinogramGrid(n, 60 // n, 64), 0.01, 1)
         data = consistent_data(x_star, system)
-        _, trace = osem_run(x0, system, data, cycles=25, x_star=x_star, audit=True)
+        _, trace = osem_run(
+            x0, system, data, cycles=25, x_star=x_star.values, audit=True
+        )
         out[n] = trace
     return out
 
@@ -83,19 +86,21 @@ def noisy_runs():
     cfg = CALIBRATED
     system = cfg.build_system()
     x_star = render_phantom(cfg.phantom, system.pixel_grid)
-    x0 = uniform_density(system.pixel_grid)
+    x0 = uniform_density(system.pixel_grid).values
     clean = simulate_data(cfg.phantom, system, cfg.oversample)
     results = []
     for seed in NOISE_SEEDS:
-        noisy, raw_l1, _ = add_poisson_noise(clean, NoiseSpec(cfg.noise_level, seed=seed))
+        noisy, _ = add_poisson_noise(clean, NoiseSpec(cfg.noise_level, seed=seed))
         data = system.shift_data([b.values for b in noisy])
         solver = SolverConfig(
             n_blocks=system.n_blocks, tau=cfg.tau, gamma=cfg.gamma,
-            delta=system.shifted_deltas(raw_l1),
+            delta=system.shifted_deltas(realized_deltas(clean, noisy)),
             max_cycles=cfg.max_cycles,
         )
-        _, trace, report = loping_osem_run(x0, system, data, solver, x_star=x_star)
-        oracle = oracle_stopped_osem(x0, system, data, x_star, max_cycles=25)
+        _, trace, report = loping_osem_run(
+            x0, system, data, solver, x_star=x_star.values
+        )
+        oracle = oracle_stopped_osem(x0, system, data, x_star.values, max_cycles=25)
         results.append({"seed": seed, "trace": trace, "report": report,
                         "oracle": oracle})
     return results
@@ -178,14 +183,14 @@ def test_04_exact_data_residuals_fall_tenfold(exact_runs):
 def test_05_block_splitting_accelerates_early_cycles():
     pixel = PixelGrid(100, 2.0 / 100.0)
     x_star = render_phantom(TWO_DISCS, pixel)
-    x0 = uniform_density(pixel)
+    x0 = uniform_density(pixel).values
     em_sys = RadonSystem(pixel, SinogramGrid(1, 100, 100), 0.01, 1)
     _, em_trace = osem_run(
-        x0, em_sys, consistent_data(x_star, em_sys), cycles=3, x_star=x_star
+        x0, em_sys, consistent_data(x_star, em_sys), cycles=3, x_star=x_star.values
     )
     os_sys = RadonSystem(pixel, SinogramGrid(5, 20, 100), 0.01, 1)
     _, os_trace = osem_run(
-        x0, os_sys, consistent_data(x_star, os_sys), cycles=1, x_star=x_star
+        x0, os_sys, consistent_data(x_star, os_sys), cycles=1, x_star=x_star.values
     )
     ok = os_trace.final_error < em_trace.final_error
     verdict(
@@ -258,7 +263,7 @@ def test_08_noisy_iteration_semi_converges(noisy_runs):
 def test_09_degenerate_cases_reduce_bitwise(identity_system):
     pixel = PixelGrid(32, 2.0 / 32.0)
     x_star = render_phantom(TWO_DISCS, pixel)
-    x0 = uniform_density(pixel)
+    x0 = uniform_density(pixel).values
 
     system = RadonSystem(pixel, SinogramGrid(4, 8, 32), 0.01, 1)
     data = consistent_data(x_star, system)
@@ -269,7 +274,7 @@ def test_09_degenerate_cases_reduce_bitwise(identity_system):
 
     em_sys = RadonSystem(pixel, SinogramGrid(1, 32, 32), 0.01, 1)
     em_data = consistent_data(x_star, em_sys)
-    stepped = x0.values
+    stepped = x0
     for _ in range(4):
         stepped = em_step(stepped, em_sys, 0, em_data[0])
     cyclic, _ = osem_run(x0, em_sys, em_data, cycles=4)

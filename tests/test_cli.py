@@ -1,10 +1,14 @@
+import contextlib
 import importlib.resources
+import io
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from losem.cli import main
@@ -266,12 +270,14 @@ def test_run_exact_em(tmp_path):
     assert "noise=none" in (out / "noise_meta.txt").read_text()
 
 
+# rules checked when the config loads, before anything is printed or written
 @pytest.mark.parametrize("command", ["run", "verify", "phantom"])
 @pytest.mark.parametrize("text", [
     BASE.replace("mode = loping-osem", "mode = em"),
     BASE.replace("mode = loping-osem", "mode = compare")
     .replace("noise_level = 0.05", "noise_level = 0") + "compare_subsets = 2 4\n",
-], ids=["em-with-4-blocks", "compare-on-exact-data"])
+    BASE + "max_sim_nodes = 100\n",
+], ids=["em-with-4-blocks", "compare-on-exact-data", "simulation-over-node-cap"])
 def test_mode_rules_hold_for_every_command(tmp_path, capsys, text, command):
     cfg = write_cfg(tmp_path, text)
     out = tmp_path / "o"
@@ -374,6 +380,97 @@ def test_lost_signal_is_a_numerical_failure(tmp_path, capsys):
     assert (out / "FAILED").exists()
     err = capsys.readouterr().err
     assert "numerical failure" in err and "Traceback" not in err
+
+
+# a tiny noisy run whose noise calibration cannot reach its target
+UNCALIBRATED = """
+mode = loping-osem
+n_t = 8
+n_r = 8
+n_angle = 4
+n_blocks = 2
+K = 1
+lambda = 0.01
+noise_level = 0.5
+seed = 0
+oversample = 1
+gamma_mode = explicit
+gamma = 0.045
+max_cycles = 5
+disc = 0.0 0.0 0.4 1.0
+"""
+
+
+@pytest.mark.parametrize("text", [
+    UNCALIBRATED,
+    _with_values(UNCALIBRATED, {"n_t": 4, "n_r": 4, "noise_level": 0.95, "seed": 1}),
+], ids=["8x8", "4x4"])
+def test_failed_noise_calibration_is_a_numerical_failure(tmp_path, capsys, text):
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 4
+    assert (out / "FAILED").exists()
+    assert main(["verify", str(cfg), "--quiet"]) == 4
+    err = capsys.readouterr().err
+    assert err.count("numerical failure: noise target") == 2
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("oversample", 0, "oversample must be >= 1"),
+    ("max_sim_nodes", 100, "exceeding the cap"),
+])
+def test_only_simulated_data_check_the_simulation_grid(key, value, message):
+    exact = BASE.replace("noise_level = 0.05", "noise_level = 0")
+    parse_config_text(_with_values(exact, {key: value}), "<x>")
+    with pytest.raises(ConfigError, match=message):
+        parse_config_text(_with_values(BASE, {key: value}), "<x>")
+
+
+@given(
+    st.fixed_dictionaries({
+        "mode": st.sampled_from(MODES),
+        "tau_mode": st.sampled_from(TAU_MODES),
+        "gamma_mode": st.sampled_from(GAMMA_MODES),
+        "n_t": st.integers(2, 8),
+        "n_r": st.integers(2, 8),
+        "n_angle": st.sampled_from([4, 8]),
+        "n_blocks": st.sampled_from([1, 2, 4]),
+        "lambda": st.one_of(
+            st.sampled_from([0.0, 1e308]), st.floats(0.0, 1e308), st.floats(1e-3, 1.0)
+        ),
+        "noise_level": st.one_of(
+            st.just(0.0), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+        ),
+        "seed": st.integers(0, 3),
+        "oversample": st.integers(1, 2),
+        "disc": st.floats(0.05, 0.45).map(lambda r: f"0.0 0.0 {r!r} 1.0"),
+    }),
+)
+@example({  # UNCALIBRATED itself
+    "mode": "loping-osem", "tau_mode": "fixed", "gamma_mode": "explicit",
+    "n_t": 8, "n_r": 8, "n_angle": 4, "n_blocks": 2, "lambda": 0.01,
+    "noise_level": 0.5, "seed": 0, "oversample": 1, "disc": "0.0 0.0 0.4 1.0",
+})
+@example({  # a noise level no finite counts scale reaches
+    "mode": "loping-osem", "tau_mode": "fixed", "gamma_mode": "explicit",
+    "n_t": 8, "n_r": 8, "n_angle": 4, "n_blocks": 2, "lambda": 0.01,
+    "noise_level": 5e-324, "seed": 0, "oversample": 1, "disc": "0.0 0.0 0.4 1.0",
+})
+@settings(max_examples=100, deadline=None)
+def test_every_command_exits_with_a_documented_code(values):
+    """Tiny configs through every command: exit 0, 2, 3 or 4, no traceback,
+    and a FAILED marker exactly when ``run`` fails numerically."""
+    text = _with_values(UNCALIBRATED + "compare_subsets = 1 2\ncycles = 2\n", values)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_cfg(Path(tmp), text)
+        for command in ("run", "verify", "phantom"):
+            out, err = Path(tmp) / command, io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([command, str(cfg), "--out", str(out), "--quiet"])
+            assert code in (0, 2, 3, 4), (command, code, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+            assert (out / "FAILED").exists() == (command == "run" and code == 4)
 
 
 def test_verify_ok_and_warnings(tmp_path, capsys):

@@ -148,35 +148,34 @@ def clean_blocks(sim_setup):
 
 
 def test_noise_is_deterministic_per_seed(clean_blocks):
-    a, da, _ = add_poisson_noise(clean_blocks, NoiseSpec(level=0.05, seed=42))
-    b, db, _ = add_poisson_noise(clean_blocks, NoiseSpec(level=0.05, seed=42))
+    a, _ = add_poisson_noise(clean_blocks, NoiseSpec(level=0.05, seed=42))
+    b, _ = add_poisson_noise(clean_blocks, NoiseSpec(level=0.05, seed=42))
     for x, y in zip(a, b):
         assert np.array_equal(x.values, y.values)
-    npt.assert_array_equal(da, db)
-    c, _, _ = add_poisson_noise(clean_blocks, NoiseSpec(level=0.05, seed=43))
+    c, _ = add_poisson_noise(clean_blocks, NoiseSpec(level=0.05, seed=43))
     assert not np.array_equal(a[0].values, c[0].values)
 
 
 def test_noise_hits_target_window(clean_blocks):
     for seed in (0, 1, 2):
-        _, _, info = add_poisson_noise(clean_blocks, NoiseSpec(level=0.05, seed=seed))
+        _, info = add_poisson_noise(clean_blocks, NoiseSpec(level=0.05, seed=seed))
         assert 0.045 <= info["aggregate_error"] <= 0.055
         assert info["algorithm"] == "numpy-philox"
 
 
 def test_noise_blocks_stay_normalized(clean_blocks):
-    noisy, deltas, _ = add_poisson_noise(clean_blocks, NoiseSpec(level=0.05, seed=7))
+    noisy, _ = add_poisson_noise(clean_blocks, NoiseSpec(level=0.05, seed=7))
     for b in noisy:
         assert b.mass == pytest.approx(1.0, abs=1e-9)
-    assert np.all(deltas > 0.0)
+    assert np.all(realized_deltas(clean_blocks, noisy) > 0.0)
 
 
 def test_large_counts_scale_means_tiny_noise(clean_blocks):
-    noisy, deltas, info = add_poisson_noise(
+    noisy, info = add_poisson_noise(
         clean_blocks, NoiseSpec(level=0.05, counts_scale=1e8, seed=0)
     )
     assert info["counts_scale"] == 1e8
-    assert np.all(deltas <= 1e-3)
+    assert np.all(realized_deltas(clean_blocks, noisy) <= 1e-3)
 
 
 def test_tiny_counts_scale_raises(clean_blocks):
@@ -186,14 +185,23 @@ def test_tiny_counts_scale_raises(clean_blocks):
         )
 
 
+@pytest.mark.parametrize("level,counts_scale", [
+    (5e-324, None),   # the calibration's first guess overflows
+    (1e-12, None),    # the guess is finite, but too large for a Poisson draw
+    (0.05, 1e300),
+])
+def test_undrawable_counts_scale_raises(clean_blocks, level, counts_scale):
+    with pytest.raises(FloatingPointError, match="counts scale"):
+        add_poisson_noise(clean_blocks, NoiseSpec(level, counts_scale, seed=0))
+
+
 def test_realized_deltas_are_definitional(clean_blocks):
-    noisy, deltas, _ = add_poisson_noise(clean_blocks, NoiseSpec(level=0.05, seed=3))
+    noisy, _ = add_poisson_noise(clean_blocks, NoiseSpec(level=0.05, seed=3))
     w = clean_blocks[0].grid.sample_weight
     expect = [
         weighted_l1(c.values, n.values, w) for c, n in zip(clean_blocks, noisy)
     ]
     npt.assert_allclose(realized_deltas(clean_blocks, noisy, ord=1), expect, rtol=1e-15)
-    npt.assert_array_equal(deltas, realized_deltas(clean_blocks, noisy, ord=1))
     d2 = realized_deltas(clean_blocks, noisy, ord=2)
     assert np.all(d2 > 0.0)
 
@@ -205,10 +213,10 @@ def test_realized_deltas_are_definitional(clean_blocks):
 def test_oracle_stopped_osem_picks_the_minimum(sim_setup, clean_blocks):
     spec, grid, sino, system = sim_setup
     x_star = render_phantom(spec, grid)
-    noisy, _, _ = add_poisson_noise(clean_blocks, NoiseSpec(level=0.05, seed=0))
+    noisy, _ = add_poisson_noise(clean_blocks, NoiseSpec(level=0.05, seed=0))
     data = system.shift_data([b.values for b in noisy])
-    x0 = uniform_density(grid)
-    result = oracle_stopped_osem(x0, system, data, x_star, max_cycles=10)
+    x0 = uniform_density(grid).values
+    result = oracle_stopped_osem(x0, system, data, x_star.values, max_cycles=10)
     assert len(result.errors) == 11
     assert 1 <= result.best_cycle <= 10
     assert result.errors[result.best_cycle] == pytest.approx(
@@ -226,14 +234,14 @@ def test_oracle_matches_one_uninterrupted_run(small_setup, two_disc_phantom):
     system, x_star = small_setup
     clean = simulate_data(two_disc_phantom, system, oversample=1)
     # at this noise level the best cycle (4) lies inside the run
-    noisy, _, _ = add_poisson_noise(clean, NoiseSpec(level=0.2, seed=1))
+    noisy, _ = add_poisson_noise(clean, NoiseSpec(level=0.2, seed=1))
     data = system.shift_data([b.values for b in noisy])
-    x0 = uniform_density(system.pixel_grid)
-    oracle = oracle_stopped_osem(x0, system, data, x_star, max_cycles=8)
+    x0 = uniform_density(system.pixel_grid).values
+    oracle = oracle_stopped_osem(x0, system, data, x_star.values, max_cycles=8)
     assert oracle.best_cycle < 8
-    _, trace = osem_run(x0, system, data, 8, x_star=x_star)
+    _, trace = osem_run(x0, system, data, 8, x_star=x_star.values)
     assert np.array_equal(oracle.errors, trace.cycle_errors())
     best, _ = osem_run(x0, system, data, oracle.best_cycle)
     assert np.array_equal(oracle.values, best)
     with pytest.raises(ValueError, match="data blocks"):
-        oracle_stopped_osem(x0, system, data[:-1], x_star, max_cycles=1)
+        oracle_stopped_osem(x0, system, data[:-1], x_star.values, max_cycles=1)
