@@ -6,7 +6,7 @@ The package splits into:
 
   kl_core     grids, the weighted KL distance, serialization
   operators   circular-mean block operators, smoothing, kernel shift, bounds
-  solvers     full, cyclic and loping iterations, stopping, audits
+  solvers     full, cyclic and loping iterations, stopping
   experiment  phantoms, data simulation, Poisson noise, oracle stopping
   config/cli  config files and the ``losem`` command
 """
@@ -43,13 +43,11 @@ from .operators import (
     smooth_radial,
 )
 from .solvers import (
-    AuditReport,
     IterationTrace,
     SolverConfig,
     StopReport,
     em_step,
     loping_osem_run,
-    monotonicity_audit,
     osem_run,
     tau_schedule,
 )

@@ -125,9 +125,7 @@ def _gamma(cfg: RunConfig, system, data) -> float | None:
 
 
 def _solver_config(cfg: RunConfig, system, data: SolverData) -> SolverConfig:
-    return cfg.solver_config(
-        system.n_blocks, _gamma(cfg, system, data.values), data.deltas
-    )
+    return cfg.solver_config(_gamma(cfg, system, data.values), data.deltas)
 
 
 def _write_noise_meta(path: Path, data: SolverData) -> None:

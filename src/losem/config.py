@@ -101,12 +101,11 @@ class RunConfig:
         """Noise of a run on simulated data (``noise_level`` > 0)."""
         return NoiseSpec(self.noise_level, self.counts_scale, self.seed)
 
-    def solver_config(self, n_blocks: int, gamma: float | None,
-                      delta=None) -> SolverConfig:
-        """Loping parameters for ``n_blocks`` blocks with a resolved gamma."""
+    def solver_config(self, gamma: float | None, delta=None) -> SolverConfig:
+        """Loping parameters with a resolved gamma."""
         return SolverConfig(
-            n_blocks=n_blocks, tau=self.resolved_tau(), gamma=gamma,
-            delta=delta, max_cycles=self.max_cycles,
+            tau=self.resolved_tau(), gamma=gamma, delta=delta,
+            max_cycles=self.max_cycles,
         )
 
 
@@ -309,7 +308,7 @@ def _validate(cfg: RunConfig, path: str) -> None:
         if cfg.noise_level != 0.0:
             cfg.noise_spec()
             _simulation_grid(cfg.pixel_grid(), cfg.oversample, cfg.max_sim_nodes)
-        cfg.solver_config(cfg.n_blocks, cfg.gamma if explicit else None)
+        cfg.solver_config(cfg.gamma if explicit else None)
     except ValueError as e:
         bad(str(e))
 

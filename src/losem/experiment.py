@@ -136,7 +136,7 @@ def simulate_clean_base(
     op = RadonBlockOperator(hi, base_grid, 0, kernel, cache_plans=False)
     vals = op.forward(density.values)
     vals = normalize_to_simplex(vals, base_grid.sample_weight)
-    return SinogramBlock(base_grid, 0, vals, normalized=True)
+    return SinogramBlock(base_grid, 0, vals)
 
 
 def reblock(base: SinogramBlock, grid: SinogramGrid) -> list[SinogramBlock]:
@@ -157,7 +157,7 @@ def reblock(base: SinogramBlock, grid: SinogramGrid) -> list[SinogramBlock]:
     for j in range(grid.n_blocks):
         rows = base.values[j * grid.n_phi : (j + 1) * grid.n_phi]
         vals = normalize_to_simplex(rows * grid.n_blocks, grid.sample_weight)
-        out.append(SinogramBlock(grid, j, vals, normalized=True))
+        out.append(SinogramBlock(grid, j, vals))
     return out
 
 
@@ -238,7 +238,7 @@ def _draw(blocks: list[SinogramBlock], c: float, seed: int):
         if total <= 0.0:
             return None, 2.0  # complete loss of signal at this scale
         vals /= total
-        noisy.append(SinogramBlock(b.grid, b.j, vals, normalized=True))
+        noisy.append(SinogramBlock(b.grid, b.j, vals))
         agg_err += weighted_l1(b.values, vals, b.grid.sample_weight)
         agg_mass += b.mass
     return noisy, agg_err / agg_mass

@@ -56,6 +56,16 @@ class PixelGrid:
             raise ValueError(f"n_t must be >= 2, got {self.n_t}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
+        # the node coordinates nearest 0, computed as in ``nodes``; the
+        # nearest node pair decides whether ``mask`` is all False, without
+        # building the (n_t + 1)^2 mask at load time
+        i = np.array([self.n_t // 2, (self.n_t + 1) // 2])
+        near = -1.0 + 2.0 * i / self.n_t
+        if not 2.0 * float(np.min(near * near)) < self.radius ** 2:
+            raise ValueError(
+                f"the disc domain of radius {self.radius!r} holds no node of "
+                f"the n_t = {self.n_t} grid; raise n_t or lower epsilon"
+            )
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -212,16 +222,12 @@ class SinogramGrid:
 
 @dataclass(frozen=True)
 class SinogramBlock:
-    """Data values of one block, shaped (n_phi, n_r + 1).
-
-    ``normalized`` asserts that the quadrature weighted integral over the
-    block equals one.
-    """
+    """Unit-mass data values of one block, shaped (n_phi, n_r + 1): the
+    quadrature weighted integral over the block equals one."""
 
     grid: SinogramGrid
     j: int
     values: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         if not 0 <= self.j < self.grid.n_blocks:
@@ -233,14 +239,10 @@ class SinogramBlock:
             )
         if np.any(vals < 0.0):
             raise ValueError("sinogram values must be nonnegative")
-        if self.normalized:
-            mass = float(np.sum(vals) * self.grid.sample_weight)
-            if abs(mass - 1.0) > MASS_TOL:
-                raise ValueError(
-                    f"normalized block {self.j} has mass {mass}, expected 1"
-                )
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
+        if abs(self.mass - 1.0) > MASS_TOL:
+            raise ValueError(f"block {self.j} has mass {self.mass}, expected 1")
 
     @property
     def mass(self) -> float:

@@ -26,13 +26,11 @@ __all__ = [
     "SolverConfig",
     "IterationTrace",
     "StopReport",
-    "AuditReport",
     "em_step",
     "osem_run",
     "loping_osem_run",
     "skip_threshold",
     "tau_schedule",
-    "monotonicity_audit",
 ]
 
 TRACE_HEADER = "step,cycle,block,performed,residual,step_kl,error_kl"
@@ -48,20 +46,17 @@ class SolverConfig:
     tau * delta_j * ||log(y_j / A_j x)||_2 and delta_j a weighted-L2 noise
     bound (see :func:`skip_threshold`).
 
-    ``delta`` holds one noise bound per block; ``None`` or zeros mean exact
-    data, in which case every step is performed and the run only ends at
-    ``max_cycles``.
+    ``delta`` holds one noise bound per block of the system it runs on;
+    ``None`` or zeros mean exact data, in which case every step is performed
+    and the run only ends at ``max_cycles``.
     """
 
-    n_blocks: int
     tau: float = 1.5
     gamma: float | None = None
     delta: np.ndarray | None = None
     max_cycles: int = 200
 
     def __post_init__(self):
-        if self.n_blocks < 1:
-            raise ValueError(f"n_blocks must be >= 1, got {self.n_blocks}")
         if not self.tau > 0.0:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.gamma is not None and not 0.0 < self.gamma < math.inf:
@@ -70,10 +65,6 @@ class SolverConfig:
             raise ValueError("max_cycles must be >= 1")
         if self.delta is not None:
             d = np.asarray(self.delta, dtype=np.float64)
-            if d.shape != (self.n_blocks,):
-                raise ValueError(
-                    f"delta must have one entry per block, got shape {d.shape}"
-                )
             if np.any(d < 0):
                 raise ValueError("noise bounds must be nonnegative")
             object.__setattr__(self, "delta", d)
@@ -145,7 +136,7 @@ class IterationTrace:
                 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class StopReport:
     """Outcome of a loping run."""
 
@@ -154,9 +145,9 @@ class StopReport:
     cycles: int
     final_residuals: np.ndarray
     thresholds: np.ndarray
-    gamma: float | None = None
-    tau: float = math.nan
-    step_bound: float = math.nan   # bound on k_star when it applies, else nan
+    gamma: float | None
+    tau: float
+    step_bound: float   # bound on k_star when it applies, else nan
 
     def write_text(self, path) -> None:
         with open(path, "w") as fh:
@@ -201,10 +192,13 @@ def em_step(x, system, j, y_j):
 def osem_run(x0, system, data, cycles, x_star=None, audit=False):
     """Cyclic multiplicative iteration over all blocks for a fixed cycle count.
 
-    Returns the final iterate values and the :class:`IterationTrace`.
-    ``audit`` additionally records the same-block residual after each step.
+    This is the loping loop with zero noise bounds, which performs every
+    step (tau and gamma are then never read).  Returns the final iterate
+    values and the :class:`IterationTrace`.  ``audit`` additionally records
+    the same-block residual after each step.
     """
-    return _run_loop(x0, system, data, cycles, x_star, audit)[:2]
+    zero = np.zeros(system.n_blocks)
+    return _run_loop(x0, system, data, cycles, x_star, audit, 1.0, None, zero)[:2]
 
 
 def loping_osem_run(x0, system, data, config: SolverConfig, x_star=None,
@@ -215,32 +209,48 @@ def loping_osem_run(x0, system, data, config: SolverConfig, x_star=None,
 
     Returns (values, trace, stop_report).
     """
-    delta = config.delta
-    if delta is None:
-        delta = np.zeros(config.n_blocks)
-    g = config.gamma
-    vals, trace, report = _run_loop(
-        x0, system, data, config.max_cycles, x_star, audit,
-        rule=(config.tau, g, delta),
-    )
-    report.gamma = g
-    report.tau = config.tau
-    if (
-        x_star is not None
-        and g is not None
-        and config.tau > 1.0
-        and float(np.min(delta)) > 0.0
-    ):
-        d0 = kl_distance(x_star, x0, system.node_weights)
-        report.step_bound = (
-            config.n_blocks * d0 / ((config.tau - 1.0) * g * float(np.min(delta)))
+    N = system.n_blocks
+    delta = np.zeros(N) if config.delta is None else config.delta
+    if delta.shape != (N,):
+        raise ValueError(
+            f"delta must have one entry per block, got shape {delta.shape} "
+            f"for {N} blocks"
         )
-    return vals, trace, report
+    tau, g = config.tau, config.gamma
+    x, trace, stopped = _run_loop(
+        x0, system, data, config.max_cycles, x_star, audit, tau, g, delta
+    )
+    # residuals and thresholds at the final iterate
+    w = system.block_weight
+    final_res = np.empty(N)
+    final_thr = np.empty(N)
+    for j in range(N):
+        fx = system.forward(x, j)
+        final_res[j] = kl_distance(data[j], fx, w)
+        final_thr[j] = skip_threshold(tau, g, delta[j], data[j], fx, w)
+    d_min = float(np.min(delta))
+    step_bound = math.nan
+    if x_star is not None and g is not None and tau > 1.0 and d_min > 0.0:
+        # trace.error_kl[0] is KL(x*, x0)
+        step_bound = N * trace.error_kl[0] / ((tau - 1.0) * g * d_min)
+    report = StopReport(
+        stopped_by_rule=stopped,
+        k_star=(trace.n_cycles - 1) * N if stopped else None,
+        cycles=trace.n_cycles,
+        final_residuals=final_res,
+        thresholds=final_thr,
+        gamma=g,
+        tau=tau,
+        step_bound=step_bound,
+    )
+    return x, trace, report
 
 
-def _run_loop(x0, system, data, max_cycles, x_star, audit, rule=None):
-    """Cycle the blocks; ``rule`` is the (tau, gamma, delta) of the skip
-    rule, or None to perform every step."""
+def _run_loop(x0, system, data, max_cycles, x_star, audit, tau, gamma, delta):
+    """Cycle the blocks under the skip rule of (tau, gamma, delta): a step
+    is performed when its block's bound is zero or its residual exceeds the
+    threshold.  Returns the final iterate, the trace and whether the run
+    stopped on a fully skipped cycle."""
     N = system.n_blocks
     if len(data) != N:
         raise ValueError(f"expected {N} data blocks, got {len(data)}")
@@ -248,24 +258,19 @@ def _run_loop(x0, system, data, max_cycles, x_star, audit, rule=None):
     x = np.array(x0, dtype=np.float64)
     w_nodes = system.node_weights
     w_block = system.block_weight
-    loping = rule is not None
-    if loping:
-        tau, gamma, delta = rule
-
-    def threshold(j, fx):
-        return skip_threshold(tau, gamma, delta[j], data[j], fx, w_block)
 
     trace = IterationTrace(N)
     stopped = False
     k = 0
-    for cycle in range(max_cycles):
+    for _ in range(max_cycles):
         any_performed = False
         for j in range(N):
             fx = system.forward(x, j)
             f = kl_distance(data[j], fx, w_block)
             err = math.nan if x_star is None else kl_distance(x_star, x, w_nodes)
-            perform = not loping or delta[j] == 0.0 or f > threshold(j, fx)
-            if perform:
+            if delta[j] == 0.0 or f > skip_threshold(
+                tau, gamma, delta[j], data[j], fx, w_block
+            ):
                 any_performed = True
                 x_new, mass = _update(x, system, j, data[j], fx)
                 step_kl = kl_distance(x_new, x, w_nodes)
@@ -277,30 +282,11 @@ def _run_loop(x0, system, data, max_cycles, x_star, audit, rule=None):
             else:
                 trace.append(k, j, False, f, 0.0, err, f if audit else math.nan, 0.0)
             k += 1
-        if loping and not any_performed:
+        if not any_performed:
             stopped = True
             break
     trace.final_error = math.nan if x_star is None else kl_distance(x_star, x, w_nodes)
-
-    if not loping:
-        return x, trace, None
-
-    # residuals and thresholds at the final iterate, for the report
-    final_res = np.empty(N)
-    final_thr = np.empty(N)
-    for j in range(N):
-        fx = system.forward(x, j)
-        final_res[j] = kl_distance(data[j], fx, w_block)
-        final_thr[j] = threshold(j, fx)
-    cycles_run = trace.n_cycles
-    report = StopReport(
-        stopped_by_rule=stopped,
-        k_star=(cycles_run - 1) * N if stopped else None,
-        cycles=cycles_run,
-        final_residuals=final_res,
-        thresholds=final_thr,
-    )
-    return x, trace, report
+    return x, trace, stopped
 
 
 def skip_threshold(tau, gamma, delta, y=None, fx=None, weight=None):
@@ -342,51 +328,3 @@ def tau_schedule(delta_level: float, tau_infinity: float) -> float:
         raise ValueError("delta_level must be nonnegative")
     c = 25.0 / tau_infinity
     return tau_infinity / (1.0 + c * delta_level)
-
-
-# ---------------------------------------------------------------------------
-# audits
-
-
-@dataclass(frozen=True)
-class AuditReport:
-    """Monotonicity findings over a trace."""
-
-    violations: np.ndarray          # step indices where the error increased
-    max_increase: float             # largest per-step error increase observed
-    k_star: int | None = None
-    step_bound: float = math.nan
-    bound_ok: bool | None = None
-
-    @property
-    def ok(self) -> bool:
-        return len(self.violations) == 0 and self.bound_ok is not False
-
-
-def monotonicity_audit(trace: IterationTrace, tol: float = 1e-8,
-                       stop: StopReport | None = None) -> AuditReport:
-    """Flag steps where the ground-truth error increased beyond ``tol``.
-
-    The trace must come from a run that was given the ground truth.  When a
-    stop report with a finite ``step_bound`` is supplied, the stopping index
-    is checked against it.  The default tolerance suits exact-data runs; use
-    a looser one (e.g. 1e-6) for noisy runs.
-    """
-    errs = trace.errors()
-    if np.any(np.isnan(errs)):
-        raise ValueError("trace has no ground-truth errors to audit")
-    inc = np.diff(errs)
-    bad = np.flatnonzero(inc > tol)
-    max_inc = float(inc.max()) if len(inc) else 0.0
-    k_star = None
-    bound = math.nan
-    bound_ok = None
-    if stop is not None:
-        k_star = stop.k_star
-        bound = stop.step_bound
-        if k_star is not None and math.isfinite(bound):
-            bound_ok = bool(k_star <= bound)
-    return AuditReport(
-        violations=bad, max_increase=max_inc, k_star=k_star,
-        step_bound=bound, bound_ok=bound_ok,
-    )

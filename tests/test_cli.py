@@ -205,7 +205,7 @@ def test_any_numeric_value_parses_or_is_a_config_error(values, mode, tau_mode,
     # a config that parses builds the objects that read its values
     if cfg.noise_level != 0.0:
         cfg.noise_spec()
-    cfg.solver_config(cfg.n_blocks, cfg.gamma if gamma_mode == "explicit" else None)
+    cfg.solver_config(cfg.gamma if gamma_mode == "explicit" else None)
 
 
 def test_resolved_tau_schedule():
@@ -277,7 +277,11 @@ def test_run_exact_em(tmp_path):
     BASE.replace("mode = loping-osem", "mode = compare")
     .replace("noise_level = 0.05", "noise_level = 0") + "compare_subsets = 2 4\n",
     BASE + "max_sim_nodes = 100\n",
-], ids=["em-with-4-blocks", "compare-on-exact-data", "simulation-over-node-cap"])
+    # domain radius 1/3, nearest node at distance 0.47
+    "mode = osem\nn_t = 3\nn_r = 3\nn_angle = 4\nK = 1\nnoise_level = 0\n"
+    "disc = 0 0 0.3 1\n",
+], ids=["em-with-4-blocks", "compare-on-exact-data", "simulation-over-node-cap",
+        "empty-domain"])
 def test_mode_rules_hold_for_every_command(tmp_path, capsys, text, command):
     cfg = write_cfg(tmp_path, text)
     out = tmp_path / "o"

@@ -101,11 +101,10 @@ def test_sinogram_grid_blocks_tile_the_circle():
 def test_sinogram_block_normalization_flag():
     sg = SinogramGrid(n_blocks=2, n_phi=2, n_r=4)
     ones = np.ones(sg.block_shape)
-    SinogramBlock(sg, 0, ones)  # un-normalized is fine
     with pytest.raises(ValueError, match="mass"):
-        SinogramBlock(sg, 0, ones, normalized=True)
+        SinogramBlock(sg, 0, ones)
     ok = ones / (ones.sum() * sg.sample_weight)
-    b = SinogramBlock(sg, 1, ok, normalized=True)
+    b = SinogramBlock(sg, 1, ok)
     assert b.mass == pytest.approx(1.0, abs=1e-12)
 
 

@@ -12,7 +12,6 @@ from losem.solvers import (
     SolverConfig,
     em_step,
     loping_osem_run,
-    monotonicity_audit,
     osem_run,
     tau_schedule,
 )
@@ -23,19 +22,15 @@ from losem.solvers import (
 
 
 def test_solver_config_validation():
-    SolverConfig(n_blocks=3)
-    with pytest.raises(ValueError):
-        SolverConfig(n_blocks=0)
+    SolverConfig()
     with pytest.raises(ValueError, match="tau must be positive"):
-        SolverConfig(n_blocks=3, tau=0.0)
+        SolverConfig(tau=0.0)
     with pytest.raises(ValueError):
-        SolverConfig(n_blocks=3, gamma=0.0)
+        SolverConfig(gamma=0.0)
     with pytest.raises(ValueError):
-        SolverConfig(n_blocks=3, gamma=math.nan)
+        SolverConfig(gamma=math.nan)
     with pytest.raises(ValueError):
-        SolverConfig(n_blocks=3, delta=np.zeros(2))  # wrong length
-    with pytest.raises(ValueError):
-        SolverConfig(n_blocks=2, delta=np.array([0.1, -0.1]))
+        SolverConfig(delta=np.array([0.1, -0.1]))
 
 
 def test_tau_schedule_pinned_value():
@@ -124,9 +119,7 @@ def test_delta_zero_loping_is_bitwise_osem(small_setup):
     data = consistent_data(x_star, system)
     x0 = uniform_density(system.pixel_grid).values
     v_ref, _ = osem_run(x0, system, data, cycles=4)
-    cfg = SolverConfig(
-        n_blocks=system.n_blocks, delta=np.zeros(system.n_blocks), max_cycles=4
-    )
+    cfg = SolverConfig(delta=np.zeros(system.n_blocks), max_cycles=4)
     v_lop, trace, report = loping_osem_run(x0, system, data, cfg)
     assert np.array_equal(v_ref, v_lop)
     assert not report.stopped_by_rule
@@ -159,10 +152,7 @@ def test_loping_stops_and_reports(small_setup, tmp_path):
     x0 = uniform_density(system.pixel_grid).values
     # pretend noise bounds large enough that loping kicks in quickly
     delta = np.full(N, 0.05)
-    cfg = SolverConfig(
-        n_blocks=N, tau=1.5, gamma=0.5, delta=delta,
-        max_cycles=50,
-    )
+    cfg = SolverConfig(tau=1.5, gamma=0.5, delta=delta, max_cycles=50)
     vals, trace, report = loping_osem_run(
         x0, system, data, cfg, x_star=x_star.values
     )
@@ -175,6 +165,8 @@ def test_loping_stops_and_reports(small_setup, tmp_path):
     # a finite step bound is reported and satisfied (x_star was supplied)
     assert math.isfinite(report.step_bound)
     assert report.k_star <= report.step_bound
+    # every performed step kept the ground-truth error from rising
+    assert np.all(np.diff(trace.errors()) <= 1e-8)
     path = tmp_path / "stop.txt"
     report.write_text(path)
     text = path.read_text()
@@ -182,15 +174,22 @@ def test_loping_stops_and_reports(small_setup, tmp_path):
     assert f"k_star={report.k_star}" in text
 
 
+@pytest.mark.parametrize("n_deltas", [2, 8])
+def test_delta_needs_one_entry_per_block(small_setup, n_deltas):
+    system, x_star = small_setup
+    data = consistent_data(x_star, system)
+    x0 = uniform_density(system.pixel_grid).values
+    cfg = SolverConfig(gamma=0.05, delta=np.full(n_deltas, 0.01))
+    with pytest.raises(ValueError, match="one entry per block"):
+        loping_osem_run(x0, system, data, cfg)
+
+
 def test_loping_skips_do_not_change_the_iterate(small_setup):
     system, x_star = small_setup
     N = system.n_blocks
     data = consistent_data(x_star, system)
     x0 = uniform_density(system.pixel_grid).values
-    cfg = SolverConfig(
-        n_blocks=N, tau=1.5, gamma=0.5,
-        delta=np.full(N, 0.05), max_cycles=50,
-    )
+    cfg = SolverConfig(tau=1.5, gamma=0.5, delta=np.full(N, 0.05), max_cycles=50)
     _, trace, report = loping_osem_run(x0, system, data, cfg)
     performed = np.asarray(trace.performed)
     step_kl = np.asarray(trace.step_kl)
@@ -206,10 +205,7 @@ def test_loping_max_cycles_sentinel(small_setup, tmp_path):
     data = consistent_data(x_star, system)
     x0 = uniform_density(system.pixel_grid).values
     # thresholds far below reach: the rule never fires before the cap
-    cfg = SolverConfig(
-        n_blocks=N, tau=1.5, gamma=1e-9,
-        delta=np.full(N, 1e-9), max_cycles=3,
-    )
+    cfg = SolverConfig(tau=1.5, gamma=1e-9, delta=np.full(N, 1e-9), max_cycles=3)
     _, trace, report = loping_osem_run(x0, system, data, cfg)
     assert not report.stopped_by_rule
     assert report.k_star is None and report.cycles == 3
@@ -223,7 +219,7 @@ def test_l2_condition_far_vs_near(small_setup):
     N = system.n_blocks
     data = consistent_data(x_star, system)
     x0 = uniform_density(system.pixel_grid).values
-    cfg = SolverConfig(n_blocks=N, tau=1.5, delta=np.full(N, 0.01), max_cycles=3)
+    cfg = SolverConfig(tau=1.5, delta=np.full(N, 0.01), max_cycles=3)
     # at the solution the residuals vanish, so the first cycle is skipped
     _, trace, report = loping_osem_run(x_star.values, system, data, cfg)
     assert not any(trace.performed) and report.k_star == 0
@@ -237,58 +233,10 @@ def test_l2_mode_full_run(small_setup):
     N = system.n_blocks
     data = consistent_data(x_star, system)
     x0 = uniform_density(system.pixel_grid).values
-    cfg = SolverConfig(
-        n_blocks=N, tau=1.5, delta=np.full(N, 0.02),
-        max_cycles=50,
-    )
+    cfg = SolverConfig(tau=1.5, delta=np.full(N, 0.02), max_cycles=50)
     vals, trace, report = loping_osem_run(
         x0, system, data, cfg, x_star=x_star.values
     )
     assert report.stopped_by_rule
     assert report.gamma is None
     assert np.all(report.final_residuals <= report.thresholds + 1e-15)
-
-
-# ---------------------------------------------------------------------------
-# audits
-
-
-def test_monotonicity_audit_flags_increases():
-    from losem.solvers import IterationTrace
-
-    trace = IterationTrace(2)
-    errs = [1.0, 0.5, 0.6, 0.3]  # one increase at step 1->2
-    for k, e in enumerate(errs):
-        trace.append(k, k % 2, True, 0.1, 0.01, e)
-    trace.final_error = 0.2
-    report = monotonicity_audit(trace, tol=1e-8)
-    assert list(report.violations) == [1]
-    assert report.max_increase == pytest.approx(0.1)
-    assert not report.ok
-
-
-def test_monotonicity_audit_requires_errors():
-    from losem.solvers import IterationTrace
-
-    trace = IterationTrace(1)
-    trace.append(0, 0, True, 0.1, 0.01, math.nan)
-    trace.final_error = 0.2
-    with pytest.raises(ValueError):
-        monotonicity_audit(trace)
-
-
-def test_monotonicity_audit_checks_stop_bound(small_setup):
-    system, x_star = small_setup
-    N = system.n_blocks
-    data = consistent_data(x_star, system)
-    x0 = uniform_density(system.pixel_grid).values
-    cfg = SolverConfig(
-        n_blocks=N, tau=1.5, gamma=0.5,
-        delta=np.full(N, 0.05), max_cycles=50,
-    )
-    _, trace, report = loping_osem_run(
-        x0, system, data, cfg, x_star=x_star.values
-    )
-    audit = monotonicity_audit(trace, tol=1e-8, stop=report)
-    assert audit.bound_ok is True
-    assert audit.ok
