@@ -115,6 +115,30 @@ def _solver_data(cfg: RunConfig, system, x_star, quiet: bool) -> SolverData:
     return _shifted(cfg, system, clean, *_add_noise(cfg, clean, quiet))
 
 
+def _shared_data(cfg: RunConfig, pixel_grid, quiet: bool):
+    """Clean and noisy single-block data on the unsplit angle set, with the
+    noise info: the one realization every compare block count shares."""
+    _say(quiet, f"simulating shared data (oversample {cfg.oversample}) ...")
+    clean_base = simulate_clean_base(
+        cfg.phantom, pixel_grid, cfg.n_angle, cfg.n_r, cfg.K, cfg.oversample,
+        cfg.max_sim_nodes,
+    )
+    (noisy_base,), info = _add_noise(cfg, [clean_base], quiet)
+    return clean_base, noisy_base, info
+
+
+def _compare_systems(cfg: RunConfig, clean_base, noisy_base, info):
+    """Each compare block count with its system and its grouping of the
+    shared data; systems are built one at a time, so one set of cached rows
+    is alive."""
+    for N in cfg.compare_subsets:
+        system = cfg.build_system(n_blocks=N)
+        sg = system.sino_grid
+        yield N, system, _shifted(
+            cfg, system, reblock(clean_base, sg), reblock(noisy_base, sg), info
+        )
+
+
 def _gamma(cfg: RunConfig, system, data) -> float | None:
     """The threshold constant of the configured gamma mode (None: adaptive)."""
     if cfg.gamma_mode == "explicit":
@@ -234,30 +258,20 @@ def _run_compare(cfg: RunConfig, out: Path, quiet: bool) -> int:
     every block count, so rows differ only in the grouping.
     """
     # reject a lambda without a kernel floor before simulating; the loop
-    # below builds each system again, so one set of cached rows is alive
+    # below builds each system again
     for N in cfg.compare_subsets:
         cfg.build_system(n_blocks=N)
     pixel_grid = cfg.pixel_grid()
     x_star = render_phantom(cfg.phantom, pixel_grid)
     x0 = uniform_density(pixel_grid).values
-    _say(quiet, f"simulating shared data (oversample {cfg.oversample}) ...")
-    clean_base = simulate_clean_base(
-        cfg.phantom, pixel_grid, cfg.n_angle, cfg.n_r, cfg.K, cfg.oversample,
-        cfg.max_sim_nodes,
-    )
-    (noisy_base,), info = _add_noise(cfg, [clean_base], quiet)
+    clean_base, noisy_base, info = _shared_data(cfg, pixel_grid, quiet)
 
     x_star.to_pgm(out / "phantom.pgm")
     save_pgm(out / "sinogram.pgm", noisy_base.values)
 
     rows = []
     summary: dict = {}
-    for N in cfg.compare_subsets:
-        system = cfg.build_system(n_blocks=N)
-        data = _shifted(
-            cfg, system, reblock(clean_base, system.sino_grid),
-            reblock(noisy_base, system.sino_grid), info,
-        )
+    for N, system, data in _compare_systems(cfg, clean_base, noisy_base, info):
         solver_cfg = _solver_config(cfg, system, data)
         _say(quiet, f"N={N}: loping run ...")
         t0 = time.perf_counter()
@@ -329,32 +343,48 @@ def cmd_verify(args) -> int:
             f"backprojection of flat data deviates from flat by {dev}"
         )
 
-    m = kernel_floor(cfg.lam, sino_grid.block_measure)
-    print(f"kernel_floor_m={m!r}")
-    if not m > 0.0:
-        raise AssumptionError(
-            f"the effective kernel floor is zero at lambda = {cfg.lam!r}; the "
-            "multiplicative iteration needs lambda > 0 with 1 + lambda*b finite"
-        )
-    system = cfg.build_system()
-    M = system.kernel_upper(system.raw_kernel_sup())
-    print(f"kernel_sup_M={M!r}")
+    # the block counts ``run`` solves on, each with the label of its keys
+    compare = cfg.mode == "compare"
+    labels = ({N: f"_N{N}" for N in cfg.compare_subsets} if compare
+              else {cfg.n_blocks: ""})
+    for N, label in labels.items():
+        m = kernel_floor(cfg.lam, cfg.sino_grid(N).block_measure)
+        print(f"kernel_floor_m{label}={m!r}")
+        if not m > 0.0:
+            raise AssumptionError(
+                f"the effective kernel floor is zero at lambda = {cfg.lam!r}; the "
+                "multiplicative iteration needs lambda > 0 with 1 + lambda*b finite"
+            )
+    if compare:
+        shared = _shared_data(cfg, pixel_grid, quiet)
+        for N, system, data in _compare_systems(cfg, *shared):
+            _verify_system(cfg, system, data, labels[N])
+    else:
+        system = cfg.build_system()
+        x_star = render_phantom(cfg.phantom, system.pixel_grid)
+        _verify_system(cfg, system, _solver_data(cfg, system, x_star, quiet), "")
+    print("verify: ok")
+    return 0
 
-    x_star = render_phantom(cfg.phantom, system.pixel_grid)
-    data = _solver_data(cfg, system, x_star, quiet)
+
+def _verify_system(cfg: RunConfig, system, data: SolverData, label: str) -> None:
+    """Print the kernel, data and threshold checks of one system and its
+    data, with ``label`` appended to every key."""
+    M = system.kernel_upper(system.raw_kernel_sup())
+    print(f"kernel_sup_M{label}={M!r}")
     if data.noisy is not None:
         mass_dev = max(abs(bl.mass - 1.0) for bl in data.noisy)
-        print(f"block_mass_max_dev={mass_dev!r}")
+        print(f"block_mass_max_dev{label}={mass_dev!r}")
     bounds = effective_bounds(system, data.values)
-    print(f"data_floor_m1={bounds.m1!r}")
-    print(f"data_sup_M1={bounds.M1!r}")
-    print(f"gamma_bounds={bounds.gamma()!r}")
+    print(f"data_floor_m1{label}={bounds.m1!r}")
+    print(f"data_sup_M1{label}={bounds.M1!r}")
+    print(f"gamma_bounds{label}={bounds.gamma()!r}")
 
     solver_cfg = _solver_config(cfg, system, data)
     tau = solver_cfg.tau
-    print(f"tau={tau!r}")
-    print(f"delta_min={float(data.deltas.min())!r}")
-    print(f"delta_max={float(data.deltas.max())!r}")
+    print(f"tau{label}={tau!r}")
+    print(f"delta_min{label}={float(data.deltas.min())!r}")
+    print(f"delta_max{label}={float(data.deltas.max())!r}")
     if np.all(data.deltas == 0.0):
         print("warning: exact data; loping performs every step and only "
               "max_cycles ends the run")
@@ -365,13 +395,11 @@ def cmd_verify(args) -> int:
             kl_distance(data.values[j], system.forward(x0, j), system.block_weight)
             for j in range(system.n_blocks)
         ])
-        print(f"threshold_max={float(thresholds.max())!r}")
-        print(f"initial_residual_min={float(residuals.min())!r}")
+        print(f"threshold_max{label}={float(thresholds.max())!r}")
+        print(f"initial_residual_min{label}={float(residuals.min())!r}")
         if np.all(thresholds >= residuals):
-            print("warning: every threshold exceeds its initial residual; "
+            print(f"warning{label}: every threshold exceeds its initial residual; "
                   "the loping run would stop immediately")
-    print("verify: ok")
-    return 0
 
 
 # ---------------------------------------------------------------------------

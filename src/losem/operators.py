@@ -19,10 +19,10 @@ Discretization choices:
   * the radial smoothing weights are the triangular hat of half-width
     K samples, renormalized to unit sum.
 
-The quadrature of one angle is stored as sparse rows: for each sample, the
-in-square bilinear corners of its circle points with weight
-(circle weight) * (bilinear weight), so that ``forward_raw`` is one
-segment sum per angle.
+The quadrature of one angle is stored as sparse rows: the cell of each
+circle point near the square and its four weights (circle weight) *
+(bilinear weight).  ``forward_raw`` reads each cell's corners from a table
+of the density padded by zeros, one gather and one segment sum per angle.
 """
 
 from __future__ import annotations
@@ -84,8 +84,8 @@ class SmoothingKernel:
 def smooth_radial(values: np.ndarray, kernel: SmoothingKernel) -> np.ndarray:
     """Convolve sinogram values with the triangular kernel along the radius.
 
-    ``values`` has radial samples along the last axis; data beyond the
-    radial range is treated as zero.
+    ``values`` has radial samples along the last axis, zero beyond the
+    radial range; at K = 1, the identity, ``values`` itself is returned.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.shape[-1] != kernel.n_r + 1:
@@ -93,6 +93,8 @@ def smooth_radial(values: np.ndarray, kernel: SmoothingKernel) -> np.ndarray:
             f"radial axis has {values.shape[-1]} samples, expected {kernel.n_r + 1}"
         )
     K = kernel.K
+    if K == 1:
+        return values
     w = kernel.weights
     out = np.zeros_like(values)
     n = values.shape[-1]
@@ -112,6 +114,9 @@ def smooth_radial(values: np.ndarray, kernel: SmoothingKernel) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # per-block operators
 
+# bilinear corners (a, b) of a cell, in the order of the corner table
+_CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
 
 class RadonBlockOperator:
     """Circular means and backprojection restricted to one angular block.
@@ -120,9 +125,10 @@ class RadonBlockOperator:
     samples, ``forward`` additionally applies the radial smoothing, and
     ``adjoint`` is backprojection after smoothing.  The forward map of each
     angle is a set of sparse rows, one per sample, built from circle offsets
-    shared by all angles.  The rows and the backprojection's gather indices
-    are built lazily and cached when ``cache_plans`` is set; otherwise the
-    rows are streamed angle by angle and the indices rebuilt on each call.
+    shared by all angles: a cell of the zero-padded corner table and four
+    weights per quadrature point.  Rows and backprojection indices are built
+    lazily and cached when ``cache_plans`` is set; otherwise the rows are
+    streamed angle by angle and the indices rebuilt on each call.
     """
 
     def __init__(
@@ -167,34 +173,26 @@ class RadonBlockOperator:
 
     def _angle_rows(self, phi: float):
         """Sparse rows of the angle ``phi``: the samples that have entries,
-        the start of each one's segment, and the node index and weight of
-        every in-square bilinear corner, ordered by quadrature point."""
+        the start of each one's segment, and the corner-table cell and the
+        four corner weights of every quadrature point near the square."""
         n_t = self.pixel_grid.n_t
         offx, offy, coef, first = self._circle_points
         ux = (math.cos(phi) + offx + 1.0) * (n_t / 2.0)
         uy = (math.sin(phi) + offy + 1.0) * (n_t / 2.0)
-        ix = np.floor(ux).astype(np.int32)
-        iy = np.floor(uy).astype(np.int32)
+        ix, iy = np.floor(ux).astype(np.intp), np.floor(uy).astype(np.intp)
         # only points with a corner in the square take part
         near = np.flatnonzero((ix >= -1) & (ix <= n_t) & (iy >= -1) & (iy <= n_t))
         ix, iy, coef = ix.take(near), iy.take(near), coef.take(near)
-        fx = ux.take(near) - ix
-        fy = uy.take(near) - iy
-        # corners (ix + a, iy + b), four to a point; a near point's corner
-        # a = 0 is in the square iff ix >= 0, and a = 1 iff ix < n_t
-        corners = ((0, 0), (0, 1), (1, 0), (1, 1))
-        x_ok, y_ok = (ix >= 0, ix < n_t), (iy >= 0, iy < n_t)
+        fx, fy = ux.take(near) - ix, uy.take(near) - iy
+        # weights of the corners (ix + a, iy + b)
         wx, wy = (coef * (1.0 - fx), coef * fx), (1.0 - fy, fy)
-        node = ix * (n_t + 1) + iy
-        ok = np.stack([x_ok[a] & y_ok[b] for a, b in corners], axis=1)
-        nz = np.flatnonzero(ok)
-        cols = np.stack([node + (a * (n_t + 1) + b) for a, b in corners], axis=1)
-        w = np.stack([wx[a] * wy[b] for a, b in corners], axis=1)
+        w = np.stack([wx[a] * wy[b] for a, b in _CORNERS], axis=1)
+        cells = (ix + 1) * (n_t + 3) + (iy + 1)
         # segment bounds per sample; empty rows (circles that miss the
         # square) stay out of reduceat
-        bounds = np.searchsorted(nz, 4 * np.searchsorted(near, first))
-        rows = np.flatnonzero(np.diff(bounds, append=len(nz)))
-        return rows + 1, bounds[rows], cols.ravel().take(nz), w.ravel().take(nz)
+        bounds = np.searchsorted(near, first)
+        rows = np.flatnonzero(np.diff(bounds, append=len(near)))
+        return rows + 1, 4 * bounds[rows], cells, w
 
     def _rows(self):
         """Sparse rows of every block angle, cached or streamed."""
@@ -205,16 +203,29 @@ class RadonBlockOperator:
             rows = self._fwd_rows = list(rows)
         return rows
 
+    def _corner_table(self, x: np.ndarray) -> np.ndarray:
+        """The ``_CORNERS`` of every cell (i - 1, j - 1) in row i*(n_t + 3) + j,
+        read from ``x`` padded by zeros to (n_t + 4)^2."""
+        n = self.pixel_grid.n_t + 4
+        padded = np.zeros((n, n))
+        padded[1 : n - 2, 1 : n - 2] = x
+        table = np.empty((n - 1, n - 1, 4))
+        for k, (a, b) in enumerate(_CORNERS):
+            table[..., k] = padded[a : n - 1 + a, b : n - 1 + b]
+        return table.reshape(-1, 4)
+
     def forward_raw(self, x: np.ndarray) -> np.ndarray:
         """Circular means of the density array on the block samples; the
         samples at r = 0 are exactly zero."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != self.pixel_grid.shape:
             raise ValueError(f"density shape {x.shape} does not match grid")
-        flat = x.ravel()
+        table = self._corner_table(x)
         out = np.zeros(self.sino_grid.block_shape)
-        for a, (rows, starts, cols, w) in enumerate(self._rows()):
-            out[a, rows] = np.add.reduceat(w * flat.take(cols), starts)
+        for a, (rows, starts, cells, w) in enumerate(self._rows()):
+            vals = table.take(cells, axis=0)
+            vals *= w
+            out[a, rows] = np.add.reduceat(vals.ravel(), starts)
         return out
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -225,19 +236,24 @@ class RadonBlockOperator:
         """Supremum of the block's discrete smoothed kernel over its samples
         and the domain nodes.
 
-        Accumulates each angle's sparse rows per node, which equals running
-        ``forward`` on unit-mass single-node densities.
+        Accumulates each angle's sparse rows per node of the padded grid,
+        which equals running ``forward`` on unit-mass single-node densities.
         """
         grid = self.pixel_grid
+        n = grid.n_t + 4
         n_samples = self.sino_grid.n_r + 1
-        mask = grid.mask.ravel()
+        # cell c = i*(n - 1) + j has its corner (a, b) at padded node
+        # (i + a)*n + j + b = c + i + a*n + b
+        offsets = np.array([a * n + b for a, b in _CORNERS])
         sup = 0.0
-        for rows, starts, cols, w in self._rows():
-            sample = np.repeat(rows, np.diff(starts, append=len(cols)))
-            raw = np.bincount(
-                sample * mask.size + cols, w, minlength=n_samples * mask.size
-            ).reshape(n_samples, mask.size).T / grid.cell_measure
-            sup = max(sup, float(smooth_radial(raw, self.kernel)[mask].max()))
+        for rows, starts, cells, w in self._rows():
+            sample = np.repeat(rows, np.diff(starts, append=w.size))
+            node = (cells + cells // (n - 1))[:, None] + offsets
+            raw = np.bincount(sample * n * n + node.ravel(), w.ravel(),
+                              minlength=n_samples * n * n)
+            raw = raw.reshape(n_samples, n, n)[:, 1 : n - 2, 1 : n - 2].T
+            raw = smooth_radial(raw / grid.cell_measure, self.kernel)
+            sup = max(sup, float(raw[grid.mask.T].max()))
         return sup
 
     # -- backprojection -----------------------------------------------------
@@ -263,7 +279,7 @@ class RadonBlockOperator:
         # nodes lie within distance 2 of every center, so ir <= n_r and
         # ir + 1 reads the zero beyond the radial range at most
         lo = ir + np.arange(sg.n_phi) * (sg.n_r + 2)
-        plan = (idx, lo, lo + 1, fr)
+        plan = (idx, lo, fr)
         if self.cache_plans:
             self._adj_plan = plan
         return plan
@@ -279,11 +295,15 @@ class RadonBlockOperator:
         sg = self.sino_grid
         if y.shape != sg.block_shape:
             raise ValueError(f"block shape {y.shape} does not match grid")
-        idx, lo, hi, fr = self._adjoint_plan()
-        padded = np.pad(y, ((0, 0), (0, 1))).ravel()
-        y0 = padded.take(lo)
-        y1 = padded.take(hi)
-        vals = y0 + fr * (y1 - y0)
+        idx, lo, fr = self._adjoint_plan()
+        padded = np.zeros((sg.n_phi, sg.n_r + 2))
+        padded[:, :-1] = y
+        # y0 + fr*(y1 - y0), in place; the upper sample sits at lo + 1
+        y0 = padded.ravel().take(lo)
+        vals = padded.ravel()[1:].take(lo)
+        vals -= y0
+        vals *= fr
+        vals += y0
         out = np.zeros(self.pixel_grid.shape)
         out.ravel()[idx] = vals.sum(axis=1) / sg.n_phi
         return out

@@ -492,6 +492,31 @@ def test_verify_ok_and_warnings(tmp_path, capsys):
     assert "exact data" in text
 
 
+def test_verify_checks_every_compare_system(tmp_path, capsys):
+    # no n_blocks, as in compare_table.cfg: the configured system has one
+    # block, and only the compare subsets are solved on
+    text = (
+        BASE.replace("mode = loping-osem", "mode = compare")
+        .replace("n_angle = 32", "n_angle = 40").replace("n_blocks = 4\n", "")
+        + "compare_subsets = 10 20\n"
+    )
+    cfg = write_cfg(tmp_path, text)
+    assert main(["verify", str(cfg), "--quiet"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split("=")[0] for ln in lines if ln.startswith("delta_min")] == [
+        "delta_min_N10", "delta_min_N20",
+    ]
+    values = dict(ln.split("=", 1) for ln in lines if "=" in ln)
+    for N in (10, 20):
+        assert float(values[f"delta_min_N{N}"]) < float(values[f"delta_max_N{N}"])
+        for key in ("kernel_floor_m", "kernel_sup_M", "data_floor_m1", "data_sup_M1",
+                    "gamma_bounds", "threshold_max", "initial_residual_min"):
+            assert f"{key}_N{N}" in values
+    lam0 = write_cfg(tmp_path, text.replace("lambda = 0.01", "lambda = 0"), "l0.cfg")
+    assert main(["verify", str(lam0), "--quiet"]) == 3
+    assert "kernel_floor_m_N10=0.0" in capsys.readouterr().out
+
+
 def test_phantom_subcommand(tmp_path):
     cfg = write_cfg(tmp_path, BASE)
     out = tmp_path / "ph"

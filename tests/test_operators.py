@@ -178,6 +178,54 @@ def test_sparse_rows_match_gather_reference(n_t, n_blocks, n_phi, K):
         assert np.array_equal(streamed.forward(x), op.forward(x))
 
 
+def _interp_backproject(op: RadonBlockOperator, y: np.ndarray) -> np.ndarray:
+    """Reference backprojection: per angle, ``np.interp`` in the radius of
+    the data extended by one zero sample, averaged over the angles."""
+    grid, sg = op.pixel_grid, op.sino_grid
+    tx, ty = np.meshgrid(grid.nodes, grid.nodes, indexing="ij")
+    radii = np.append(sg.radii, sg.radii[-1] + (sg.radii[1] - sg.radii[0]))
+    out = np.zeros(grid.shape)
+    for a, phi in enumerate(sg.block_angles(op.j)):
+        rho = np.hypot(tx - math.cos(phi), ty - math.sin(phi))
+        out += np.interp(rho, radii, np.append(y[a], 0.0))
+    return np.where(grid.mask, out / sg.n_phi, 0.0)
+
+
+@pytest.mark.parametrize("n_t,n_blocks,n_phi,K", [(40, 4, 5, 1), (64, 1, 64, 1), (60, 3, 4, 3)])
+def test_backprojection_matches_interp_reference(n_t, n_blocks, n_phi, K):
+    grid = PixelGrid(n_t, 2.0 * K / n_t)
+    sino = SinogramGrid(n_blocks=n_blocks, n_phi=n_phi, n_r=n_t)
+    kernel = SmoothingKernel(n_t, K)
+    y = np.random.default_rng(n_t).random(sino.block_shape)
+    for j in range(n_blocks):
+        op = RadonBlockOperator(grid, sino, j, kernel)
+        npt.assert_allclose(op.backproject(y), _interp_backproject(op, y),
+                            rtol=1e-13, atol=0.0)
+        streamed = RadonBlockOperator(grid, sino, j, kernel, cache_plans=False)
+        assert np.array_equal(streamed.adjoint(y), op.adjoint(y))
+
+
+@pytest.mark.parametrize("K", [1, 2])
+def test_kernel_sup_matches_dense_matrix_on_a_tiny_grid(K):
+    # every circle of an 8x8 grid crosses the square's edge, so the zero
+    # ring of the corner table is read on every row
+    grid = PixelGrid(8, 2.0 * K / 8)
+    sino = SinogramGrid(n_blocks=2, n_phi=3, n_r=8)
+    kernel = SmoothingKernel(8, K)
+    system = RadonSystem(grid, sino, lam=0.01, K=K)
+    sups = []
+    for op in system.ops:
+        columns = []
+        for node in np.flatnonzero(grid.mask.ravel()):
+            e = np.zeros(grid.shape)
+            e.ravel()[node] = 1.0
+            columns.append(smooth_radial(_gather_forward_raw(op, e), kernel))
+        dense = np.stack(columns) / grid.cell_measure
+        assert op.kernel_sup() == pytest.approx(float(dense.max()), rel=1e-13)
+        sups.append(float(dense.max()))
+    assert system.raw_kernel_sup() == pytest.approx(max(sups), rel=1e-13)
+
+
 def test_rows_without_entries_stay_zero():
     # push the points of sample 5 out of the square: that row has no
     # entries and must read zero, and every other row is unchanged
