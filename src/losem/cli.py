@@ -35,18 +35,12 @@ from .experiment import (
 )
 from .kl_core import (
     DensityGrid,
-    kl_distance,
     save_matrix_csv,
     save_pgm,
     uniform_density,
 )
-from .operators import (
-    RadonBlockOperator,
-    SmoothingKernel,
-    effective_bounds,
-    kernel_floor,
-)
-from .solvers import SolverConfig, loping_osem_run, osem_run, skip_threshold
+from .operators import effective_bounds, kernel_floor
+from .solvers import SolverConfig, block_residuals, loping_osem_run, osem_run
 
 __all__ = ["entry", "main"]
 
@@ -127,14 +121,17 @@ def _shared_data(cfg: RunConfig, pixel_grid, quiet: bool):
     return clean_base, noisy_base, info
 
 
-def _compare_systems(cfg: RunConfig, clean_base, noisy_base, info):
-    """Each compare block count with its system and its grouping of the
-    shared data; systems are built one at a time, so one set of cached rows
-    is alive."""
-    for N in cfg.compare_subsets:
-        system = cfg.build_system(n_blocks=N)
+def _compare_systems(cfg: RunConfig, systems: list, clean_base, noisy_base, info):
+    """Each system of ``systems`` with its grouping of the shared data.
+
+    The systems are built before simulating, so an unusable lambda is
+    rejected first; their rows are built at first use, and each is taken
+    out of ``systems`` when its turn comes, so one set of cached rows is
+    alive."""
+    while systems:
+        system = systems.pop(0)
         sg = system.sino_grid
-        yield N, system, _shifted(
+        yield system, _shifted(
             cfg, system, reblock(clean_base, sg), reblock(noisy_base, sg), info
         )
 
@@ -257,10 +254,7 @@ def _run_compare(cfg: RunConfig, out: Path, quiet: bool) -> int:
     One noise realization is drawn on the unsplit angle set and shared by
     every block count, so rows differ only in the grouping.
     """
-    # reject a lambda without a kernel floor before simulating; the loop
-    # below builds each system again
-    for N in cfg.compare_subsets:
-        cfg.build_system(n_blocks=N)
+    systems = [cfg.build_system(n_blocks=N) for N in cfg.compare_subsets]
     pixel_grid = cfg.pixel_grid()
     x_star = render_phantom(cfg.phantom, pixel_grid)
     x0 = uniform_density(pixel_grid).values
@@ -271,7 +265,8 @@ def _run_compare(cfg: RunConfig, out: Path, quiet: bool) -> int:
 
     rows = []
     summary: dict = {}
-    for N, system, data in _compare_systems(cfg, clean_base, noisy_base, info):
+    for system, data in _compare_systems(cfg, systems, clean_base, noisy_base, info):
+        N = system.n_blocks
         solver_cfg = _solver_config(cfg, system, data)
         _say(quiet, f"N={N}: loping run ...")
         t0 = time.perf_counter()
@@ -324,25 +319,6 @@ def cmd_verify(args) -> int:
         cfg.seed = args.seed
     quiet = args.quiet
 
-    pixel_grid = cfg.pixel_grid()
-    sino_grid = cfg.sino_grid()
-    kernel = SmoothingKernel(cfg.n_r, cfg.K)
-
-    # geometry: backprojection of flat data must be flat on the domain
-    dev = 0.0
-    ones = np.ones(sino_grid.block_shape)
-    for j in range(sino_grid.n_blocks):
-        op = RadonBlockOperator(pixel_grid, sino_grid, j, kernel, cache_plans=False)
-        bp = op.backproject(ones)
-        dev = max(dev, float(np.abs(bp[pixel_grid.mask] - 1.0).max()))
-        if (~pixel_grid.mask).any():
-            dev = max(dev, float(np.abs(bp[~pixel_grid.mask]).max()))
-    print(f"adjoint_of_ones_max_dev={dev!r}")
-    if dev > 1e-12:
-        raise AssumptionError(
-            f"backprojection of flat data deviates from flat by {dev}"
-        )
-
     # the block counts ``run`` solves on, each with the label of its keys
     compare = cfg.mode == "compare"
     labels = ({N: f"_N{N}" for N in cfg.compare_subsets} if compare
@@ -355,27 +331,38 @@ def cmd_verify(args) -> int:
                 f"the effective kernel floor is zero at lambda = {cfg.lam!r}; the "
                 "multiplicative iteration needs lambda > 0 with 1 + lambda*b finite"
             )
+    systems = [cfg.build_system(n_blocks=N) for N in labels]
     if compare:
-        shared = _shared_data(cfg, pixel_grid, quiet)
-        for N, system, data in _compare_systems(cfg, *shared):
-            _verify_system(cfg, system, data, labels[N])
+        shared = _shared_data(cfg, cfg.pixel_grid(), quiet)
+        checked = _compare_systems(cfg, systems, *shared)
     else:
-        system = cfg.build_system()
+        system = systems[0]
         x_star = render_phantom(cfg.phantom, system.pixel_grid)
-        _verify_system(cfg, system, _solver_data(cfg, system, x_star, quiet), "")
+        checked = [(system, _solver_data(cfg, system, x_star, quiet))]
+    for system, data in checked:
+        _verify_system(cfg, system, data, labels[system.n_blocks])
     print("verify: ok")
     return 0
 
 
 def _verify_system(cfg: RunConfig, system, data: SolverData, label: str) -> None:
-    """Print the kernel, data and threshold checks of one system and its
-    data, with ``label`` appended to every key."""
-    M = system.kernel_upper(system.raw_kernel_sup())
-    print(f"kernel_sup_M{label}={M!r}")
+    """Print the geometry, kernel, data and threshold checks of one system
+    and its data, with ``label`` appended to every key."""
+    # backprojection of flat data must be one on the domain, zero outside
+    mask = system.pixel_grid.mask
+    ones = np.ones(system.sino_grid.block_shape)
+    dev = max(float(np.abs(op.backproject(ones) - mask).max()) for op in system.ops)
+    print(f"adjoint_of_ones_max_dev{label}={dev!r}")
+    if dev > 1e-12:
+        raise AssumptionError(
+            f"backprojection of flat data deviates from flat by {dev}"
+        )
+
     if data.noisy is not None:
         mass_dev = max(abs(bl.mass - 1.0) for bl in data.noisy)
         print(f"block_mass_max_dev{label}={mass_dev!r}")
     bounds = effective_bounds(system, data.values)
+    print(f"kernel_sup_M{label}={bounds.M!r}")
     print(f"data_floor_m1{label}={bounds.m1!r}")
     print(f"data_sup_M1{label}={bounds.M1!r}")
     print(f"gamma_bounds{label}={bounds.gamma()!r}")
@@ -388,18 +375,16 @@ def _verify_system(cfg: RunConfig, system, data: SolverData, label: str) -> None
     if np.all(data.deltas == 0.0):
         print("warning: exact data; loping performs every step and only "
               "max_cycles ends the run")
-    elif solver_cfg.gamma is not None:
-        thresholds = skip_threshold(tau, solver_cfg.gamma, data.deltas)
-        x0 = uniform_density(system.pixel_grid).values
-        residuals = np.array([
-            kl_distance(data.values[j], system.forward(x0, j), system.block_weight)
-            for j in range(system.n_blocks)
-        ])
-        print(f"threshold_max{label}={float(thresholds.max())!r}")
-        print(f"initial_residual_min{label}={float(residuals.min())!r}")
-        if np.all(thresholds >= residuals):
-            print(f"warning{label}: every threshold exceeds its initial residual; "
-                  "the loping run would stop immediately")
+        return
+    x0 = uniform_density(system.pixel_grid).values
+    residuals, thresholds = block_residuals(
+        x0, system, data.values, tau, solver_cfg.gamma, data.deltas
+    )
+    print(f"threshold_max{label}={float(thresholds.max())!r}")
+    print(f"initial_residual_min{label}={float(residuals.min())!r}")
+    if np.all(thresholds >= residuals):
+        print(f"warning{label}: every threshold exceeds its initial residual; "
+              "the loping run would stop immediately")
 
 
 # ---------------------------------------------------------------------------

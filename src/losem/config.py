@@ -124,6 +124,8 @@ def _subsets(text: str) -> tuple[int, ...]:
     subsets = tuple(int(s) for s in text.replace(",", " ").split())
     if not subsets or any(s < 1 for s in subsets):
         raise ValueError("compare_subsets needs positive block counts")
+    if len(set(subsets)) < len(subsets):
+        raise ValueError("compare_subsets repeats a block count")
     return subsets
 
 

@@ -118,6 +118,21 @@ def smooth_radial(values: np.ndarray, kernel: SmoothingKernel) -> np.ndarray:
 _CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
+def _circle_points(pixel_grid: PixelGrid, sino_grid: SinogramGrid):
+    """Offsets r*(cos theta, sin theta) of the quadrature points of all
+    radii r > 0, radius by radius, with each point's weight
+    r*n_blocks/n_omega(r) and the index of each radius's first point; the
+    same for every block and angle of a geometry."""
+    radii = sino_grid.radii[1:]
+    counts = np.maximum(np.ceil(3.0 * radii * pixel_grid.n_t).astype(np.int64), 8)
+    first = np.cumsum(counts) - counts
+    k = np.arange(counts.sum()) - np.repeat(first, counts)
+    theta = 2.0 * math.pi * k / np.repeat(counts, counts)
+    r = np.repeat(radii, counts)
+    coef = np.repeat(radii * sino_grid.n_blocks / counts, counts)
+    return r * np.cos(theta), r * np.sin(theta), coef, first
+
+
 class RadonBlockOperator:
     """Circular means and backprojection restricted to one angular block.
 
@@ -126,9 +141,9 @@ class RadonBlockOperator:
     ``adjoint`` is backprojection after smoothing.  The forward map of each
     angle is a set of sparse rows, one per sample, built from circle offsets
     shared by all angles: a cell of the zero-padded corner table and four
-    weights per quadrature point.  Rows and backprojection indices are built
-    lazily and cached when ``cache_plans`` is set; otherwise the rows are
-    streamed angle by angle and the indices rebuilt on each call.
+    weights per quadrature point.  Rows are built lazily and cached when
+    ``cache_plans`` is set, otherwise streamed angle by angle on each call;
+    the backprojection indices are built at the first call and kept.
     """
 
     def __init__(
@@ -152,31 +167,16 @@ class RadonBlockOperator:
         self.kernel = kernel
         self.cache_plans = cache_plans
         self._fwd_rows = None
-        self._adj_plan = None
 
     # -- forward ------------------------------------------------------------
 
-    @cached_property
-    def _circle_points(self):
-        """Offsets r*(cos theta, sin theta) of the quadrature points of all
-        radii r > 0, radius by radius, with each point's weight
-        r*n_blocks/n_omega(r) and the index of each radius's first point."""
-        radii = self.sino_grid.radii[1:]
-        counts = np.ceil(3.0 * radii * self.pixel_grid.n_t).astype(np.int64)
-        counts = np.maximum(counts, 8)
-        first = np.cumsum(counts) - counts
-        k = np.arange(counts.sum()) - np.repeat(first, counts)
-        theta = 2.0 * math.pi * k / np.repeat(counts, counts)
-        r = np.repeat(radii, counts)
-        coef = np.repeat(radii * self.sino_grid.n_blocks / counts, counts)
-        return r * np.cos(theta), r * np.sin(theta), coef, first
-
-    def _angle_rows(self, phi: float):
-        """Sparse rows of the angle ``phi``: the samples that have entries,
-        the start of each one's segment, and the corner-table cell and the
-        four corner weights of every quadrature point near the square."""
+    def _angle_rows(self, phi: float, points):
+        """Sparse rows of the angle ``phi`` from the block's ``points`` (see
+        :func:`_circle_points`): the samples that have entries, the start of
+        each one's segment, and the corner-table cell and the four corner
+        weights of every quadrature point near the square."""
         n_t = self.pixel_grid.n_t
-        offx, offy, coef, first = self._circle_points
+        offx, offy, coef, first = points
         ux = (math.cos(phi) + offx + 1.0) * (n_t / 2.0)
         uy = (math.sin(phi) + offy + 1.0) * (n_t / 2.0)
         ix, iy = np.floor(ux).astype(np.intp), np.floor(uy).astype(np.intp)
@@ -198,7 +198,9 @@ class RadonBlockOperator:
         """Sparse rows of every block angle, cached or streamed."""
         if self._fwd_rows is not None:
             return self._fwd_rows
-        rows = map(self._angle_rows, self.sino_grid.block_angles(self.j))
+        points = _circle_points(self.pixel_grid, self.sino_grid)
+        rows = (self._angle_rows(phi, points)
+                for phi in self.sino_grid.block_angles(self.j))
         if self.cache_plans:
             rows = self._fwd_rows = list(rows)
         return rows
@@ -258,9 +260,8 @@ class RadonBlockOperator:
 
     # -- backprojection -----------------------------------------------------
 
+    @cached_property
     def _adjoint_plan(self):
-        if self._adj_plan is not None:
-            return self._adj_plan
         grid = self.pixel_grid
         sg = self.sino_grid
         idx = np.flatnonzero(grid.mask.ravel())
@@ -279,10 +280,7 @@ class RadonBlockOperator:
         # nodes lie within distance 2 of every center, so ir <= n_r and
         # ir + 1 reads the zero beyond the radial range at most
         lo = ir + np.arange(sg.n_phi) * (sg.n_r + 2)
-        plan = (idx, lo, fr)
-        if self.cache_plans:
-            self._adj_plan = plan
-        return plan
+        return idx, lo, fr
 
     def backproject(self, y: np.ndarray) -> np.ndarray:
         """Average block data over angles at each domain node.
@@ -295,7 +293,7 @@ class RadonBlockOperator:
         sg = self.sino_grid
         if y.shape != sg.block_shape:
             raise ValueError(f"block shape {y.shape} does not match grid")
-        idx, lo, fr = self._adjoint_plan()
+        idx, lo, fr = self._adjoint_plan
         padded = np.zeros((sg.n_phi, sg.n_r + 2))
         padded[:, :-1] = y
         # y0 + fr*(y1 - y0), in place; the upper sample sits at lo + 1
@@ -376,10 +374,6 @@ class RadonSystem:
         """Lower bound of the effective kernel."""
         return kernel_floor(self.lam, self.sino_grid.block_measure)
 
-    def kernel_upper(self, raw_sup: float) -> float:
-        """Upper bound of the effective kernel given the raw kernel sup."""
-        return (raw_sup + self.lam) / self._scale
-
     def forward(self, x: np.ndarray, j: int) -> np.ndarray:
         mass = float(np.sum(self.node_weights * x))
         return (self.ops[j].forward(x) + self.lam * mass) / self._scale
@@ -439,7 +433,8 @@ def effective_bounds(system: RadonSystem, shifted_blocks) -> EffectiveBounds:
     formed in that case.
     """
     m = system.m
-    M = system.kernel_upper(system.raw_kernel_sup())
+    # the shift maps the raw kernel sup to the effective kernel's
+    M = (system.raw_kernel_sup() + system.lam) / system._scale
     m1 = min(float(np.min(b)) for b in shifted_blocks)
     M1 = max(float(np.max(b)) for b in shifted_blocks)
     if not m1 > 0.0:

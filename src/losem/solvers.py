@@ -29,6 +29,7 @@ __all__ = [
     "em_step",
     "osem_run",
     "loping_osem_run",
+    "block_residuals",
     "skip_threshold",
     "tau_schedule",
 ]
@@ -220,14 +221,7 @@ def loping_osem_run(x0, system, data, config: SolverConfig, x_star=None,
     x, trace, stopped = _run_loop(
         x0, system, data, config.max_cycles, x_star, audit, tau, g, delta
     )
-    # residuals and thresholds at the final iterate
-    w = system.block_weight
-    final_res = np.empty(N)
-    final_thr = np.empty(N)
-    for j in range(N):
-        fx = system.forward(x, j)
-        final_res[j] = kl_distance(data[j], fx, w)
-        final_thr[j] = skip_threshold(tau, g, delta[j], data[j], fx, w)
+    final_res, final_thr = block_residuals(x, system, data, tau, g, delta)
     d_min = float(np.min(delta))
     step_bound = math.nan
     if x_star is not None and g is not None and tau > 1.0 and d_min > 0.0:
@@ -244,6 +238,20 @@ def loping_osem_run(x0, system, data, config: SolverConfig, x_star=None,
         step_bound=step_bound,
     )
     return x, trace, report
+
+
+def block_residuals(x, system, data, tau, gamma, delta):
+    """Residual KL(y_j, A_j x) of every block at the iterate ``x``, and the
+    threshold tau * gamma * delta_j a loping step on it must exceed (gamma
+    None: the adaptive rule at ``x``).  Returns two arrays."""
+    w = system.block_weight
+    res = np.empty(system.n_blocks)
+    thr = np.empty(system.n_blocks)
+    for j in range(system.n_blocks):
+        fx = system.forward(x, j)
+        res[j] = kl_distance(data[j], fx, w)
+        thr[j] = skip_threshold(tau, gamma, delta[j], data[j], fx, w)
+    return res, thr
 
 
 def _run_loop(x0, system, data, max_cycles, x_star, audit, tau, gamma, delta):

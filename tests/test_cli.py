@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from losem import operators
 from losem.cli import main
 from losem.config import (
     GAMMA_MODES,
@@ -147,6 +148,8 @@ def test_compare_subset_validation():
         parse_config_text(cmp_base, "<x>")
     with pytest.raises(ConfigError, match="does not divide"):
         parse_config_text(cmp_base + "compare_subsets = 3\n", "<x>")
+    with pytest.raises(ConfigError, match="repeats a block count"):
+        parse_config_text(cmp_base + "compare_subsets = 2 2\n", "<x>")
     cfg = parse_config_text(cmp_base + "compare_subsets = 2, 4\n", "<x>")
     assert cfg.compare_subsets == (2, 4)
 
@@ -492,6 +495,42 @@ def test_verify_ok_and_warnings(tmp_path, capsys):
     assert "exact data" in text
 
 
+def test_verify_checks_the_adaptive_threshold(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BASE.replace("gamma_mode = explicit", "gamma_mode = l2"))
+    assert main(["verify", str(cfg), "--quiet"]) == 0
+    values = dict(ln.split("=", 1) for ln in capsys.readouterr().out.splitlines()
+                  if "=" in ln)
+    assert 0.0 < float(values["threshold_max"])
+    assert 0.0 < float(values["initial_residual_min"])
+
+
+def test_compare_builds_each_system_once(tmp_path, monkeypatch):
+    # run and verify build one system per subset, and no block operator
+    # besides the systems' own and the simulation's
+    built = {operators.RadonSystem: [], operators.RadonBlockOperator: []}
+    for cls, record in built.items():
+        def init(self, *args, _init=cls.__init__, _record=record, **kwargs):
+            _init(self, *args, **kwargs)
+            _record.append(self)
+        monkeypatch.setattr(cls, "__init__", init)
+    text = (
+        BASE.replace("mode = loping-osem", "mode = compare")
+        .replace("max_cycles = 30", "max_cycles = 3")
+        + "compare_subsets = 2 4\n"
+    )
+    cfg = write_cfg(tmp_path, text)
+    for argv in (["run", "--out", str(tmp_path / "out")], ["verify"]):
+        for record in built.values():
+            record.clear()
+        assert main([argv[0], str(cfg), "--quiet", *argv[1:]]) == 0
+        systems, ops = built.values()
+        assert [s.n_blocks for s in systems] == [2, 4]
+        own = {id(op) for s in systems for op in s.ops}
+        others = [op for op in ops if id(op) not in own]
+        assert len(own) == 6 and len(ops) == 7
+        assert len(others) == 1 and others[0].sino_grid.n_blocks == 1
+
+
 def test_verify_checks_every_compare_system(tmp_path, capsys):
     # no n_blocks, as in compare_table.cfg: the configured system has one
     # block, and only the compare subsets are solved on
@@ -509,8 +548,9 @@ def test_verify_checks_every_compare_system(tmp_path, capsys):
     values = dict(ln.split("=", 1) for ln in lines if "=" in ln)
     for N in (10, 20):
         assert float(values[f"delta_min_N{N}"]) < float(values[f"delta_max_N{N}"])
-        for key in ("kernel_floor_m", "kernel_sup_M", "data_floor_m1", "data_sup_M1",
-                    "gamma_bounds", "threshold_max", "initial_residual_min"):
+        for key in ("adjoint_of_ones_max_dev", "kernel_floor_m", "kernel_sup_M",
+                    "data_floor_m1", "data_sup_M1", "gamma_bounds", "threshold_max",
+                    "initial_residual_min"):
             assert f"{key}_N{N}" in values
     lam0 = write_cfg(tmp_path, text.replace("lambda = 0.01", "lambda = 0"), "l0.cfg")
     assert main(["verify", str(lam0), "--quiet"]) == 3
