@@ -136,17 +136,21 @@ def _compare_systems(cfg: RunConfig, systems: list, clean_base, noisy_base, info
         )
 
 
-def _gamma(cfg: RunConfig, system, data) -> float | None:
-    """The threshold constant of the configured gamma mode (None: adaptive)."""
+def _gamma(cfg: RunConfig, system, data, bounds=None) -> float | None:
+    """The threshold constant of the configured gamma mode (None: adaptive),
+    from ``bounds`` when the caller has computed the system's already."""
     if cfg.gamma_mode == "explicit":
         return cfg.gamma
     if cfg.gamma_mode == "l2":
         return None
-    return effective_bounds(system, data).gamma()
+    if bounds is None:
+        bounds = effective_bounds(system, data)
+    return bounds.gamma()
 
 
-def _solver_config(cfg: RunConfig, system, data: SolverData) -> SolverConfig:
-    return cfg.solver_config(_gamma(cfg, system, data.values), data.deltas)
+def _solver_config(cfg: RunConfig, system, data: SolverData,
+                   bounds=None) -> SolverConfig:
+    return cfg.solver_config(_gamma(cfg, system, data.values, bounds), data.deltas)
 
 
 def _write_noise_meta(path: Path, data: SolverData) -> None:
@@ -366,8 +370,12 @@ def _verify_system(cfg: RunConfig, system, data: SolverData, label: str) -> None
     print(f"data_floor_m1{label}={bounds.m1!r}")
     print(f"data_sup_M1{label}={bounds.M1!r}")
     print(f"gamma_bounds{label}={bounds.gamma()!r}")
+    # interpolation error keeps the defect nonzero; the bounds above make
+    # both sides positive
+    x0 = uniform_density(system.pixel_grid).values
+    print(f"pairing_defect{label}={_pairing_defect(system, x0, data.values)!r}")
 
-    solver_cfg = _solver_config(cfg, system, data)
+    solver_cfg = _solver_config(cfg, system, data, bounds)
     tau = solver_cfg.tau
     print(f"tau{label}={tau!r}")
     print(f"delta_min{label}={float(data.deltas.min())!r}")
@@ -376,7 +384,6 @@ def _verify_system(cfg: RunConfig, system, data: SolverData, label: str) -> None
         print("warning: exact data; loping performs every step and only "
               "max_cycles ends the run")
         return
-    x0 = uniform_density(system.pixel_grid).values
     residuals, thresholds = block_residuals(
         x0, system, data.values, tau, solver_cfg.gamma, data.deltas
     )
@@ -385,6 +392,17 @@ def _verify_system(cfg: RunConfig, system, data: SolverData, label: str) -> None
     if np.all(thresholds >= residuals):
         print(f"warning{label}: every threshold exceeds its initial residual; "
               "the loping run would stop immediately")
+
+
+def _pairing_defect(system, x, data) -> float:
+    """Largest relative gap |<A_j x, y_j>_w - <x, A_j* y_j>_w| / <A_j x, y_j>_w
+    over the blocks j of the shifted system, with y_j = ``data[j]``."""
+    defect = 0.0
+    for j, y in enumerate(data):
+        lhs = float(np.sum(system.forward(x, j) * y) * system.block_weight)
+        rhs = float(np.sum(x * system.adjoint(y, j) * system.node_weights))
+        defect = max(defect, abs(lhs - rhs) / lhs)
+    return defect
 
 
 # ---------------------------------------------------------------------------

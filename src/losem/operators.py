@@ -20,9 +20,13 @@ Discretization choices:
     K samples, renormalized to unit sum.
 
 The quadrature of one angle is stored as sparse rows: the cell of each
-circle point near the square and its four weights (circle weight) *
-(bilinear weight).  ``forward_raw`` reads each cell's corners from a table
-of the density padded by zeros, one gather and one segment sum per angle.
+circle point with a bilinear corner on the disc domain and its four
+weights (circle weight) * (bilinear weight).  ``forward_raw`` reads each
+cell's corners from a table of the density's values on the domain, padded
+by zeros, one gather and one segment sum per angle; node values off the
+domain are never read.  The backprojection plan is angle-major, one row of
+radial indices and fractions per angle, and the result is accumulated
+angle by angle.
 """
 
 from __future__ import annotations
@@ -170,36 +174,46 @@ class RadonBlockOperator:
 
     # -- forward ------------------------------------------------------------
 
-    def _angle_rows(self, phi: float, points):
+    def _angle_rows(self, phi: float, points, on_domain: np.ndarray):
         """Sparse rows of the angle ``phi`` from the block's ``points`` (see
         :func:`_circle_points`): the samples that have entries, the start of
         each one's segment, and the corner-table cell and the four corner
-        weights of every quadrature point near the square."""
+        weights of every quadrature point with a corner on the domain, as
+        ``on_domain`` says per cell."""
         n_t = self.pixel_grid.n_t
         offx, offy, coef, first = points
         ux = (math.cos(phi) + offx + 1.0) * (n_t / 2.0)
         uy = (math.sin(phi) + offy + 1.0) * (n_t / 2.0)
-        ix, iy = np.floor(ux).astype(np.intp), np.floor(uy).astype(np.intp)
-        # only points with a corner in the square take part
-        near = np.flatnonzero((ix >= -1) & (ix <= n_t) & (iy >= -1) & (iy <= n_t))
+        # the cell (ix + 1)*(n_t + 3) + (iy + 1) of every point, in floats;
+        # cells beyond the zero ring are clipped onto it, which is off the
+        # domain, and the points kept are not moved
+        ix, iy = np.floor(ux), np.floor(uy)
+        np.clip(ix, -1, n_t, out=ix)
+        np.clip(iy, -1, n_t, out=iy)
+        cells = ix + 1.0
+        cells *= n_t + 3
+        cells += iy
+        cells += 1.0
+        cells = cells.astype(np.intp)
+        near = np.flatnonzero(on_domain.take(cells))
         ix, iy, coef = ix.take(near), iy.take(near), coef.take(near)
         fx, fy = ux.take(near) - ix, uy.take(near) - iy
         # weights of the corners (ix + a, iy + b)
         wx, wy = (coef * (1.0 - fx), coef * fx), (1.0 - fy, fy)
         w = np.stack([wx[a] * wy[b] for a, b in _CORNERS], axis=1)
-        cells = (ix + 1) * (n_t + 3) + (iy + 1)
         # segment bounds per sample; empty rows (circles that miss the
-        # square) stay out of reduceat
+        # domain) stay out of reduceat
         bounds = np.searchsorted(near, first)
         rows = np.flatnonzero(np.diff(bounds, append=len(near)))
-        return rows + 1, 4 * bounds[rows], cells, w
+        return rows + 1, 4 * bounds[rows], cells.take(near), w
 
     def _rows(self):
         """Sparse rows of every block angle, cached or streamed."""
         if self._fwd_rows is not None:
             return self._fwd_rows
         points = _circle_points(self.pixel_grid, self.sino_grid)
-        rows = (self._angle_rows(phi, points)
+        on_domain = self._corner_table(self.pixel_grid.mask).any(axis=1)
+        rows = (self._angle_rows(phi, points, on_domain)
                 for phi in self.sino_grid.block_angles(self.j))
         if self.cache_plans:
             rows = self._fwd_rows = list(rows)
@@ -207,10 +221,12 @@ class RadonBlockOperator:
 
     def _corner_table(self, x: np.ndarray) -> np.ndarray:
         """The ``_CORNERS`` of every cell (i - 1, j - 1) in row i*(n_t + 3) + j,
-        read from ``x`` padded by zeros to (n_t + 4)^2."""
-        n = self.pixel_grid.n_t + 4
+        read from the values of ``x`` on the disc domain, padded by zeros
+        to (n_t + 4)^2."""
+        grid = self.pixel_grid
+        n = grid.n_t + 4
         padded = np.zeros((n, n))
-        padded[1 : n - 2, 1 : n - 2] = x
+        padded[1 : n - 2, 1 : n - 2] = np.where(grid.mask, x, 0.0)
         table = np.empty((n - 1, n - 1, 4))
         for k, (a, b) in enumerate(_CORNERS):
             table[..., k] = padded[a : n - 1 + a, b : n - 1 + b]
@@ -222,9 +238,12 @@ class RadonBlockOperator:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != self.pixel_grid.shape:
             raise ValueError(f"density shape {x.shape} does not match grid")
+        # the rows first: a streamed call frees its domain table before
+        # the density's is built
+        angle_rows = self._rows()
         table = self._corner_table(x)
         out = np.zeros(self.sino_grid.block_shape)
-        for a, (rows, starts, cells, w) in enumerate(self._rows()):
+        for a, (rows, starts, cells, w) in enumerate(angle_rows):
             vals = table.take(cells, axis=0)
             vals *= w
             out[a, rows] = np.add.reduceat(vals.ravel(), starts)
@@ -268,18 +287,20 @@ class RadonBlockOperator:
         tx = grid.nodes[idx // (grid.n_t + 1)]
         ty = grid.nodes[idx % (grid.n_t + 1)]
         angles = sg.block_angles(self.j)
-        # radii from every domain node to every detector center of the block
+        # radii from every detector center of the block to every domain
+        # node, angle by angle
         rho = np.hypot(
-            tx[:, None] - np.cos(angles)[None, :],
-            ty[:, None] - np.sin(angles)[None, :],
+            tx[None, :] - np.cos(angles)[:, None],
+            ty[None, :] - np.sin(angles)[:, None],
         )
         u = rho * (sg.n_r / 2.0)
-        ir = np.floor(u).astype(np.int32)
-        fr = u - ir
+        lo = np.floor(u).astype(np.intp)
+        fr = u - lo
         # flat indices into the data padded with one zero column: domain
-        # nodes lie within distance 2 of every center, so ir <= n_r and
-        # ir + 1 reads the zero beyond the radial range at most
-        lo = ir + np.arange(sg.n_phi) * (sg.n_r + 2)
+        # nodes lie within distance 2 of every center, so the radial index
+        # is at most n_r and the upper sample reads the zero beyond the
+        # radial range at most
+        lo += np.arange(sg.n_phi)[:, None] * (sg.n_r + 2)
         return idx, lo, fr
 
     def backproject(self, y: np.ndarray) -> np.ndarray:
@@ -296,14 +317,17 @@ class RadonBlockOperator:
         idx, lo, fr = self._adjoint_plan
         padded = np.zeros((sg.n_phi, sg.n_r + 2))
         padded[:, :-1] = y
-        # y0 + fr*(y1 - y0), in place; the upper sample sits at lo + 1
-        y0 = padded.ravel().take(lo)
-        vals = padded.ravel()[1:].take(lo)
-        vals -= y0
-        vals *= fr
-        vals += y0
+        flat = padded.ravel()
+        # y0 + fr*(y1 - y0), summed angle by angle
+        diff = flat[1:] - flat[:-1]
+        acc = np.zeros(len(idx))
+        for lo_a, fr_a in zip(lo, fr):
+            vals = diff.take(lo_a)
+            vals *= fr_a
+            vals += flat.take(lo_a)
+            acc += vals
         out = np.zeros(self.pixel_grid.shape)
-        out.ravel()[idx] = vals.sum(axis=1) / sg.n_phi
+        out.ravel()[idx] = acc / sg.n_phi
         return out
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:

@@ -550,7 +550,7 @@ def test_verify_checks_every_compare_system(tmp_path, capsys):
         assert float(values[f"delta_min_N{N}"]) < float(values[f"delta_max_N{N}"])
         for key in ("adjoint_of_ones_max_dev", "kernel_floor_m", "kernel_sup_M",
                     "data_floor_m1", "data_sup_M1", "gamma_bounds", "threshold_max",
-                    "initial_residual_min"):
+                    "initial_residual_min", "pairing_defect"):
             assert f"{key}_N{N}" in values
     lam0 = write_cfg(tmp_path, text.replace("lambda = 0.01", "lambda = 0"), "l0.cfg")
     assert main(["verify", str(lam0), "--quiet"]) == 3

@@ -245,6 +245,43 @@ def test_rows_without_entries_stay_zero(monkeypatch):
     assert np.array_equal(op.forward_raw(x), expected)
 
 
+# (n_t, n_r, n_blocks, n_phi, K): one with K = 3, one with n_r > n_t
+DOMAIN_GEOMETRIES = [(40, 40, 4, 5, 1), (60, 60, 3, 4, 3), (30, 48, 2, 6, 1)]
+
+
+def _domain_ops(n_t, n_r, n_blocks, n_phi, K):
+    grid = PixelGrid(n_t, 2.0 * K / n_r)
+    sino = SinogramGrid(n_blocks=n_blocks, n_phi=n_phi, n_r=n_r)
+    kernel = SmoothingKernel(n_r, K)
+    return grid, [RadonBlockOperator(grid, sino, j, kernel) for j in range(n_blocks)]
+
+
+@pytest.mark.parametrize("geometry", DOMAIN_GEOMETRIES)
+def test_forward_reads_node_values_on_the_domain_only(geometry):
+    grid, ops = _domain_ops(*geometry)
+    x = np.random.default_rng(geometry[0]).random(grid.shape) + 1.0
+    masked = np.where(grid.mask, x, 0.0)
+    for op in ops:
+        assert np.array_equal(op.forward_raw(x), op.forward_raw(masked))
+
+
+@pytest.mark.parametrize("geometry", DOMAIN_GEOMETRIES)
+def test_cached_rows_hold_only_points_with_a_corner_on_the_domain(geometry):
+    grid, ops = _domain_ops(*geometry)
+    n_t = grid.n_t
+    # node (i, j) at (i + 1, j + 1); cell c = i*(n_t + 3) + j has its
+    # corner (a, b) at node (i - 1 + a, j - 1 + b)
+    mask = np.pad(grid.mask, 1)
+    for op in ops:
+        op.forward_raw(np.zeros(grid.shape))
+        for rows, starts, cells, w in op._fwd_rows:
+            i, j = np.divmod(cells, n_t + 3)
+            touches = np.zeros(len(cells), dtype=bool)
+            for a, b in operators._CORNERS:
+                touches |= mask[i + a, j + b]
+            assert touches.all()
+
+
 def test_backprojection_of_ones_is_one_on_domain(op_setup):
     grid, sino, ops = op_setup
     ones = np.ones(sino.block_shape)
