@@ -4,7 +4,7 @@ integral equations with nonnegative kernels, instantiated on circular-mean
 
 The package splits into:
 
-  kl_core     grids, the weighted KL distance, serialization
+  kl_core     grids, the weighted KL distance, serialization, error types
   operators   circular-mean block operators, smoothing, kernel shift, bounds
   solvers     full, cyclic and loping iterations, stopping
   experiment  phantoms, data simulation, Poisson noise, oracle stopping

@@ -8,13 +8,15 @@ Subcommands:
 
 Exit codes: 0 success, 2 bad configuration, 3 violated mathematical
 precondition, 4 numerical degeneration (a FAILED marker file is left in
-the output directory in that case).
+the output directory in that case).  Any other exception is a bug and
+ends as a traceback (exit 1).
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import math
 import sys
 import time
 from pathlib import Path
@@ -42,7 +44,7 @@ from .kl_core import (
 from .operators import effective_bounds, kernel_floor
 from .solvers import SolverConfig, block_residuals, loping_osem_run, osem_run
 
-__all__ = ["entry", "main"]
+__all__ = ["main"]
 
 
 def _say(quiet: bool, msg: str) -> None:
@@ -145,7 +147,13 @@ def _gamma(cfg: RunConfig, system, data, bounds=None) -> float | None:
         return None
     if bounds is None:
         bounds = effective_bounds(system, data)
-    return bounds.gamma()
+    gamma = bounds.gamma()
+    if not 0.0 < gamma < math.inf:
+        raise ConfigError(
+            f"gamma_mode = bounds gives gamma = {gamma!r} at lambda = {cfg.lam!r}, "
+            "where a positive finite gamma is needed; use gamma_mode = explicit"
+        )
+    return gamma
 
 
 def _solver_config(cfg: RunConfig, system, data: SolverData,
@@ -454,19 +462,12 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except AssumptionError as e:
         print(f"assumption violated: {e}", file=sys.stderr)
         return 3
     except FloatingPointError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 4
-
-
-def entry() -> int:
-    return main()
 
 
 if __name__ == "__main__":

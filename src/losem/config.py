@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .experiment import Disc, NoiseSpec, PhantomSpec, _simulation_grid
-from .kl_core import PixelGrid, SinogramGrid
+from .kl_core import AssumptionError, ConfigError, PixelGrid, SinogramGrid
 from .operators import RadonSystem
 from .solvers import SolverConfig, tau_schedule
 
@@ -36,23 +36,15 @@ GAMMA_MODES = ("bounds", "explicit", "l2")
 TAU_MODES = ("fixed", "scheduled")
 
 
-class ConfigError(Exception):
-    """Invalid configuration or command line (exit code 2)."""
-
-
-class AssumptionError(Exception):
-    """A mathematical precondition of the method fails (exit code 3)."""
-
-
 @dataclass
 class RunConfig:
     mode: str
     n_t: int
     n_r: int
     n_phi: int
+    epsilon: float
+    K: int
     n_blocks: int = 1
-    epsilon: float = 0.0          # derived from K when left at 0
-    K: int = 0                    # derived from epsilon when left at 0
     lam: float = 0.01
     oversample: int = 4
     tau: float = 1.5
@@ -303,7 +295,7 @@ def _validate(cfg: RunConfig, path: str) -> None:
         if cfg.noise_level == 0.0:
             bad("compare mode needs noise_level > 0")
     try:
-        cfg.pixel_grid()
+        cfg.phantom.check_on(cfg.pixel_grid())
         subsets = cfg.compare_subsets if cfg.mode == "compare" else ()
         for N in (cfg.n_blocks, *subsets):
             cfg.sino_grid(N)

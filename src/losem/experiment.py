@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kl_core import (
+    ConfigError,
     DensityGrid,
     PixelGrid,
     SinogramBlock,
@@ -83,10 +84,36 @@ class PhantomSpec:
                     f"domain of radius {domain_radius}"
                 )
 
+    def check_on(self, grid: PixelGrid) -> None:
+        """Raise ValueError unless :func:`render_phantom` can render the
+        phantom on ``grid``: every disc inside the domain, a finite mass and
+        a domain node inside a disc, checked in O(1) per disc at any n_t.
+
+        A node's squared distance to a disc centre grows with its distance
+        along each axis, so a disc holds a domain node only if it holds one
+        within two spacings of its centre on both axes; those nodes are
+        tested with the render's own arithmetic.
+        """
+        self.validate_inside(grid.radius)
+        h, n, r2 = grid.spacing, grid.n_t, grid.radius ** 2
+        if not math.isfinite(sum(d.amplitude * (2.0 * d.radius + h) ** 2
+                                 for d in self.discs)):
+            raise ValueError("the disc amplitudes overflow the phantom's mass")
+        for d in self.discs:
+            i0, k0 = (math.floor((c + 1.0) * n / 2.0) for c in (d.cx, d.cy))
+            for i in range(max(i0 - 2, 0), min(i0 + 2, n) + 1):
+                x = -1.0 + 2.0 * i / n
+                for k in range(max(k0 - 2, 0), min(k0 + 2, n) + 1):
+                    y = -1.0 + 2.0 * k / n
+                    dx, dy = x - d.cx, y - d.cy
+                    if dx * dx + dy * dy <= d.radius ** 2 and x * x + y * y < r2:
+                        return
+        raise ValueError(f"no domain node of the n_t = {n} grid lies inside a disc")
+
 
 def render_phantom(spec: PhantomSpec, grid: PixelGrid) -> DensityGrid:
     """Rasterize the disc superposition on the grid and normalize its mass."""
-    spec.validate_inside(grid.radius)
+    spec.check_on(grid)
     x = grid.nodes[:, None]
     y = grid.nodes[None, :]
     vals = np.zeros(grid.shape)
@@ -127,7 +154,8 @@ def simulate_clean_base(
 
     The phantom is rendered on ``pixel_grid`` refined to n_t * oversample
     pixels per axis and projected from there.  The result is a single
-    normalized block covering all angles (block count one).
+    normalized block covering all angles (block count one).  Raises
+    ConfigError when no circle of the sampling meets the phantom.
     """
     hi = _simulation_grid(pixel_grid, oversample, max_nodes)
     density = render_phantom(spec, hi)
@@ -135,6 +163,11 @@ def simulate_clean_base(
     kernel = SmoothingKernel(n_r, K)
     op = RadonBlockOperator(hi, base_grid, 0, kernel, cache_plans=False)
     vals = op.forward(density.values)
+    if not np.sum(vals) > 0.0:
+        raise ConfigError(
+            f"the simulated data have no mass: no circle of the n_r = {n_r} "
+            "sampling meets the phantom"
+        )
     vals = normalize_to_simplex(vals, base_grid.sample_weight)
     return SinogramBlock(base_grid, 0, vals)
 
@@ -144,7 +177,8 @@ def reblock(base: SinogramBlock, grid: SinogramGrid) -> list[SinogramBlock]:
 
     The split grid must share the angle set and radii of the base.  Values
     are rescaled by the block count (the per-block forward map carries that
-    factor) and renormalized blockwise.
+    factor) and renormalized blockwise.  Raises ConfigError when a block
+    has no mass.
     """
     if base.grid.n_blocks != 1:
         raise ValueError("base data must live on a single-block grid")
@@ -156,6 +190,11 @@ def reblock(base: SinogramBlock, grid: SinogramGrid) -> list[SinogramBlock]:
     out = []
     for j in range(grid.n_blocks):
         rows = base.values[j * grid.n_phi : (j + 1) * grid.n_phi]
+        if not np.sum(rows) > 0.0:
+            raise ConfigError(
+                f"data block {j} of {grid.n_blocks} has no mass (its circles miss "
+                "the phantom or drew no counts); use fewer blocks"
+            )
         vals = normalize_to_simplex(rows * grid.n_blocks, grid.sample_weight)
         out.append(SinogramBlock(grid, j, vals))
     return out

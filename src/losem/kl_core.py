@@ -15,6 +15,8 @@ from functools import cached_property
 import numpy as np
 
 __all__ = [
+    "ConfigError",
+    "AssumptionError",
     "PixelGrid",
     "DensityGrid",
     "SinogramGrid",
@@ -26,11 +28,18 @@ __all__ = [
     "weighted_l1",
     "weighted_l2",
     "save_matrix_csv",
-    "load_matrix_csv",
     "save_pgm",
 ]
 
 MASS_TOL = 1e-9
+
+
+class ConfigError(Exception):
+    """Invalid configuration or command line (exit code 2)."""
+
+
+class AssumptionError(Exception):
+    """A mathematical precondition of the method fails (exit code 3)."""
 
 
 # ---------------------------------------------------------------------------
@@ -337,16 +346,6 @@ def save_matrix_csv(path, arr) -> None:
         for row in arr:
             fh.write(",".join(repr(float(v)) for v in row))
             fh.write("\n")
-
-
-def load_matrix_csv(path) -> np.ndarray:
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(tok) for tok in line.split(",")])
-    return np.asarray(rows, dtype=np.float64)
 
 
 def save_pgm(path, arr) -> None:

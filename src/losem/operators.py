@@ -445,8 +445,11 @@ class EffectiveBounds:
     M1: float
 
     def gamma(self) -> float:
-        """Threshold constant max(|log(m1/M)|, |log(M1/m)|)."""
-        return max(abs(math.log(self.m1 / self.M)), abs(math.log(self.M1 / self.m)))
+        """Threshold constant max(|log(m1/M)|, |log(M1/m)|); inf when m1/M
+        underflows to zero."""
+        lo = self.m1 / self.M
+        return max(abs(math.log(lo)) if lo > 0.0 else math.inf,
+                   abs(math.log(self.M1 / self.m)))
 
 
 def effective_bounds(system: RadonSystem, shifted_blocks) -> EffectiveBounds:

@@ -118,14 +118,6 @@ class IterationTrace:
         """Ground-truth errors per step plus the final iterate's error."""
         return np.asarray(self.error_kl + [self.final_error])
 
-    def cycle_errors(self) -> np.ndarray:
-        """Error at the end of cycle c = error before step c*n_blocks, for
-        c = 0..n_cycles, ending with the final error."""
-        N = self.n_blocks
-        out = [self.error_kl[c * N] for c in range(self.n_cycles)]
-        out.append(self.final_error)
-        return np.asarray(out)
-
     def write_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write(TRACE_HEADER + "\n")

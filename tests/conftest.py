@@ -48,3 +48,23 @@ class IdentitySystem:
 @pytest.fixture
 def identity_system():
     return IdentitySystem()
+
+
+def load_matrix_csv(path) -> np.ndarray:
+    """Read a headerless CSV matrix as written by ``save_matrix_csv``."""
+    rows = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if line:
+                rows.append([float(tok) for tok in line.split(",")])
+    return np.asarray(rows, dtype=np.float64)
+
+
+def cycle_errors(trace) -> np.ndarray:
+    """Error at the end of cycle c = error before step c*n_blocks, for
+    c = 0..n_cycles, ending with the final error of the ``IterationTrace``."""
+    N = trace.n_blocks
+    out = [trace.error_kl[c * N] for c in range(trace.n_cycles)]
+    out.append(trace.final_error)
+    return np.asarray(out)

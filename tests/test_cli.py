@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import load_matrix_csv
 from losem import operators
 from losem.cli import main
 from losem.config import (
@@ -22,7 +23,6 @@ from losem.config import (
     parse_config_text,
     parse_phantom_file,
 )
-from losem.kl_core import load_matrix_csv
 
 BASE = """
 mode = loping-osem
@@ -273,6 +273,25 @@ def test_run_exact_em(tmp_path):
     assert "noise=none" in (out / "noise_meta.txt").read_text()
 
 
+# a tiny noisy run whose noise calibration cannot reach its target
+UNCALIBRATED = """
+mode = loping-osem
+n_t = 8
+n_r = 8
+n_angle = 4
+n_blocks = 2
+K = 1
+lambda = 0.01
+noise_level = 0.5
+seed = 0
+oversample = 1
+gamma_mode = explicit
+gamma = 0.045
+max_cycles = 5
+disc = 0.0 0.0 0.4 1.0
+"""
+
+
 # rules checked when the config loads, before anything is printed or written
 @pytest.mark.parametrize("command", ["run", "verify", "phantom"])
 @pytest.mark.parametrize("text", [
@@ -283,8 +302,21 @@ def test_run_exact_em(tmp_path):
     # domain radius 1/3, nearest node at distance 0.47
     "mode = osem\nn_t = 3\nn_r = 3\nn_angle = 4\nK = 1\nnoise_level = 0\n"
     "disc = 0 0 0.3 1\n",
+    # the domain radius is 0.75
+    _with_values(UNCALIBRATED, {"disc": "0.0 0.0 0.9 1.0"}),
+    # no node of the 6x6 grid lies inside the disc; the simulation renders
+    # on the oversampled grid only, where one does
+    _with_values(UNCALIBRATED, {
+        "mode": "compare", "n_t": 6, "n_r": 8, "n_angle": 8,
+        "compare_subsets": "1 2", "noise_level": 0.05, "counts_scale": 1e6,
+        "seed": 2, "oversample": 2, "disc": "0.35 0.49 0.07 1.0",
+    }),
+    # four disjoint discs whose mass overflows
+    BASE.replace("disc = 0.0 0.0 0.4 1.0\ndisc = 0.45 0.3 0.18 2.0\n", "".join(
+        f"disc = {cx} {cy} 0.3 1.7e308\n" for cx in (-0.32, 0.32) for cy in (-0.32, 0.32)
+    )),
 ], ids=["em-with-4-blocks", "compare-on-exact-data", "simulation-over-node-cap",
-        "empty-domain"])
+        "empty-domain", "disc-leaves-domain", "no-node-in-a-disc", "mass-overflows"])
 def test_mode_rules_hold_for_every_command(tmp_path, capsys, text, command):
     cfg = write_cfg(tmp_path, text)
     out = tmp_path / "o"
@@ -355,6 +387,18 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["run", str(missing), "--quiet"]) == 2
 
 
+def test_a_value_error_in_a_command_is_a_bug(tmp_path, monkeypatch):
+    # main maps ConfigError, AssumptionError and FloatingPointError to exit
+    # codes; any other exception ends as a traceback
+    def broken(*args):
+        raise ValueError("a bug")
+
+    monkeypatch.setattr("losem.cli.render_phantom", broken)
+    cfg = write_cfg(tmp_path, BASE)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["phantom", str(cfg), "--out", str(tmp_path / "o"), "--quiet"])
+
+
 @pytest.mark.parametrize("old,new", [
     ("n_r = 32", "n_r = 0"),
     ("K = 1", "epsilon = inf"),
@@ -388,24 +432,6 @@ def test_lost_signal_is_a_numerical_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numerical failure" in err and "Traceback" not in err
 
-
-# a tiny noisy run whose noise calibration cannot reach its target
-UNCALIBRATED = """
-mode = loping-osem
-n_t = 8
-n_r = 8
-n_angle = 4
-n_blocks = 2
-K = 1
-lambda = 0.01
-noise_level = 0.5
-seed = 0
-oversample = 1
-gamma_mode = explicit
-gamma = 0.045
-max_cycles = 5
-disc = 0.0 0.0 0.4 1.0
-"""
 
 
 @pytest.mark.parametrize("text", [
@@ -451,7 +477,9 @@ def test_only_simulated_data_check_the_simulation_grid(key, value, message):
         ),
         "seed": st.integers(0, 3),
         "oversample": st.integers(1, 2),
-        "disc": st.floats(0.05, 0.45).map(lambda r: f"0.0 0.0 {r!r} 1.0"),
+        "disc": st.tuples(
+            st.floats(-0.5, 0.5), st.floats(-0.5, 0.5), st.floats(0.01, 0.45)
+        ).map(lambda d: "{!r} {!r} {!r} 1.0".format(*d)),
     }),
 )
 @example({  # UNCALIBRATED itself
@@ -463,6 +491,28 @@ def test_only_simulated_data_check_the_simulation_grid(key, value, message):
     "mode": "loping-osem", "tau_mode": "fixed", "gamma_mode": "explicit",
     "n_t": 8, "n_r": 8, "n_angle": 4, "n_blocks": 2, "lambda": 0.01,
     "noise_level": 5e-324, "seed": 0, "oversample": 1, "disc": "0.0 0.0 0.4 1.0",
+})
+@example({  # no circle meets the phantom, so the simulated data have no mass
+    "mode": "loping-osem", "tau_mode": "fixed", "gamma_mode": "explicit",
+    "n_t": 6, "n_r": 3, "n_angle": 4, "n_blocks": 4, "lambda": 0.9,
+    "noise_level": 0.3, "seed": 3, "oversample": 1, "disc": "0.0 0.0 0.26 1.0",
+})
+@example({  # one block of four has no data mass
+    "mode": "loping-osem", "tau_mode": "fixed", "gamma_mode": "explicit",
+    "n_t": 8, "n_r": 4, "n_angle": 4, "n_blocks": 4, "lambda": 0.01,
+    "noise_level": 0.2, "seed": 0, "oversample": 1,
+    "disc": "-0.027 -0.145 0.109 1.0",
+})
+@example({  # the shift flattens kernel and data: gamma_mode = bounds gives 0
+    "mode": "loping-osem", "tau_mode": "fixed", "gamma_mode": "bounds",
+    "n_t": 8, "n_r": 6, "n_angle": 4, "n_blocks": 4, "lambda": 3.6e307,
+    "noise_level": 0.0, "seed": 0, "oversample": 1, "disc": "0.0 0.0 0.35 1.0",
+})
+@example({  # at the smallest shift the data floor over the kernel sup
+    # underflows: gamma_mode = bounds gives inf
+    "mode": "loping-osem", "tau_mode": "fixed", "gamma_mode": "bounds",
+    "n_t": 8, "n_r": 4, "n_angle": 4, "n_blocks": 4, "lambda": 5e-324,
+    "noise_level": 0.0, "seed": 0, "oversample": 1, "disc": "0.0 0.0 0.4 1.0",
 })
 @settings(max_examples=100, deadline=None)
 def test_every_command_exits_with_a_documented_code(values):

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from conftest import cycle_errors
 from losem.experiment import (
     Disc,
     NoiseSpec,
@@ -52,6 +55,42 @@ def test_render_phantom_mass_and_profile():
         PhantomSpec((Disc(0.0, 0.0, 0.5, 2.0), Disc(0.0, 0.0, 0.2, 2.0))), grid
     )
     assert two.values[64, 64] > two.values[64, 90]
+
+
+@given(
+    st.integers(2, 40), st.floats(0.05, 0.6),
+    st.lists(st.tuples(st.floats(0.15, 0.85), st.floats(0.15, 0.85),
+                       st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.01, 2.0)),
+             min_size=1, max_size=3),
+)
+@settings(max_examples=300, deadline=None)
+def test_phantom_check_agrees_with_testing_every_node(n_t, epsilon, placements):
+    # discs near nodes, of radius 0.01 to 2 node spacings: the check passes
+    # exactly when some domain node lies inside a disc
+    try:
+        grid = PixelGrid(n_t, epsilon)
+    except ValueError:
+        assume(False)
+    h = grid.spacing
+    spec = PhantomSpec(tuple(
+        Disc(-1.0 + h * (math.floor(u * n_t) + fx), -1.0 + h * (math.floor(v * n_t) + fy),
+             r * h, 1.0)
+        for u, v, fx, fy, r in placements
+    ))
+    try:
+        spec.validate_inside(grid.radius)
+    except ValueError:
+        assume(False)
+    x, y = grid.nodes[:, None], grid.nodes[None, :]
+    inside = np.zeros(grid.shape, dtype=bool)
+    for d in spec.discs:
+        inside |= (x - d.cx) ** 2 + (y - d.cy) ** 2 <= d.radius ** 2
+    if np.any(inside & grid.mask):
+        spec.check_on(grid)
+        render_phantom(spec, grid)
+    else:
+        with pytest.raises(ValueError, match="no domain node"):
+            spec.check_on(grid)
 
 
 def test_render_phantom_rejects_escaping_disc():
@@ -240,7 +279,7 @@ def test_oracle_matches_one_uninterrupted_run(small_setup, two_disc_phantom):
     oracle = oracle_stopped_osem(x0, system, data, x_star.values, max_cycles=8)
     assert oracle.best_cycle < 8
     _, trace = osem_run(x0, system, data, 8, x_star=x_star.values)
-    assert np.array_equal(oracle.errors, trace.cycle_errors())
+    assert np.array_equal(oracle.errors, cycle_errors(trace))
     best, _ = osem_run(x0, system, data, oracle.best_cycle)
     assert np.array_equal(oracle.values, best)
     with pytest.raises(ValueError, match="data blocks"):

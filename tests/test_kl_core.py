@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import load_matrix_csv
 from losem.kl_core import (
     DensityGrid,
     PixelGrid,
@@ -14,7 +15,6 @@ from losem.kl_core import (
     SinogramGrid,
     kl_distance,
     kl_l1_bound_check,
-    load_matrix_csv,
     normalize_to_simplex,
     save_matrix_csv,
     save_pgm,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import cycle_errors
 from losem.experiment import consistent_data
 from losem.kl_core import kl_distance, uniform_density
 from losem.solvers import (
@@ -94,7 +95,7 @@ def test_osem_trace_shape_and_monotone_error(small_setup):
     res = np.asarray(trace.residual)
     after = np.asarray(trace.residual_after)
     assert np.all(after <= res + 1e-12)
-    ce = trace.cycle_errors()
+    ce = cycle_errors(trace)
     assert len(ce) == 7
     assert ce[0] == pytest.approx(errs[0]) and ce[-1] == trace.final_error
 
