@@ -378,6 +378,10 @@ def _verify_system(cfg: RunConfig, system, data: SolverData, label: str) -> None
     print(f"data_floor_m1{label}={bounds.m1!r}")
     print(f"data_sup_M1{label}={bounds.M1!r}")
     print(f"gamma_bounds{label}={bounds.gamma()!r}")
+    # the kernel sup above built every block's rows
+    sizes = [op.row_size() for op in system.ops]
+    print(f"forward_row_points{label}={sum(points for points, _ in sizes)}")
+    print(f"forward_row_bytes{label}={sum(nbytes for _, nbytes in sizes)}")
     # interpolation error keeps the defect nonzero; the bounds above make
     # both sides positive
     x0 = uniform_density(system.pixel_grid).values

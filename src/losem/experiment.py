@@ -86,8 +86,9 @@ class PhantomSpec:
 
     def check_on(self, grid: PixelGrid) -> None:
         """Raise ValueError unless :func:`render_phantom` can render the
-        phantom on ``grid``: every disc inside the domain, a finite mass and
-        a domain node inside a disc, checked in O(1) per disc at any n_t.
+        phantom on ``grid``: every disc inside the domain, a finite density
+        and mass, and a domain node inside a disc, checked in O(1) per disc
+        at any n_t.
 
         A node's squared distance to a disc centre grows with its distance
         along each axis, so a disc holds a domain node only if it holds one
@@ -99,6 +100,10 @@ class PhantomSpec:
         if not math.isfinite(sum(d.amplitude * (2.0 * d.radius + h) ** 2
                                  for d in self.discs)):
             raise ValueError("the disc amplitudes overflow the phantom's mass")
+        # a node's value sums the amplitudes of some discs in disc order, so
+        # it never exceeds the sum of all of them
+        if not math.isfinite(sum(d.amplitude for d in self.discs)):
+            raise ValueError("the disc amplitudes overflow the phantom's density")
         for d in self.discs:
             i0, k0 = (math.floor((c + 1.0) * n / 2.0) for c in (d.cx, d.cy))
             for i in range(max(i0 - 2, 0), min(i0 + 2, n) + 1):

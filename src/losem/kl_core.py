@@ -63,6 +63,12 @@ class PixelGrid:
     def __post_init__(self):
         if self.n_t < 2:
             raise ValueError(f"n_t must be >= 2, got {self.n_t}")
+        # (n_t + 1)^2 nodes must fit one array
+        if self.n_t >= math.isqrt(np.iinfo(np.intp).max):
+            raise ValueError(
+                f"n_t must be below {math.isqrt(np.iinfo(np.intp).max)}, "
+                "the largest grid an array can hold"
+            )
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
         # the node coordinates nearest 0, computed as in ``nodes``; the

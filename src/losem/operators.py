@@ -21,12 +21,18 @@ Discretization choices:
 
 The quadrature of one angle is stored as sparse rows: the cell of each
 circle point with a bilinear corner on the disc domain and its four
-weights (circle weight) * (bilinear weight).  ``forward_raw`` reads each
-cell's corners from a table of the density's values on the domain, padded
-by zeros, one gather and one segment sum per angle; node values off the
-domain are never read.  The backprojection plan is angle-major, one row of
-radial indices and fractions per angle, and the result is accumulated
-angle by angle.
+weights (circle weight) * (bilinear weight).  Such a point lies within
+R + sqrt(2)*h of the origin (domain radius R, node spacing h), so on each
+circle only one arc, opposite the detector, can hold it: the rows are
+built from the points of these arcs, at most two index ranges per radius,
+and the cell test picks the points kept.  The circle points and the cell
+test are the same for every block and are built once per system.
+``forward_raw`` reads each cell's corners from a table of the
+density's values on the domain, padded by zeros, one gather and one
+segment sum per angle; node values off the domain are never read.  The
+backprojection plan is angle-major, one row of radial indices and
+fractions per angle, and the result is accumulated angle by angle; the
+shifted system's adjoint adds its shift on the domain nodes only.
 """
 
 from __future__ import annotations
@@ -137,6 +143,27 @@ def _circle_points(pixel_grid: PixelGrid, sino_grid: SinogramGrid):
     return r * np.cos(theta), r * np.sin(theta), coef, first
 
 
+def _corner_table(grid: PixelGrid, x: np.ndarray) -> np.ndarray:
+    """The ``_CORNERS`` of every cell (i - 1, j - 1) in row i*(n_t + 3) + j,
+    read from the values of ``x`` on the disc domain, padded by zeros to
+    (n_t + 4)^2."""
+    n = grid.n_t + 4
+    padded = np.zeros((n, n))
+    padded[1 : n - 2, 1 : n - 2] = np.where(grid.mask, x, 0.0)
+    table = np.empty((n - 1, n - 1, 4))
+    for k, (a, b) in enumerate(_CORNERS):
+        table[..., k] = padded[a : n - 1 + a, b : n - 1 + b]
+    return table.reshape(-1, 4)
+
+
+def _circle_geometry(pixel_grid: PixelGrid, sino_grid: SinogramGrid):
+    """The circle points (see :func:`_circle_points`) and which cells of the
+    corner table touch the disc domain: what the rows of every block of a
+    geometry are built from."""
+    return (_circle_points(pixel_grid, sino_grid),
+            _corner_table(pixel_grid, pixel_grid.mask).any(axis=1))
+
+
 class RadonBlockOperator:
     """Circular means and backprojection restricted to one angular block.
 
@@ -147,7 +174,9 @@ class RadonBlockOperator:
     shared by all angles: a cell of the zero-padded corner table and four
     weights per quadrature point.  Rows are built lazily and cached when
     ``cache_plans`` is set, otherwise streamed angle by angle on each call;
-    the backprojection indices are built at the first call and kept.
+    the backprojection indices are built at the first call and kept.  The
+    circle geometry comes from ``geometry`` when a system shares one, and
+    is built with the rows otherwise.
     """
 
     def __init__(
@@ -157,6 +186,7 @@ class RadonBlockOperator:
         j: int,
         kernel: SmoothingKernel,
         cache_plans: bool = True,
+        geometry=None,
     ):
         if kernel.n_r != sino_grid.n_r:
             raise ValueError("kernel and sinogram grid disagree on n_r")
@@ -170,20 +200,55 @@ class RadonBlockOperator:
         self.j = j
         self.kernel = kernel
         self.cache_plans = cache_plans
+        self._geometry = geometry
         self._fwd_rows = None
 
     # -- forward ------------------------------------------------------------
 
-    def _angle_rows(self, phi: float, points, on_domain: np.ndarray):
-        """Sparse rows of the angle ``phi`` from the block's ``points`` (see
-        :func:`_circle_points`): the samples that have entries, the start of
-        each one's segment, and the corner-table cell and the four corner
-        weights of every quadrature point with a corner on the domain, as
-        ``on_domain`` says per cell."""
+    def _arcs(self, points, angles: np.ndarray):
+        """Per angle, the ascending indices of the circle ``points`` (see
+        :func:`_circle_points`) that can lie in a cell with a corner on the
+        domain, found for all angles at once.
+
+        Such a point lies within R + sqrt(2)*h of the origin, and the point
+        at offset angle t from the detector at phi has |p|^2 = 1 + r^2 +
+        2r*cos(t - phi), so on each radius the points form one arc centred
+        opposite the detector: at most two index ranges.  The radius gets a
+        slack for rounding and the arc one point each way.
+        """
+        grid = self.pixel_grid
+        first = points[3]
+        counts = np.diff(first, append=len(points[2]))
+        r = self.sino_grid.radii[1:]
+        reach = grid.radius + math.sqrt(2.0) * grid.spacing + 1e-9
+        cos_max = np.clip((reach * reach - 1.0 - r * r) / (2.0 * r), -1.0, 1.0)
+        half = counts * (0.5 - np.arccos(cos_max) / (2.0 * math.pi)) + 1.0
+        centre = counts * (angles[:, None] / (2.0 * math.pi) + 0.5)
+        lo = np.ceil(centre - half).astype(np.int64)
+        hi = np.minimum(np.floor(centre + half).astype(np.int64) + 1, lo + counts)
+        shift = lo // counts * counts
+        lo -= shift
+        hi -= shift
+        # the arc [lo, hi) of a radius is [0, hi - n) and [lo, n) where it
+        # passes its last point
+        bounds = first[:, None] + np.stack(
+            [np.zeros_like(lo), np.maximum(hi - counts, 0), lo, np.minimum(hi, counts)],
+            axis=-1)
+        for starts, stops in bounds.reshape(len(angles), -1, 2).transpose(0, 2, 1):
+            sizes = stops - starts
+            ends = np.cumsum(sizes)
+            yield np.arange(ends[-1]) + np.repeat(starts - ends + sizes, sizes)
+
+    def _angle_rows(self, phi: float, geometry, cand: np.ndarray):
+        """Sparse rows of the angle ``phi`` from the ascending circle point
+        indices ``cand`` of ``geometry`` (see :func:`_circle_geometry`): the
+        samples that have entries, the start of each one's segment, and the
+        corner-table cell and the four corner weights of every candidate
+        point in a cell that touches the domain."""
         n_t = self.pixel_grid.n_t
-        offx, offy, coef, first = points
-        ux = (math.cos(phi) + offx + 1.0) * (n_t / 2.0)
-        uy = (math.sin(phi) + offy + 1.0) * (n_t / 2.0)
+        (offx, offy, coef, first), on_domain = geometry
+        ux = (math.cos(phi) + offx.take(cand) + 1.0) * (n_t / 2.0)
+        uy = (math.sin(phi) + offy.take(cand) + 1.0) * (n_t / 2.0)
         # the cell (ix + 1)*(n_t + 3) + (iy + 1) of every point, in floats;
         # cells beyond the zero ring are clipped onto it, which is off the
         # domain, and the points kept are not moved
@@ -195,42 +260,33 @@ class RadonBlockOperator:
         cells += iy
         cells += 1.0
         cells = cells.astype(np.intp)
-        near = np.flatnonzero(on_domain.take(cells))
-        ix, iy, coef = ix.take(near), iy.take(near), coef.take(near)
-        fx, fy = ux.take(near) - ix, uy.take(near) - iy
+        near = on_domain.take(cells)
+        kept = cand[near]
+        ix, iy, coef = ix[near], iy[near], coef.take(kept)
+        fx, fy = ux[near] - ix, uy[near] - iy
         # weights of the corners (ix + a, iy + b)
         wx, wy = (coef * (1.0 - fx), coef * fx), (1.0 - fy, fy)
-        w = np.stack([wx[a] * wy[b] for a, b in _CORNERS], axis=1)
+        w = np.empty((len(kept), 4))
+        for k, (a, b) in enumerate(_CORNERS):
+            np.multiply(wx[a], wy[b], out=w[:, k])
         # segment bounds per sample; empty rows (circles that miss the
         # domain) stay out of reduceat
-        bounds = np.searchsorted(near, first)
-        rows = np.flatnonzero(np.diff(bounds, append=len(near)))
-        return rows + 1, 4 * bounds[rows], cells.take(near), w
+        bounds = np.searchsorted(kept, first)
+        rows = np.flatnonzero(np.diff(bounds, append=len(kept)))
+        return rows + 1, 4 * bounds[rows], cells[near], w
 
     def _rows(self):
-        """Sparse rows of every block angle, cached or streamed."""
+        """Sparse rows of every block angle, cached or streamed, built from
+        the points on the arcs that can reach the domain."""
         if self._fwd_rows is not None:
             return self._fwd_rows
-        points = _circle_points(self.pixel_grid, self.sino_grid)
-        on_domain = self._corner_table(self.pixel_grid.mask).any(axis=1)
-        rows = (self._angle_rows(phi, points, on_domain)
-                for phi in self.sino_grid.block_angles(self.j))
+        geometry = self._geometry or _circle_geometry(self.pixel_grid, self.sino_grid)
+        angles = self.sino_grid.block_angles(self.j)
+        rows = (self._angle_rows(phi, geometry, cand)
+                for phi, cand in zip(angles, self._arcs(geometry[0], angles)))
         if self.cache_plans:
             rows = self._fwd_rows = list(rows)
         return rows
-
-    def _corner_table(self, x: np.ndarray) -> np.ndarray:
-        """The ``_CORNERS`` of every cell (i - 1, j - 1) in row i*(n_t + 3) + j,
-        read from the values of ``x`` on the disc domain, padded by zeros
-        to (n_t + 4)^2."""
-        grid = self.pixel_grid
-        n = grid.n_t + 4
-        padded = np.zeros((n, n))
-        padded[1 : n - 2, 1 : n - 2] = np.where(grid.mask, x, 0.0)
-        table = np.empty((n - 1, n - 1, 4))
-        for k, (a, b) in enumerate(_CORNERS):
-            table[..., k] = padded[a : n - 1 + a, b : n - 1 + b]
-        return table.reshape(-1, 4)
 
     def forward_raw(self, x: np.ndarray) -> np.ndarray:
         """Circular means of the density array on the block samples; the
@@ -241,7 +297,7 @@ class RadonBlockOperator:
         # the rows first: a streamed call frees its domain table before
         # the density's is built
         angle_rows = self._rows()
-        table = self._corner_table(x)
+        table = _corner_table(self.pixel_grid, x)
         out = np.zeros(self.sino_grid.block_shape)
         for a, (rows, starts, cells, w) in enumerate(angle_rows):
             vals = table.take(cells, axis=0)
@@ -252,6 +308,13 @@ class RadonBlockOperator:
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Smoothed circular means: radial smoothing after ``forward_raw``."""
         return smooth_radial(self.forward_raw(x), self.kernel)
+
+    def row_size(self) -> tuple[int, int]:
+        """The quadrature points and the bytes the cached rows hold; zero
+        before the first build and for streamed rows."""
+        rows = self._fwd_rows or []
+        return (sum(len(cells) for _, _, cells, _ in rows),
+                sum(a.nbytes for arrays in rows for a in arrays))
 
     def kernel_sup(self) -> float:
         """Supremum of the block's discrete smoothed kernel over its samples
@@ -303,8 +366,10 @@ class RadonBlockOperator:
         lo += np.arange(sg.n_phi)[:, None] * (sg.n_r + 2)
         return idx, lo, fr
 
-    def backproject(self, y: np.ndarray) -> np.ndarray:
-        """Average block data over angles at each domain node.
+    def backproject(self, y: np.ndarray, shift: float = 0.0,
+                    scale: float = 1.0) -> np.ndarray:
+        """Average block data over angles at each domain node, plus
+        ``shift`` and divided by ``scale`` there.
 
         Data is interpolated piecewise linearly in the radius and extended
         by zero beyond the radial range; the result is zero outside the
@@ -326,13 +391,18 @@ class RadonBlockOperator:
             vals *= fr_a
             vals += flat.take(lo_a)
             acc += vals
+        acc /= sg.n_phi
+        acc += shift
+        acc /= scale
         out = np.zeros(self.pixel_grid.shape)
-        out.ravel()[idx] = acc / sg.n_phi
+        out.ravel()[idx] = acc
         return out
 
-    def adjoint(self, y: np.ndarray) -> np.ndarray:
-        """Backprojection of radially smoothed data."""
-        return self.backproject(smooth_radial(y, self.kernel))
+    def adjoint(self, y: np.ndarray, shift: float = 0.0,
+                scale: float = 1.0) -> np.ndarray:
+        """Backprojection of radially smoothed data, with the ``shift`` and
+        ``scale`` of :meth:`backproject`."""
+        return self.backproject(smooth_radial(y, self.kernel), shift, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +425,7 @@ class RadonSystem:
     (A_j x + lam * integral(x)) / (1 + lam * b) and the adjoint gains the
     matching lam * integral(y) term.  The effective kernel then lies in
     [m, M] with m = lam / (1 + lam * b) > 0.  ``ops`` holds the unshifted
-    block operators A_j.
+    block operators A_j, which share one circle geometry.
     """
 
     def __init__(
@@ -375,8 +445,9 @@ class RadonSystem:
         self.lam = lam
         self._scale = 1.0 + lam * sino_grid.block_measure
         self.kernel = SmoothingKernel(sino_grid.n_r, K)
+        geometry = _circle_geometry(pixel_grid, sino_grid)
         self.ops = [
-            RadonBlockOperator(pixel_grid, sino_grid, j, self.kernel)
+            RadonBlockOperator(pixel_grid, sino_grid, j, self.kernel, geometry=geometry)
             for j in range(sino_grid.n_blocks)
         ]
         self._raw_kernel_sup = None
@@ -403,10 +474,9 @@ class RadonSystem:
         return (self.ops[j].forward(x) + self.lam * mass) / self._scale
 
     def adjoint(self, y: np.ndarray, j: int) -> np.ndarray:
+        # the shift applies on the domain nodes only
         integral = float(np.sum(y) * self.block_weight)
-        out = self.ops[j].adjoint(y) + self.lam * integral
-        out /= self._scale
-        return np.where(self.pixel_grid.mask, out, 0.0)
+        return self.ops[j].adjoint(y, self.lam * integral, self._scale)
 
     def shift_data(self, blocks) -> list[np.ndarray]:
         """Apply the additive shift to a full dataset (one array per block)."""

@@ -414,6 +414,26 @@ def test_unusable_values_are_config_errors(tmp_path, capsys, old, new):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["run", "verify", "phantom"])
+@pytest.mark.parametrize("old,new", [
+    # beyond the float range
+    ("n_t = 32", "n_t = 1" + "0" * 320),
+    # a float, but no array holds (n_t + 1)^2 nodes
+    ("n_t = 32", "n_t = 1" + "0" * 300),
+    # each amplitude is finite, their sum at the shared nodes is not
+    ("disc = 0.0 0.0 0.4 1.0\ndisc = 0.45 0.3 0.18 2.0",
+     "disc = 0 0 0.01 1.7e308\ndisc = 0 0 0.02 1.7e308"),
+], ids=["n_t-1e320", "n_t-1e300", "overlapping-amplitudes"])
+def test_unbuildable_grids_and_phantoms_are_config_errors(tmp_path, capsys, command,
+                                                          old, new):
+    cfg = write_cfg(tmp_path, BASE.replace(old, new))
+    out = tmp_path / "o"
+    assert main([command, str(cfg), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_out_naming_a_file_is_a_config_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE)
     taken = tmp_path / "taken"
@@ -600,8 +620,12 @@ def test_verify_checks_every_compare_system(tmp_path, capsys):
         assert float(values[f"delta_min_N{N}"]) < float(values[f"delta_max_N{N}"])
         for key in ("adjoint_of_ones_max_dev", "kernel_floor_m", "kernel_sup_M",
                     "data_floor_m1", "data_sup_M1", "gamma_bounds", "threshold_max",
-                    "initial_residual_min", "pairing_defect"):
+                    "initial_residual_min", "pairing_defect", "forward_row_points",
+                    "forward_row_bytes"):
             assert f"{key}_N{N}" in values
+        # a cell index and four weights per point, at least
+        points = int(values[f"forward_row_points_N{N}"])
+        assert 0 < 40 * points <= int(values[f"forward_row_bytes_N{N}"])
     lam0 = write_cfg(tmp_path, text.replace("lambda = 0.01", "lambda = 0"), "l0.cfg")
     assert main(["verify", str(lam0), "--quiet"]) == 3
     assert "kernel_floor_m_N10=0.0" in capsys.readouterr().out

@@ -93,6 +93,19 @@ def test_phantom_check_agrees_with_testing_every_node(n_t, epsilon, placements):
             spec.check_on(grid)
 
 
+def test_phantom_check_rejects_an_overflowing_density():
+    # each amplitude and the mass bound are finite, but the two discs share
+    # the centre node, where the render would sum past the float range
+    grid = PixelGrid(32, 1.0 / 16.0)
+    discs = (Disc(0.0, 0.0, 0.01, 1.7e308), Disc(0.0, 0.0, 0.02, 1.7e308))
+    with pytest.raises(ValueError, match="overflow the phantom's density"):
+        PhantomSpec(discs).check_on(grid)
+    # amplitudes whose sum stays finite render
+    x = render_phantom(PhantomSpec((Disc(0.0, 0.0, 0.01, 9e307),
+                                    Disc(0.0, 0.0, 0.02, 8e307))), grid)
+    assert np.all(np.isfinite(x.values)) and x.mass == pytest.approx(1.0)
+
+
 def test_render_phantom_rejects_escaping_disc():
     grid = PixelGrid(32, 0.1)
     with pytest.raises(ValueError, match="domain"):

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from losem import operators
 from losem.kl_core import DensityGrid, PixelGrid, SinogramGrid, uniform_density
@@ -243,6 +245,39 @@ def test_rows_without_entries_stay_zero(monkeypatch):
                         lambda pixel_grid, sino_grid: (offx, offy, coef, first))
     op = RadonBlockOperator(grid, sino, 1, kernel)
     assert np.array_equal(op.forward_raw(x), expected)
+
+
+@given(
+    st.integers(2, 48), st.integers(2, 48), st.integers(1, 5), st.integers(1, 6),
+    st.integers(1, 24), st.floats(0.0, 1.0),
+)
+# n_angles = 6 puts an angle at pi, whose arcs wrap past theta = 0
+@example(n_t=40, n_r=40, n_blocks=2, n_phi=3, K=1, margin=0.0)
+# R + sqrt(2)*h >= 1: on the 2x2 grid, whole circles of radius up to 1.16
+# can reach the domain
+@example(n_t=2, n_r=8, n_blocks=2, n_phi=2, K=1, margin=0.0)
+@settings(max_examples=60, deadline=None)
+def test_arc_rows_equal_rows_over_all_points(n_t, n_r, n_blocks, n_phi, K, margin):
+    K = min(K, n_r // 2)
+    # epsilon from the kernel support 2K/n_r up to 0.95
+    assume(2.0 * K / n_r < 0.95)
+    epsilon = 2.0 * K / n_r + margin * (0.95 - 2.0 * K / n_r)
+    try:
+        grid = PixelGrid(n_t, epsilon)
+    except ValueError:
+        assume(False)
+    sino = SinogramGrid(n_blocks=n_blocks, n_phi=n_phi, n_r=n_r)
+    kernel = SmoothingKernel(n_r, K)
+    geometry = operators._circle_geometry(grid, sino)
+    every_point = np.arange(len(geometry[0][2]))
+    for j in range(n_blocks):
+        op = RadonBlockOperator(grid, sino, j, kernel, geometry=geometry)
+        streamed = RadonBlockOperator(grid, sino, j, kernel, cache_plans=False)._rows()
+        for phi, arc, own in zip(sino.block_angles(j), op._rows(), streamed):
+            plain = op._angle_rows(phi, geometry, every_point)
+            for a, b, c in zip(arc, own, plain):
+                assert a.dtype == c.dtype and np.array_equal(a, c)
+                assert b.dtype == c.dtype and np.array_equal(b, c)
 
 
 # (n_t, n_r, n_blocks, n_phi, K): one with K = 3, one with n_r > n_t
