@@ -299,9 +299,13 @@ def _validate(cfg: RunConfig, path: str) -> None:
         subsets = cfg.compare_subsets if cfg.mode == "compare" else ()
         for N in (cfg.n_blocks, *subsets):
             cfg.sino_grid(N)
+        # max_sim_nodes caps every grid: the reconstruction grid, and the
+        # oversampled one of simulated data
+        oversample = 1
         if cfg.noise_level != 0.0:
             cfg.noise_spec()
-            _simulation_grid(cfg.pixel_grid(), cfg.oversample, cfg.max_sim_nodes)
+            oversample = cfg.oversample
+        _simulation_grid(cfg.pixel_grid(), oversample, cfg.max_sim_nodes)
         cfg.solver_config(cfg.gamma if explicit else None)
     except ValueError as e:
         bad(str(e))

@@ -140,8 +140,9 @@ def _simulation_grid(pixel_grid: PixelGrid, oversample: int,
     n_nodes = (pixel_grid.n_t * oversample + 1) ** 2
     if n_nodes > max_nodes:
         raise ValueError(
-            f"simulation grid has {n_nodes} nodes, exceeding the cap {max_nodes}; "
-            "lower the oversample factor or raise the cap"
+            f"the n_t * oversample = {pixel_grid.n_t * oversample} grid has "
+            f"{n_nodes} nodes, exceeding the cap {max_nodes}; lower n_t or the "
+            "oversample factor, or raise max_sim_nodes"
         )
     return PixelGrid(pixel_grid.n_t * oversample, pixel_grid.epsilon)
 

@@ -20,15 +20,20 @@ Discretization choices:
     K samples, renormalized to unit sum.
 
 The quadrature of one angle is stored as sparse rows: the cell of each
-circle point with a bilinear corner on the disc domain and its four
-weights (circle weight) * (bilinear weight).  Such a point lies within
-R + sqrt(2)*h of the origin (domain radius R, node spacing h), so on each
-circle only one arc, opposite the detector, can hold it: the rows are
-built from the points of these arcs, at most two index ranges per radius,
-and the cell test picks the points kept.  The circle points and the cell
-test are the same for every block and are built once per system.
-``forward_raw`` reads each cell's corners from a table of the
-density's values on the domain, padded by zeros, one gather and one
+circle point with a bilinear corner on a support and its four weights
+(circle weight) * (bilinear weight).  The support is the disc domain for
+the rows a system caches, and the domain nodes where the projected
+density is nonzero for the rows a call streams, such as the
+simulation's: a point whose corners are all zero adds an exact zero, so
+dropping it changes only how the sums are grouped.  A kept point lies
+within sqrt(2)*h (node spacing h) of a support node, so within the
+support's largest origin distance plus sqrt(2)*h of the origin, and on
+each circle only one arc, opposite the detector, can hold it: the rows
+are built from the points of these arcs, at most two index ranges per
+radius, and the cell test picks the points kept.  The circle points and
+the domain's cell test are the same for every block and are built once
+per system.  ``forward_raw`` reads each cell's corners from a table of
+the density's values on the domain, padded by zeros, one gather and one
 segment sum per angle; node values off the domain are never read.  The
 backprojection plan is angle-major, one row of radial indices and
 fractions per angle, and the result is accumulated angle by angle; the
@@ -156,12 +161,22 @@ def _corner_table(grid: PixelGrid, x: np.ndarray) -> np.ndarray:
     return table.reshape(-1, 4)
 
 
+def _support(grid: PixelGrid, table: np.ndarray):
+    """Which cells of the corner ``table`` (see :func:`_corner_table`) have
+    a nonzero corner, and the reach of their points: the largest origin
+    distance of a nonzero node plus sqrt(2)*h, the cell diagonal."""
+    # corner (0, 0) of cell row i*(n_t + 3) + j is node (i - 1, j - 1)
+    i, j = np.divmod(np.flatnonzero(table[:, 0]), grid.n_t + 3)
+    dist = np.hypot(grid.nodes.take(i - 1), grid.nodes.take(j - 1))
+    return table.any(axis=1), dist.max(initial=0.0) + math.sqrt(2.0) * grid.spacing
+
+
 def _circle_geometry(pixel_grid: PixelGrid, sino_grid: SinogramGrid):
-    """The circle points (see :func:`_circle_points`) and which cells of the
-    corner table touch the disc domain: what the rows of every block of a
-    geometry are built from."""
+    """The circle points (see :func:`_circle_points`) with the cell test and
+    the reach of the disc domain (see :func:`_support`): what the cached
+    rows of every block of a geometry are built from."""
     return (_circle_points(pixel_grid, sino_grid),
-            _corner_table(pixel_grid, pixel_grid.mask).any(axis=1))
+            *_support(pixel_grid, _corner_table(pixel_grid, pixel_grid.mask)))
 
 
 class RadonBlockOperator:
@@ -172,11 +187,12 @@ class RadonBlockOperator:
     ``adjoint`` is backprojection after smoothing.  The forward map of each
     angle is a set of sparse rows, one per sample, built from circle offsets
     shared by all angles: a cell of the zero-padded corner table and four
-    weights per quadrature point.  Rows are built lazily and cached when
-    ``cache_plans`` is set, otherwise streamed angle by angle on each call;
-    the backprojection indices are built at the first call and kept.  The
-    circle geometry comes from ``geometry`` when a system shares one, and
-    is built with the rows otherwise.
+    weights per quadrature point.  With ``cache_plans`` set, the rows of
+    the domain are built lazily and cached; otherwise each call streams,
+    angle by angle, the rows of the support of the density it projects.
+    The backprojection indices are built at the first call and kept.  The
+    circle geometry of the domain's rows comes from ``geometry`` when a
+    system shares one, and is built with the rows otherwise.
     """
 
     def __init__(
@@ -205,22 +221,22 @@ class RadonBlockOperator:
 
     # -- forward ------------------------------------------------------------
 
-    def _arcs(self, points, angles: np.ndarray):
-        """Per angle, the ascending indices of the circle ``points`` (see
-        :func:`_circle_points`) that can lie in a cell with a corner on the
-        domain, found for all angles at once.
+    def _arcs(self, geometry, angles: np.ndarray):
+        """Per angle, the ascending indices of the circle points of
+        ``geometry`` (see :func:`_circle_geometry`) that lie within its
+        reach of the origin, found for all angles at once.
 
-        Such a point lies within R + sqrt(2)*h of the origin, and the point
-        at offset angle t from the detector at phi has |p|^2 = 1 + r^2 +
-        2r*cos(t - phi), so on each radius the points form one arc centred
-        opposite the detector: at most two index ranges.  The radius gets a
-        slack for rounding and the arc one point each way.
+        The point at offset angle t from the detector at phi has |p|^2 =
+        1 + r^2 + 2r*cos(t - phi), so on each radius the points within the
+        reach form one arc centred opposite the detector: at most two index
+        ranges.  The reach gets a slack for rounding and the arc one point
+        each way.
         """
-        grid = self.pixel_grid
+        points, _, reach = geometry
         first = points[3]
         counts = np.diff(first, append=len(points[2]))
         r = self.sino_grid.radii[1:]
-        reach = grid.radius + math.sqrt(2.0) * grid.spacing + 1e-9
+        reach += 1e-9
         cos_max = np.clip((reach * reach - 1.0 - r * r) / (2.0 * r), -1.0, 1.0)
         half = counts * (0.5 - np.arccos(cos_max) / (2.0 * math.pi)) + 1.0
         centre = counts * (angles[:, None] / (2.0 * math.pi) + 0.5)
@@ -244,14 +260,14 @@ class RadonBlockOperator:
         indices ``cand`` of ``geometry`` (see :func:`_circle_geometry`): the
         samples that have entries, the start of each one's segment, and the
         corner-table cell and the four corner weights of every candidate
-        point in a cell that touches the domain."""
+        point in a cell that passes the geometry's cell test."""
         n_t = self.pixel_grid.n_t
-        (offx, offy, coef, first), on_domain = geometry
+        (offx, offy, coef, first), on_support, _ = geometry
         ux = (math.cos(phi) + offx.take(cand) + 1.0) * (n_t / 2.0)
         uy = (math.sin(phi) + offy.take(cand) + 1.0) * (n_t / 2.0)
         # the cell (ix + 1)*(n_t + 3) + (iy + 1) of every point, in floats;
-        # cells beyond the zero ring are clipped onto it, which is off the
-        # domain, and the points kept are not moved
+        # cells beyond the zero ring are clipped onto it, which is off every
+        # support, and the points kept are not moved
         ix, iy = np.floor(ux), np.floor(uy)
         np.clip(ix, -1, n_t, out=ix)
         np.clip(iy, -1, n_t, out=iy)
@@ -260,7 +276,7 @@ class RadonBlockOperator:
         cells += iy
         cells += 1.0
         cells = cells.astype(np.intp)
-        near = on_domain.take(cells)
+        near = on_support.take(cells)
         kept = cand[near]
         ix, iy, coef = ix[near], iy[near], coef.take(kept)
         fx, fy = ux[near] - ix, uy[near] - iy
@@ -270,21 +286,25 @@ class RadonBlockOperator:
         for k, (a, b) in enumerate(_CORNERS):
             np.multiply(wx[a], wy[b], out=w[:, k])
         # segment bounds per sample; empty rows (circles that miss the
-        # domain) stay out of reduceat
+        # support) stay out of reduceat
         bounds = np.searchsorted(kept, first)
         rows = np.flatnonzero(np.diff(bounds, append=len(kept)))
         return rows + 1, 4 * bounds[rows], cells[near], w
 
-    def _rows(self):
-        """Sparse rows of every block angle, cached or streamed, built from
-        the points on the arcs that can reach the domain."""
-        if self._fwd_rows is not None:
+    def _rows(self, geometry=None):
+        """Sparse rows of every block angle, built from the points on the
+        arcs that can reach a support: streamed from ``geometry`` (see
+        :func:`_circle_geometry`) when given, and otherwise the domain's,
+        cached when ``cache_plans`` is set."""
+        cache = self.cache_plans and geometry is None
+        if cache and self._fwd_rows is not None:
             return self._fwd_rows
-        geometry = self._geometry or _circle_geometry(self.pixel_grid, self.sino_grid)
+        geometry = (geometry or self._geometry
+                    or _circle_geometry(self.pixel_grid, self.sino_grid))
         angles = self.sino_grid.block_angles(self.j)
         rows = (self._angle_rows(phi, geometry, cand)
-                for phi, cand in zip(angles, self._arcs(geometry[0], angles)))
-        if self.cache_plans:
+                for phi, cand in zip(angles, self._arcs(geometry, angles)))
+        if cache:
             rows = self._fwd_rows = list(rows)
         return rows
 
@@ -294,10 +314,17 @@ class RadonBlockOperator:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != self.pixel_grid.shape:
             raise ValueError(f"density shape {x.shape} does not match grid")
-        # the rows first: a streamed call frees its domain table before
-        # the density's is built
-        angle_rows = self._rows()
-        table = _corner_table(self.pixel_grid, x)
+        grid = self.pixel_grid
+        if self.cache_plans:
+            # the rows before the table: with the table first, the peak RSS
+            # of a compare_table.cfg run reads 1% higher (heap layout; the
+            # bytes alive are the same)
+            angle_rows, table = self._rows(), _corner_table(grid, x)
+        else:
+            # rows of the support of this density only
+            table = _corner_table(grid, x)
+            points = _circle_points(grid, self.sino_grid)
+            angle_rows = self._rows((points, *_support(grid, table)))
         out = np.zeros(self.sino_grid.block_shape)
         for a, (rows, starts, cells, w) in enumerate(angle_rows):
             vals = table.take(cells, axis=0)

@@ -4,6 +4,7 @@ import io
 import math
 import tempfile
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -415,18 +416,21 @@ def test_unusable_values_are_config_errors(tmp_path, capsys, old, new):
 
 
 @pytest.mark.parametrize("command", ["run", "verify", "phantom"])
-@pytest.mark.parametrize("old,new", [
+@pytest.mark.parametrize("text", [
     # beyond the float range
-    ("n_t = 32", "n_t = 1" + "0" * 320),
+    BASE.replace("n_t = 32", "n_t = 1" + "0" * 320),
     # a float, but no array holds (n_t + 1)^2 nodes
-    ("n_t = 32", "n_t = 1" + "0" * 300),
+    BASE.replace("n_t = 32", "n_t = 1" + "0" * 300),
     # each amplitude is finite, their sum at the shared nodes is not
-    ("disc = 0.0 0.0 0.4 1.0\ndisc = 0.45 0.3 0.18 2.0",
-     "disc = 0 0 0.01 1.7e308\ndisc = 0 0 0.02 1.7e308"),
-], ids=["n_t-1e320", "n_t-1e300", "overlapping-amplitudes"])
+    BASE.replace("disc = 0.0 0.0 0.4 1.0\ndisc = 0.45 0.3 0.18 2.0",
+                 "disc = 0 0 0.01 1.7e308\ndisc = 0 0 0.02 1.7e308"),
+    # exact data simulate nothing, but the 10^12 nodes of the grid itself
+    # exceed max_sim_nodes
+    _with_values(BASE, {"n_t": 1000000, "noise_level": 0}),
+], ids=["n_t-1e320", "n_t-1e300", "overlapping-amplitudes", "exact-n_t-1e6"])
 def test_unbuildable_grids_and_phantoms_are_config_errors(tmp_path, capsys, command,
-                                                          old, new):
-    cfg = write_cfg(tmp_path, BASE.replace(old, new))
+                                                          text):
+    cfg = write_cfg(tmp_path, text)
     out = tmp_path / "o"
     assert main([command, str(cfg), "--out", str(out), "--quiet"]) == 2
     err = capsys.readouterr().err
@@ -474,10 +478,13 @@ def test_failed_noise_calibration_is_a_numerical_failure(tmp_path, capsys, text)
     ("max_sim_nodes", 100, "exceeding the cap"),
 ])
 def test_only_simulated_data_check_the_simulation_grid(key, value, message):
+    # the 9 x 9 nodes of n_t = 8 are within the cap, the 17 x 17 of the
+    # simulation grid are not
+    values = {"n_t": 8, "oversample": 2, key: value}
     exact = BASE.replace("noise_level = 0.05", "noise_level = 0")
-    parse_config_text(_with_values(exact, {key: value}), "<x>")
+    parse_config_text(_with_values(exact, values), "<x>")
     with pytest.raises(ConfigError, match=message):
-        parse_config_text(_with_values(BASE, {key: value}), "<x>")
+        parse_config_text(_with_values(BASE, values), "<x>")
 
 
 @given(
@@ -599,6 +606,41 @@ def test_compare_builds_each_system_once(tmp_path, monkeypatch):
         others = [op for op in ops if id(op) not in own]
         assert len(own) == 6 and len(ops) == 7
         assert len(others) == 1 and others[0].sino_grid.n_blocks == 1
+
+
+def test_one_compare_system_is_alive_while_rows_are_built(tmp_path, monkeypatch):
+    # run and verify build both systems before simulating, then the cached
+    # rows of each system in turn: while the N = 2 rows are built the N = 4
+    # system is alive without rows, and while the N = 4 rows are built the
+    # N = 2 system is gone
+    systems, builds = [], []
+
+    def init(self, *args, _init=operators.RadonSystem.__init__, **kwargs):
+        _init(self, *args, **kwargs)
+        systems.append(weakref.ref(self))
+
+    def rows(self, geometry=None, _rows=operators.RadonBlockOperator._rows):
+        if self.cache_plans and geometry is None and self._fwd_rows is None:
+            live = [s for s in (ref() for ref in systems) if s is not None]
+            others = [s.n_blocks for s in live if self not in s.ops
+                      and any(op._fwd_rows is not None for op in s.ops)]
+            builds.append((self.sino_grid.n_blocks, [s.n_blocks for s in live], others))
+        return _rows(self, geometry)
+
+    monkeypatch.setattr(operators.RadonSystem, "__init__", init)
+    monkeypatch.setattr(operators.RadonBlockOperator, "_rows", rows)
+    text = (
+        BASE.replace("mode = loping-osem", "mode = compare")
+        .replace("max_cycles = 30", "max_cycles = 3")
+        + "compare_subsets = 2 4\n"
+    )
+    cfg = write_cfg(tmp_path, text)
+    for argv in (["run", "--out", str(tmp_path / "out")], ["verify"]):
+        systems.clear()
+        builds.clear()
+        assert main([argv[0], str(cfg), "--quiet", *argv[1:]]) == 0
+        # one row build per block of each system
+        assert builds == [(2, [2, 4], [])] * 2 + [(4, [4], [])] * 4
 
 
 def test_verify_checks_every_compare_system(tmp_path, capsys):

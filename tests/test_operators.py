@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from losem import operators
-from losem.kl_core import DensityGrid, PixelGrid, SinogramGrid, uniform_density
+from losem.kl_core import ConfigError, DensityGrid, PixelGrid, SinogramGrid, uniform_density
 from losem.operators import (
     EffectiveBounds,
     RadonBlockOperator,
@@ -16,7 +16,7 @@ from losem.operators import (
     effective_bounds,
     smooth_radial,
 )
-from losem.experiment import Disc, PhantomSpec, render_phantom
+from losem.experiment import Disc, PhantomSpec, render_phantom, simulate_clean_base
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +278,79 @@ def test_arc_rows_equal_rows_over_all_points(n_t, n_r, n_blocks, n_phi, K, margi
             for a, b, c in zip(arc, own, plain):
                 assert a.dtype == c.dtype and np.array_equal(a, c)
                 assert b.dtype == c.dtype and np.array_equal(b, c)
+
+
+def _sparse_density(grid: PixelGrid, kind: str, draw: float, seed: int) -> np.ndarray:
+    """A density nonzero on part of the domain only: up to three random
+    discs, one domain node, one domain node at the edge (next to a node off
+    the domain), or none.  Disc values also fall off the domain, where the
+    operators must not read them."""
+    rng = np.random.default_rng(seed)
+    x = np.zeros(grid.shape)
+    if kind == "discs":
+        tx, ty = np.meshgrid(grid.nodes, grid.nodes, indexing="ij")
+        for _ in range(1 + seed % 3):
+            cx, cy, r = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(0.0, 0.6)
+            inside = (tx - cx) ** 2 + (ty - cy) ** 2 <= r * r
+            x[inside] += rng.uniform(0.5, 2.0, inside.sum())
+    elif kind in ("node", "edge"):
+        nodes = grid.mask
+        if kind == "edge":
+            inner = np.pad(grid.mask, 1)
+            inner = inner[:-2, 1:-1] & inner[2:, 1:-1] & inner[1:-1, :-2] & inner[1:-1, 2:]
+            nodes = grid.mask & ~inner
+        idx = np.flatnonzero(nodes)
+        x.ravel()[idx[int(draw * len(idx))]] = rng.uniform(0.5, 2.0)
+    return x
+
+
+@given(
+    st.integers(2, 48), st.integers(2, 48), st.integers(1, 3), st.integers(1, 4),
+    st.integers(1, 4), st.sampled_from(["discs", "node", "edge", "zero"]),
+    st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 2**16),
+)
+# n_angles = 6 puts an angle at pi, whose arcs wrap past theta = 0
+@example(n_t=40, n_r=40, n_blocks=2, n_phi=3, K=1, kind="edge", draw=0.5, seed=0)
+@example(n_t=40, n_r=40, n_blocks=2, n_phi=3, K=1, kind="zero", draw=0.0, seed=0)
+# on the 2 x 2 grid whole circles can reach the one domain node
+@example(n_t=2, n_r=8, n_blocks=2, n_phi=2, K=1, kind="node", draw=0.0, seed=0)
+@settings(max_examples=60, deadline=None)
+def test_streamed_rows_hold_the_support_of_the_density(n_t, n_r, n_blocks, n_phi, K,
+                                                        kind, draw, seed):
+    K = min(K, n_r // 2)
+    try:
+        grid = PixelGrid(n_t, 2.0 * K / n_r)
+    except ValueError:
+        assume(False)
+    sino = SinogramGrid(n_blocks=n_blocks, n_phi=n_phi, n_r=n_r)
+    kernel = SmoothingKernel(n_r, K)
+    x = _sparse_density(grid, kind, draw, seed)
+    table = operators._corner_table(grid, x)
+    points = operators._circle_points(grid, sino)
+    support = operators._support(grid, table)
+    every_point = np.arange(len(points[2]))
+    for j in range(n_blocks):
+        streamed = RadonBlockOperator(grid, sino, j, kernel, cache_plans=False)
+        rows = streamed._rows((points, *support))
+        for phi, own in zip(sino.block_angles(j), rows):
+            plain = streamed._angle_rows(phi, (points, table.any(axis=1), None),
+                                         every_point)
+            for a, b in zip(own, plain):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        cached = RadonBlockOperator(grid, sino, j, kernel).forward(x)
+        if kind == "zero":
+            assert not np.any(streamed.forward(x)) and not np.any(cached)
+        else:
+            npt.assert_allclose(streamed.forward(x), cached, rtol=1e-13, atol=0.0)
+
+
+def test_simulating_a_phantom_no_circle_meets_is_a_config_error():
+    # circles of radius 2/3 and 4/3 centred on the unit circle pass 1/3
+    # from the origin, outside the disc
+    grid = PixelGrid(6, 2.0 / 3.0)
+    spec = PhantomSpec((Disc(0.0, 0.0, 0.26, 1.0),))
+    with pytest.raises(ConfigError, match="no mass"):
+        simulate_clean_base(spec, grid, n_angles=4, n_r=3, K=1, oversample=1)
 
 
 # (n_t, n_r, n_blocks, n_phi, K): one with K = 3, one with n_r > n_t
