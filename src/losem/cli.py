@@ -62,14 +62,16 @@ def _outdir(args, cfg: RunConfig) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# data assembly, on a system the command has built
+# set-up: the systems a command runs on, each with its data
 
 
 class SolverData(NamedTuple):
     """Shifted data a solver sees, with the noise bounds of its blocks.
 
     ``raw_deltas`` bound the unshifted data and ``deltas`` the shifted
-    system's; for exact data the deltas are zero and the noise fields None.
+    system's; ``sinogram`` is the noisy realization ``run`` writes: the
+    system's blocks stacked, or the unsplit data every compare block count
+    shares.  For exact data the deltas are zero and the noise fields None.
     """
 
     values: list
@@ -77,6 +79,7 @@ class SolverData(NamedTuple):
     raw_deltas: np.ndarray | None = None
     noisy: list | None = None
     info: dict | None = None
+    sinogram: np.ndarray | None = None
 
 
 def _add_noise(cfg: RunConfig, clean, quiet: bool):
@@ -90,13 +93,13 @@ def _add_noise(cfg: RunConfig, clean, quiet: bool):
     return noisy, info
 
 
-def _shifted(cfg: RunConfig, system, clean, noisy, info) -> SolverData:
+def _shifted(cfg: RunConfig, system, clean, noisy, info, sinogram) -> SolverData:
     """Shift noisy blocks for the system; the noise bounds are measured in
     the norm of the configured gamma mode."""
     raw = realized_deltas(clean, noisy, ord=2 if cfg.gamma_mode == "l2" else 1)
     return SolverData(
         system.shift_data([b.values for b in noisy]),
-        system.shifted_deltas(raw), raw, noisy, info,
+        system.shifted_deltas(raw), raw, noisy, info, sinogram,
     )
 
 
@@ -108,33 +111,55 @@ def _solver_data(cfg: RunConfig, system, x_star, quiet: bool) -> SolverData:
         return SolverData(consistent_data(x_star, system), np.zeros(system.n_blocks))
     _say(quiet, f"simulating data (oversample {cfg.oversample}) ...")
     clean = simulate_data(cfg.phantom, system, cfg.oversample, cfg.max_sim_nodes)
-    return _shifted(cfg, system, clean, *_add_noise(cfg, clean, quiet))
+    noisy, info = _add_noise(cfg, clean, quiet)
+    return _shifted(cfg, system, clean, noisy, info,
+                    np.vstack([b.values for b in noisy]))
 
 
-def _shared_data(cfg: RunConfig, pixel_grid, quiet: bool):
-    """Clean and noisy single-block data on the unsplit angle set, with the
-    noise info: the one realization every compare block count shares."""
+def _label(cfg: RunConfig, N: int) -> str:
+    """Suffix of a block count's keys in ``verify``: ``_N<count>`` in compare mode."""
+    return f"_N{N}" if cfg.mode == "compare" else ""
+
+
+def _systems(cfg: RunConfig, quiet: bool, verify: bool = False):
+    """The rendered phantom with each system ``run`` solves on and its data.
+
+    Each system is built when its turn comes, so one system's circle
+    geometry and cached rows are alive at a time.  The kernel floor of
+    every block count is checked first, so an unusable lambda is rejected
+    before anything is simulated: a configuration error to ``run``, and a
+    violated assumption to ``verify``, which prints each floor.  Compare
+    block counts share one noise realization, drawn on the unsplit angle
+    set, so their data differ only in the grouping.
+    """
+    compare = cfg.mode == "compare"
+    counts = cfg.compare_subsets if compare else (cfg.n_blocks,)
+    for N in counts:
+        m = kernel_floor(cfg.lam, cfg.sino_grid(N).block_measure)
+        if verify:
+            print(f"kernel_floor_m{_label(cfg, N)}={m!r}")
+        if not m > 0.0:
+            raise (AssumptionError if verify else ConfigError)(
+                f"the effective kernel floor is zero at lambda = {cfg.lam!r}: the "
+                "shift parameter lambda must be positive, with 1 + lambda*b finite"
+            )
+    x_star = render_phantom(cfg.phantom, cfg.pixel_grid())
+    if not compare:
+        system = cfg.build_system()
+        yield x_star, system, _solver_data(cfg, system, x_star, quiet)
+        return
     _say(quiet, f"simulating shared data (oversample {cfg.oversample}) ...")
     clean_base = simulate_clean_base(
-        cfg.phantom, pixel_grid, cfg.n_angle, cfg.n_r, cfg.K, cfg.oversample,
+        cfg.phantom, x_star.grid, cfg.n_angle, cfg.n_r, cfg.K, cfg.oversample,
         cfg.max_sim_nodes,
     )
     (noisy_base,), info = _add_noise(cfg, [clean_base], quiet)
-    return clean_base, noisy_base, info
-
-
-def _compare_systems(cfg: RunConfig, systems: list, clean_base, noisy_base, info):
-    """Each system of ``systems`` with its grouping of the shared data.
-
-    The systems are built before simulating, so an unusable lambda is
-    rejected first; their rows are built at first use, and each is taken
-    out of ``systems`` when its turn comes, so one set of cached rows is
-    alive."""
-    while systems:
-        system = systems.pop(0)
+    for N in counts:
+        system = cfg.build_system(N)
         sg = system.sino_grid
-        yield system, _shifted(
-            cfg, system, reblock(clean_base, sg), reblock(noisy_base, sg), info
+        yield x_star, system, _shifted(
+            cfg, system, reblock(clean_base, sg), reblock(noisy_base, sg), info,
+            noisy_base.values,
         )
 
 
@@ -195,9 +220,7 @@ def _write_summary(path: Path, cfg: RunConfig, lines: dict) -> None:
 
 
 def cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
+    cfg = load_config(args.config, seed=args.seed)
     out = _outdir(args, cfg)
     try:
         if cfg.mode == "compare":
@@ -209,14 +232,12 @@ def cmd_run(args) -> int:
 
 
 def _run_single(cfg: RunConfig, out: Path, quiet: bool) -> int:
-    system = cfg.build_system()
-    x_star = render_phantom(cfg.phantom, system.pixel_grid)
+    [(x_star, system, data)] = _systems(cfg, quiet)
     x0 = uniform_density(system.pixel_grid).values
-    data = _solver_data(cfg, system, x_star, quiet)
 
     x_star.to_pgm(out / "phantom.pgm")
-    if data.noisy is not None:
-        save_pgm(out / "sinogram.pgm", np.vstack([b.values for b in data.noisy]))
+    if data.sinogram is not None:
+        save_pgm(out / "sinogram.pgm", data.sinogram)
     save_matrix_csv(out / "data.csv", np.vstack(data.values))
     _write_noise_meta(out / "noise_meta.txt", data)
 
@@ -261,24 +282,17 @@ def _run_single(cfg: RunConfig, out: Path, quiet: bool) -> int:
 
 
 def _run_compare(cfg: RunConfig, out: Path, quiet: bool) -> int:
-    """Loping runs against oracle-stopped runs over several block counts.
-
-    One noise realization is drawn on the unsplit angle set and shared by
-    every block count, so rows differ only in the grouping.
-    """
-    systems = [cfg.build_system(n_blocks=N) for N in cfg.compare_subsets]
-    pixel_grid = cfg.pixel_grid()
-    x_star = render_phantom(cfg.phantom, pixel_grid)
-    x0 = uniform_density(pixel_grid).values
-    clean_base, noisy_base, info = _shared_data(cfg, pixel_grid, quiet)
-
-    x_star.to_pgm(out / "phantom.pgm")
-    save_pgm(out / "sinogram.pgm", noisy_base.values)
-
+    """Loping runs against oracle-stopped runs over several block counts,
+    on one shared noise realization (see :func:`_systems`)."""
     rows = []
     summary: dict = {}
-    for system, data in _compare_systems(cfg, systems, clean_base, noisy_base, info):
+    for x_star, system, data in _systems(cfg, quiet):
+        if not rows:  # the inputs every block count shares, written once
+            x_star.to_pgm(out / "phantom.pgm")
+            save_pgm(out / "sinogram.pgm", data.sinogram)
         N = system.n_blocks
+        pixel_grid = system.pixel_grid
+        x0 = uniform_density(pixel_grid).values
         solver_cfg = _solver_config(cfg, system, data)
         _say(quiet, f"N={N}: loping run ...")
         t0 = time.perf_counter()
@@ -315,7 +329,7 @@ def _run_compare(cfg: RunConfig, out: Path, quiet: bool) -> int:
         for method, N, cycles, wall, err in rows:
             fh.write(f"{method},{N},{cycles},{wall:.3f},{err!r}\n")
     summary["subsets"] = " ".join(str(s) for s in cfg.compare_subsets)
-    summary["counts_scale"] = repr(info["counts_scale"])
+    summary["counts_scale"] = repr(data.info["counts_scale"])
     _write_summary(out / "summary.txt", cfg, summary)
     _say(quiet, f"done -> {out / 'table.csv'}")
     return 0
@@ -326,40 +340,17 @@ def _run_compare(cfg: RunConfig, out: Path, quiet: bool) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    quiet = args.quiet
-
-    # the block counts ``run`` solves on, each with the label of its keys
-    compare = cfg.mode == "compare"
-    labels = ({N: f"_N{N}" for N in cfg.compare_subsets} if compare
-              else {cfg.n_blocks: ""})
-    for N, label in labels.items():
-        m = kernel_floor(cfg.lam, cfg.sino_grid(N).block_measure)
-        print(f"kernel_floor_m{label}={m!r}")
-        if not m > 0.0:
-            raise AssumptionError(
-                f"the effective kernel floor is zero at lambda = {cfg.lam!r}; the "
-                "multiplicative iteration needs lambda > 0 with 1 + lambda*b finite"
-            )
-    systems = [cfg.build_system(n_blocks=N) for N in labels]
-    if compare:
-        shared = _shared_data(cfg, cfg.pixel_grid(), quiet)
-        checked = _compare_systems(cfg, systems, *shared)
-    else:
-        system = systems[0]
-        x_star = render_phantom(cfg.phantom, system.pixel_grid)
-        checked = [(system, _solver_data(cfg, system, x_star, quiet))]
-    for system, data in checked:
-        _verify_system(cfg, system, data, labels[system.n_blocks])
+    cfg = load_config(args.config, seed=args.seed)
+    for _, system, data in _systems(cfg, args.quiet, verify=True):
+        _verify_system(cfg, system, data)
     print("verify: ok")
     return 0
 
 
-def _verify_system(cfg: RunConfig, system, data: SolverData, label: str) -> None:
+def _verify_system(cfg: RunConfig, system, data: SolverData) -> None:
     """Print the geometry, kernel, data and threshold checks of one system
-    and its data, with ``label`` appended to every key."""
+    and its data; every key ends in the system's :func:`_label`."""
+    label = _label(cfg, system.n_blocks)
     # backprojection of flat data must be one on the domain, zero outside
     mask = system.pixel_grid.mask
     ones = np.ones(system.sino_grid.block_shape)

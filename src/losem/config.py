@@ -167,7 +167,10 @@ def parse_phantom_file(path) -> PhantomSpec:
 
 
 def parse_config_text(text: str, path: str = "<config>",
-                      base_dir: Path | None = None) -> RunConfig:
+                      base_dir: Path | None = None,
+                      seed: int | None = None) -> RunConfig:
+    """Parse and validate a config; ``seed``, when given, replaces the
+    file's seed before the validation."""
     vals: dict = {}
     where: dict[str, str] = {}
     discs: list[Disc] = []
@@ -261,6 +264,8 @@ def parse_config_text(text: str, path: str = "<config>",
 
     if "lambda" in vals:
         vals["lam"] = vals.pop("lambda")
+    if seed is not None:
+        vals["seed"] = seed
     cfg = RunConfig(
         mode=mode, n_t=n_t, n_r=n_r, n_phi=n_phi, n_blocks=n_blocks,
         epsilon=epsilon, K=K, phantom=phantom, **vals,
@@ -311,10 +316,10 @@ def _validate(cfg: RunConfig, path: str) -> None:
         bad(str(e))
 
 
-def load_config(path) -> RunConfig:
+def load_config(path, seed: int | None = None) -> RunConfig:
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
-    return parse_config_text(text, str(path), base_dir=path.parent)
+    return parse_config_text(text, str(path), base_dir=path.parent, seed=seed)

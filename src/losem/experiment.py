@@ -167,7 +167,8 @@ def simulate_clean_base(
     density = render_phantom(spec, hi)
     base_grid = SinogramGrid(n_blocks=1, n_phi=n_angles, n_r=n_r)
     kernel = SmoothingKernel(n_r, K)
-    op = RadonBlockOperator(hi, base_grid, 0, kernel, cache_plans=False)
+    # no system geometry: the rows of the phantom's support are streamed
+    op = RadonBlockOperator(hi, base_grid, 0, kernel)
     vals = op.forward(density.values)
     if not np.sum(vals) > 0.0:
         raise ConfigError(
@@ -245,7 +246,7 @@ class NoiseSpec:
     between clean and noisy data over the clean mass).  ``counts_scale``
     fixes the expected counts per unit value; when None it is calibrated by
     bisection so the realized aggregate error lands within ten percent of
-    the target.
+    the target.  ``seed`` is a nonnegative integer.
     """
 
     level: float = 0.05
@@ -257,6 +258,8 @@ class NoiseSpec:
             raise ValueError(f"noise level must be in (0, 1), got {self.level}")
         if self.counts_scale is not None and not self.counts_scale > 0.0:
             raise ValueError("counts_scale must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def _block_rng(seed: int, j: int) -> np.random.Generator:

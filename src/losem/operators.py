@@ -21,19 +21,19 @@ Discretization choices:
 
 The quadrature of one angle is stored as sparse rows: the cell of each
 circle point with a bilinear corner on a support and its four weights
-(circle weight) * (bilinear weight).  The support is the disc domain for
-the rows a system caches, and the domain nodes where the projected
-density is nonzero for the rows a call streams, such as the
-simulation's: a point whose corners are all zero adds an exact zero, so
-dropping it changes only how the sums are grouped.  A kept point lies
-within sqrt(2)*h (node spacing h) of a support node, so within the
-support's largest origin distance plus sqrt(2)*h of the origin, and on
-each circle only one arc, opposite the detector, can hold it: the rows
-are built from the points of these arcs, at most two index ranges per
-radius, and the cell test picks the points kept.  The circle points and
-the domain's cell test are the same for every block and are built once
-per system.  ``forward_raw`` reads each cell's corners from a table of
-the density's values on the domain, padded by zeros, one gather and one
+(circle weight) * (bilinear weight).  The operators of a system share
+the disc domain's circle geometry, and each builds its rows of the
+domain once and keeps them; an operator made without one, such as the
+simulation's, streams at every call the rows of the domain nodes where
+the projected density is nonzero: a point whose corners are all zero
+adds an exact zero, so dropping it changes only how the sums are
+grouped.  A kept point lies within sqrt(2)*h (node spacing h) of a
+support node, so within the support's largest origin distance plus
+sqrt(2)*h of the origin, and on each circle only one arc, opposite the
+detector, can hold it: the rows are built from the points of these arcs,
+at most two index ranges per radius, and the cell test picks the points
+kept.  ``forward_raw`` reads each cell's corners from a table of the
+density's values on the domain, padded by zeros, one gather and one
 segment sum per angle; node values off the domain are never read.  The
 backprojection plan is angle-major, one row of radial indices and
 fractions per angle, and the result is accumulated angle by angle; the
@@ -171,12 +171,12 @@ def _support(grid: PixelGrid, table: np.ndarray):
     return table.any(axis=1), dist.max(initial=0.0) + math.sqrt(2.0) * grid.spacing
 
 
-def _circle_geometry(pixel_grid: PixelGrid, sino_grid: SinogramGrid):
+def _circle_geometry(pixel_grid: PixelGrid, sino_grid: SinogramGrid,
+                     table: np.ndarray):
     """The circle points (see :func:`_circle_points`) with the cell test and
-    the reach of the disc domain (see :func:`_support`): what the cached
-    rows of every block of a geometry are built from."""
-    return (_circle_points(pixel_grid, sino_grid),
-            *_support(pixel_grid, _corner_table(pixel_grid, pixel_grid.mask)))
+    the reach of the support of the corner ``table`` (see
+    :func:`_support`): what the rows of every block are built from."""
+    return (_circle_points(pixel_grid, sino_grid), *_support(pixel_grid, table))
 
 
 class RadonBlockOperator:
@@ -187,12 +187,11 @@ class RadonBlockOperator:
     ``adjoint`` is backprojection after smoothing.  The forward map of each
     angle is a set of sparse rows, one per sample, built from circle offsets
     shared by all angles: a cell of the zero-padded corner table and four
-    weights per quadrature point.  With ``cache_plans`` set, the rows of
-    the domain are built lazily and cached; otherwise each call streams,
-    angle by angle, the rows of the support of the density it projects.
-    The backprojection indices are built at the first call and kept.  The
-    circle geometry of the domain's rows comes from ``geometry`` when a
-    system shares one, and is built with the rows otherwise.
+    weights per quadrature point.  An operator given ``geometry``, the
+    domain's circle geometry its system shares, builds that geometry's rows
+    at the first call and keeps them; one given none streams, angle by
+    angle, the rows of the support of each density it projects.  The
+    backprojection indices are built at the first call and kept.
     """
 
     def __init__(
@@ -201,7 +200,6 @@ class RadonBlockOperator:
         sino_grid: SinogramGrid,
         j: int,
         kernel: SmoothingKernel,
-        cache_plans: bool = True,
         geometry=None,
     ):
         if kernel.n_r != sino_grid.n_r:
@@ -215,7 +213,6 @@ class RadonBlockOperator:
         self.sino_grid = sino_grid
         self.j = j
         self.kernel = kernel
-        self.cache_plans = cache_plans
         self._geometry = geometry
         self._fwd_rows = None
 
@@ -291,22 +288,24 @@ class RadonBlockOperator:
         rows = np.flatnonzero(np.diff(bounds, append=len(kept)))
         return rows + 1, 4 * bounds[rows], cells[near], w
 
-    def _rows(self, geometry=None):
+    def _rows(self, geometry):
         """Sparse rows of every block angle, built from the points on the
-        arcs that can reach a support: streamed from ``geometry`` (see
-        :func:`_circle_geometry`) when given, and otherwise the domain's,
-        cached when ``cache_plans`` is set."""
-        cache = self.cache_plans and geometry is None
-        if cache and self._fwd_rows is not None:
-            return self._fwd_rows
-        geometry = (geometry or self._geometry
-                    or _circle_geometry(self.pixel_grid, self.sino_grid))
+        arcs that can reach the support of ``geometry`` (see
+        :func:`_circle_geometry`), streamed angle by angle."""
         angles = self.sino_grid.block_angles(self.j)
-        rows = (self._angle_rows(phi, geometry, cand)
+        return (self._angle_rows(phi, geometry, cand)
                 for phi, cand in zip(angles, self._arcs(geometry, angles)))
-        if cache:
-            rows = self._fwd_rows = list(rows)
-        return rows
+
+    def _domain_rows(self):
+        """The rows of the disc domain: built at the first call and kept by
+        an operator given its system's geometry, streamed by one given none."""
+        if self._geometry is None:
+            grid = self.pixel_grid
+            table = _corner_table(grid, grid.mask)
+            return self._rows(_circle_geometry(grid, self.sino_grid, table))
+        if self._fwd_rows is None:
+            self._fwd_rows = list(self._rows(self._geometry))
+        return self._fwd_rows
 
     def forward_raw(self, x: np.ndarray) -> np.ndarray:
         """Circular means of the density array on the block samples; the
@@ -315,16 +314,15 @@ class RadonBlockOperator:
         if x.shape != self.pixel_grid.shape:
             raise ValueError(f"density shape {x.shape} does not match grid")
         grid = self.pixel_grid
-        if self.cache_plans:
+        if self._geometry is None:
+            # rows of the support of this density only
+            table = _corner_table(grid, x)
+            angle_rows = self._rows(_circle_geometry(grid, self.sino_grid, table))
+        else:
             # the rows before the table: with the table first, the peak RSS
             # of a compare_table.cfg run reads 1% higher (heap layout; the
             # bytes alive are the same)
-            angle_rows, table = self._rows(), _corner_table(grid, x)
-        else:
-            # rows of the support of this density only
-            table = _corner_table(grid, x)
-            points = _circle_points(grid, self.sino_grid)
-            angle_rows = self._rows((points, *_support(grid, table)))
+            angle_rows, table = self._domain_rows(), _corner_table(grid, x)
         out = np.zeros(self.sino_grid.block_shape)
         for a, (rows, starts, cells, w) in enumerate(angle_rows):
             vals = table.take(cells, axis=0)
@@ -357,7 +355,7 @@ class RadonBlockOperator:
         # (i + a)*n + j + b = c + i + a*n + b
         offsets = np.array([a * n + b for a, b in _CORNERS])
         sup = 0.0
-        for rows, starts, cells, w in self._rows():
+        for rows, starts, cells, w in self._domain_rows():
             sample = np.repeat(rows, np.diff(starts, append=w.size))
             node = (cells + cells // (n - 1))[:, None] + offsets
             raw = np.bincount(sample * n * n + node.ravel(), w.ravel(),
@@ -472,7 +470,8 @@ class RadonSystem:
         self.lam = lam
         self._scale = 1.0 + lam * sino_grid.block_measure
         self.kernel = SmoothingKernel(sino_grid.n_r, K)
-        geometry = _circle_geometry(pixel_grid, sino_grid)
+        geometry = _circle_geometry(pixel_grid, sino_grid,
+                                    _corner_table(pixel_grid, pixel_grid.mask))
         self.ops = [
             RadonBlockOperator(pixel_grid, sino_grid, j, self.kernel, geometry=geometry)
             for j in range(sino_grid.n_blocks)

@@ -50,6 +50,30 @@ def identity_system():
     return IdentitySystem()
 
 
+class MatrixSystem:
+    """Blocks of nonnegative dense matrices on a few nodes, with the exact
+    adjoint of the quadrature-weighted pairings.
+
+    Block j maps node values x to ``matrices[j] @ x``, and its adjoint is
+    A_j* y = A_j^T (b * y) / w for the node weights w and sample weights b,
+    so <A_j x, y>_b = <x, A_j* y>_w.  Each column k of A_j is scaled so that
+    sum_i b_i A_j[i, k] = w_k: A_j* then maps ones to ones (up to rounding),
+    and A_j keeps the mass of a density, as the Radon system's blocks do.
+    """
+
+    def __init__(self, matrices, node_weights, block_weight):
+        self.matrices = [A * (node_weights / (block_weight @ A)) for A in matrices]
+        self.n_blocks = len(self.matrices)
+        self.node_weights = node_weights
+        self.block_weight = block_weight
+
+    def forward(self, x, j):
+        return self.matrices[j] @ x
+
+    def adjoint(self, y, j):
+        return self.matrices[j].T @ (self.block_weight * y) / self.node_weights
+
+
 def load_matrix_csv(path) -> np.ndarray:
     """Read a headerless CSV matrix as written by ``save_matrix_csv``."""
     rows = []

@@ -447,6 +447,24 @@ def test_out_naming_a_file_is_a_config_error(tmp_path, capsys):
     assert "output directory" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_a_negative_seed_is_a_config_error(tmp_path, capsys, command):
+    # from the file or from --seed, rejected before anything is printed or
+    # created
+    negative = write_cfg(tmp_path, BASE.replace("seed = 1", "seed = -1"), "neg.cfg")
+    cfg = write_cfg(tmp_path, BASE)
+    out = tmp_path / "o"
+    for argv in ([str(negative)], [str(cfg), "--seed", "-1"]):
+        assert main([command, *argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "seed must be nonnegative" in captured.err
+        assert not out.exists()
+    # exact data draw no noise, so their seed is never read
+    exact = write_cfg(tmp_path, BASE.replace("noise_level = 0.05", "noise_level = 0"),
+                      "exact.cfg")
+    assert main([command, str(exact), "--seed", "-1", "--out", str(out), "--quiet"]) == 0
+
+
 def test_lost_signal_is_a_numerical_failure(tmp_path, capsys):
     # at this counts scale every Poisson draw is zero, so no data survives
     cfg = write_cfg(tmp_path, BASE + "counts_scale = 1e-6\n")
@@ -502,7 +520,7 @@ def test_only_simulated_data_check_the_simulation_grid(key, value, message):
         "noise_level": st.one_of(
             st.just(0.0), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
         ),
-        "seed": st.integers(0, 3),
+        "seed": st.integers(-2, 3),
         "oversample": st.integers(1, 2),
         "disc": st.tuples(
             st.floats(-0.5, 0.5), st.floats(-0.5, 0.5), st.floats(0.01, 0.45)
@@ -513,6 +531,11 @@ def test_only_simulated_data_check_the_simulation_grid(key, value, message):
     "mode": "loping-osem", "tau_mode": "fixed", "gamma_mode": "explicit",
     "n_t": 8, "n_r": 8, "n_angle": 4, "n_blocks": 2, "lambda": 0.01,
     "noise_level": 0.5, "seed": 0, "oversample": 1, "disc": "0.0 0.0 0.4 1.0",
+})
+@example({  # a negative seed on simulated data
+    "mode": "compare", "tau_mode": "fixed", "gamma_mode": "explicit",
+    "n_t": 8, "n_r": 8, "n_angle": 4, "n_blocks": 2, "lambda": 0.01,
+    "noise_level": 0.5, "seed": -1, "oversample": 1, "disc": "0.0 0.0 0.4 1.0",
 })
 @example({  # a noise level no finite counts scale reaches
     "mode": "loping-osem", "tau_mode": "fixed", "gamma_mode": "explicit",
@@ -609,18 +632,18 @@ def test_compare_builds_each_system_once(tmp_path, monkeypatch):
 
 
 def test_one_compare_system_is_alive_while_rows_are_built(tmp_path, monkeypatch):
-    # run and verify build both systems before simulating, then the cached
-    # rows of each system in turn: while the N = 2 rows are built the N = 4
-    # system is alive without rows, and while the N = 4 rows are built the
-    # N = 2 system is gone
+    # run and verify build each system when its turn comes: while the N = 2
+    # rows are built the N = 4 system does not exist yet, and while the
+    # N = 4 rows are built the N = 2 system is gone
     systems, builds = [], []
 
     def init(self, *args, _init=operators.RadonSystem.__init__, **kwargs):
         _init(self, *args, **kwargs)
         systems.append(weakref.ref(self))
 
-    def rows(self, geometry=None, _rows=operators.RadonBlockOperator._rows):
-        if self.cache_plans and geometry is None and self._fwd_rows is None:
+    def rows(self, geometry, _rows=operators.RadonBlockOperator._rows):
+        # a system's operators build rows of their own geometry only
+        if geometry is self._geometry:
             live = [s for s in (ref() for ref in systems) if s is not None]
             others = [s.n_blocks for s in live if self not in s.ops
                       and any(op._fwd_rows is not None for op in s.ops)]
@@ -640,7 +663,7 @@ def test_one_compare_system_is_alive_while_rows_are_built(tmp_path, monkeypatch)
         builds.clear()
         assert main([argv[0], str(cfg), "--quiet", *argv[1:]]) == 0
         # one row build per block of each system
-        assert builds == [(2, [2, 4], [])] * 2 + [(4, [4], [])] * 4
+        assert builds == [(2, [2], [])] * 2 + [(4, [4], [])] * 4
 
 
 def test_verify_checks_every_compare_system(tmp_path, capsys):

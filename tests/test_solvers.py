@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cycle_errors
+from conftest import MatrixSystem, cycle_errors
 from losem.experiment import consistent_data
 from losem.kl_core import kl_distance, uniform_density
 from losem.solvers import (
@@ -241,3 +241,43 @@ def test_l2_mode_full_run(small_setup):
     assert report.stopped_by_rule
     assert report.gamma is None
     assert np.all(report.final_residuals <= report.thresholds + 1e-15)
+
+
+# ---------------------------------------------------------------------------
+# properties on dense matrix systems
+
+
+@given(st.integers(2, 8), st.integers(1, 4), st.integers(1, 6), st.integers(1, 5),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_osem_on_consistent_data_keeps_mass_and_never_raises_the_error(
+        n_nodes, n_blocks, n_samples, cycles, seed):
+    """OS-EM on consistent data keeps the iterate's mass at one, and no step
+    raises KL(x*, x).
+
+    Assumptions, as for the EM-Kaczmarz iteration of arXiv 0810.3619: every
+    block's kernel is positive; its adjoint in the quadrature pairings maps
+    ones to ones; the data of block j are exactly A_j x* for one positive
+    unit-mass x*; the start is positive with unit mass.  A step is then an
+    EM step on a consistent system, which keeps the mass before the
+    renormalization and lowers KL(x*, x) by at least KL(y_j, A_j x) (Jensen's
+    inequality), so the errors can rise only by rounding.  A block of one
+    sample carries only the mass, and its steps leave x as it is.
+    """
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.5, 1.5, n_nodes)
+    w /= w.sum()
+    b = rng.uniform(0.5, 1.5, n_samples) / n_samples
+    system = MatrixSystem(rng.uniform(0.1, 1.0, (n_blocks, n_samples, n_nodes)), w, b)
+    x_star = rng.uniform(0.1, 1.0, n_nodes)
+    x_star /= np.sum(w * x_star)
+    data = [system.forward(x_star, j) for j in range(n_blocks)]
+    x0 = np.ones(n_nodes) / np.sum(w)
+
+    x, trace = osem_run(x0, system, data, cycles, x_star=x_star)
+    assert abs(float(np.sum(w * x)) - 1.0) <= 1e-12
+    assert np.all(np.abs(trace.drift) <= 1e-12)
+    # KL(x*, x) sums terms of size about the unit masses, so its rounding
+    # is absolute, about 1e-16
+    errors = trace.errors()
+    assert np.all(np.diff(errors) <= 1e-12)
