@@ -19,7 +19,8 @@ from pathlib import Path
 
 from .experiment import Disc, NoiseSpec, PhantomSpec, _simulation_grid
 from .kl_core import AssumptionError, ConfigError, PixelGrid, SinogramGrid
-from .operators import RadonSystem
+from .operators import (RadonBlockOperator, RadonSystem, SmoothingKernel,
+                        _circle_point_bound)
 from .solvers import SolverConfig, tau_schedule
 
 __all__ = [
@@ -41,7 +42,7 @@ class RunConfig:
     mode: str
     n_t: int
     n_r: int
-    n_phi: int
+    n_angle: int
     epsilon: float
     K: int
     n_blocks: int = 1
@@ -63,17 +64,14 @@ class RunConfig:
 
     # -- derived builders ---------------------------------------------------
 
-    @property
-    def n_angle(self) -> int:
-        return self.n_blocks * self.n_phi
-
     def pixel_grid(self) -> PixelGrid:
         return PixelGrid(self.n_t, self.epsilon)
 
     def sino_grid(self, n_blocks: int | None = None) -> SinogramGrid:
         N = self.n_blocks if n_blocks is None else n_blocks
         if self.n_angle % N:
-            raise ValueError(f"block count {N} does not divide n_angle = {self.n_angle}")
+            raise ValueError(f"block count {N} does not divide n_angle = "
+                             f"{self.n_angle}: the angles are not divisible by {N}")
         return SinogramGrid(n_blocks=N, n_phi=self.n_angle // N, n_r=self.n_r)
 
     def build_system(self, n_blocks: int | None = None) -> RadonSystem:
@@ -216,13 +214,8 @@ def parse_config_text(text: str, path: str = "<config>",
     n_blocks = vals.pop("n_blocks", 1)
     if n_blocks < 1:
         raise ConfigError(f"{where['n_blocks']}: n_blocks must be >= 1")
-    if n_phi is None:
-        if n_angle % n_blocks:
-            raise ConfigError(
-                f"{where['n_angle']}: n_angle = {n_angle} is not divisible by "
-                f"n_blocks = {n_blocks}"
-            )
-        n_phi = n_angle // n_blocks
+    if n_angle is None:
+        n_angle = n_phi * n_blocks
 
     epsilon = vals.pop("epsilon", None)
     K = vals.pop("K", None)
@@ -239,11 +232,6 @@ def parse_config_text(text: str, path: str = "<config>",
             )
     if epsilon is None:
         epsilon = 2.0 * K / n_r
-    if epsilon + 1e-12 < 2.0 * K / n_r:
-        raise ConfigError(
-            f"{path}: support margin epsilon = {epsilon} is smaller than the "
-            f"smoothing width 2K/n_r = {2.0 * K / n_r}"
-        )
 
     phantom_ref = vals.pop("phantom", None)
     if phantom_ref is not None and discs:
@@ -267,7 +255,7 @@ def parse_config_text(text: str, path: str = "<config>",
     if seed is not None:
         vals["seed"] = seed
     cfg = RunConfig(
-        mode=mode, n_t=n_t, n_r=n_r, n_phi=n_phi, n_blocks=n_blocks,
+        mode=mode, n_t=n_t, n_r=n_r, n_angle=n_angle, n_blocks=n_blocks,
         epsilon=epsilon, K=K, phantom=phantom, **vals,
     )
     _validate(cfg, path)
@@ -304,13 +292,22 @@ def _validate(cfg: RunConfig, path: str) -> None:
         subsets = cfg.compare_subsets if cfg.mode == "compare" else ()
         for N in (cfg.n_blocks, *subsets):
             cfg.sino_grid(N)
-        # max_sim_nodes caps every grid: the reconstruction grid, and the
-        # oversampled one of simulated data
+        # no rows are built: the operator checks the margin against the kernel
+        RadonBlockOperator(cfg.pixel_grid(), cfg.sino_grid(), 0,
+                           SmoothingKernel(cfg.n_r, cfg.K))
+        # max_sim_nodes caps every grid: the reconstruction grid, the
+        # oversampled one of simulated data, its circle points and the sinogram
         oversample = 1
         if cfg.noise_level != 0.0:
             cfg.noise_spec()
             oversample = cfg.oversample
-        _simulation_grid(cfg.pixel_grid(), oversample, cfg.max_sim_nodes)
+        n_t = _simulation_grid(cfg.pixel_grid(), oversample, cfg.max_sim_nodes).n_t
+        samples = cfg.n_angle * (cfg.n_r + 1)
+        points = _circle_point_bound(n_t, cfg.n_r)
+        if max(samples, points) > cfg.max_sim_nodes:
+            bad(f"the sinogram's {samples} samples and the up to {points} circle "
+                f"points of the n_t = {n_t} grid must each stay within max_sim_nodes "
+                f"= {cfg.max_sim_nodes}; lower n_angle, n_r or n_t, or raise the cap")
         cfg.solver_config(cfg.gamma if explicit else None)
     except ValueError as e:
         bad(str(e))

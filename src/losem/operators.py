@@ -148,6 +148,13 @@ def _circle_points(pixel_grid: PixelGrid, sino_grid: SinogramGrid):
     return r * np.cos(theta), r * np.sin(theta), coef, first
 
 
+def _circle_point_bound(n_t: int, n_r: int) -> int:
+    """A bound on the points :func:`_circle_points` makes on an n_t grid,
+    in O(1): radius r_i = 2i/n_r holds max(8, ceil(3*r_i*n_t)) <= 6*i*n_t/n_r
+    + 9 of them, which sum over i = 1..n_r to the bound."""
+    return 3 * n_t * (n_r + 1) + 9 * n_r
+
+
 def _corner_table(grid: PixelGrid, x: np.ndarray) -> np.ndarray:
     """The ``_CORNERS`` of every cell (i - 1, j - 1) in row i*(n_t + 3) + j,
     read from the values of ``x`` on the disc domain, padded by zeros to
@@ -205,10 +212,8 @@ class RadonBlockOperator:
         if kernel.n_r != sino_grid.n_r:
             raise ValueError("kernel and sinogram grid disagree on n_r")
         if pixel_grid.epsilon + 1e-12 < kernel.epsilon:
-            raise ValueError(
-                "domain margin epsilon must be at least the smoothing support "
-                f"2*K/n_r = {kernel.epsilon}"
-            )
+            raise ValueError(f"the support margin epsilon = {pixel_grid.epsilon} is "
+                             f"smaller than the smoothing width 2K/n_r = {kernel.epsilon}")
         self.pixel_grid = pixel_grid
         self.sino_grid = sino_grid
         self.j = j

@@ -34,7 +34,10 @@ __all__ = [
     "tau_schedule",
 ]
 
-TRACE_HEADER = "step,cycle,block,performed,residual,step_kl,error_kl"
+# the fields of a trace row, in order; trace.csv holds the first _CSV_FIELDS
+TRACE_FIELDS = ("step", "cycle", "block", "performed", "residual", "step_kl",
+                "error_kl", "residual_after", "drift")
+_CSV_FIELDS = 7
 
 
 @dataclass(frozen=True)
@@ -73,7 +76,8 @@ class SolverConfig:
 
 @dataclass
 class IterationTrace:
-    """Per-step record of a run.
+    """Per-step record of a run: one row per step, with the
+    ``TRACE_FIELDS``, each of which reads as a list (``trace.residual``).
 
     ``residual`` is the block residual before the step, ``step_kl`` the KL
     distance from the previous to the new iterate (zero for skipped steps)
@@ -84,35 +88,27 @@ class IterationTrace:
     """
 
     n_blocks: int
-    step: list = field(default_factory=list)
-    cycle: list = field(default_factory=list)
-    block: list = field(default_factory=list)
-    performed: list = field(default_factory=list)
-    residual: list = field(default_factory=list)
-    step_kl: list = field(default_factory=list)
-    error_kl: list = field(default_factory=list)
-    residual_after: list = field(default_factory=list)
-    drift: list = field(default_factory=list)
+    rows: list = field(default_factory=list)
     final_error: float = math.nan
 
     def append(self, k, j, performed, residual, step_kl, error_kl,
                residual_after=math.nan, drift=0.0):
-        self.step.append(k)
-        self.cycle.append(k // self.n_blocks)
-        self.block.append(j)
-        self.performed.append(bool(performed))
-        self.residual.append(float(residual))
-        self.step_kl.append(float(step_kl))
-        self.error_kl.append(float(error_kl))
-        self.residual_after.append(float(residual_after))
-        self.drift.append(float(drift))
+        self.rows.append((k, k // self.n_blocks, j, bool(performed), float(residual),
+                          float(step_kl), float(error_kl), float(residual_after),
+                          float(drift)))
+
+    def __getattr__(self, name):
+        if name not in TRACE_FIELDS:
+            raise AttributeError(name)
+        i = TRACE_FIELDS.index(name)
+        return [row[i] for row in self.rows]
 
     def __len__(self) -> int:
-        return len(self.step)
+        return len(self.rows)
 
     @property
     def n_cycles(self) -> int:
-        return 0 if not self.step else self.cycle[-1] + 1
+        return 0 if not self.rows else self.cycle[-1] + 1
 
     def errors(self) -> np.ndarray:
         """Ground-truth errors per step plus the final iterate's error."""
@@ -120,13 +116,10 @@ class IterationTrace:
 
     def write_csv(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write(TRACE_HEADER + "\n")
-            for i in range(len(self.step)):
-                fh.write(
-                    f"{self.step[i]},{self.cycle[i]},{self.block[i]},"
-                    f"{1 if self.performed[i] else 0},{self.residual[i]!r},"
-                    f"{self.step_kl[i]!r},{self.error_kl[i]!r}\n"
-                )
+            fh.write(",".join(TRACE_FIELDS[:_CSV_FIELDS]) + "\n")
+            for row in self.rows:
+                fh.write(",".join(repr(int(v) if isinstance(v, bool) else v)
+                                  for v in row[:_CSV_FIELDS]) + "\n")
 
 
 @dataclass(frozen=True)

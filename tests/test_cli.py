@@ -58,7 +58,7 @@ def write_cfg(tmp_path, text, name="run.cfg"):
 def test_parse_roundtrip_of_base_config():
     cfg = parse_config_text(BASE, "<test>")
     assert cfg.mode == "loping-osem"
-    assert cfg.n_phi == 8 and cfg.n_blocks == 4 and cfg.n_angle == 32
+    assert cfg.sino_grid().n_phi == 8 and cfg.n_blocks == 4 and cfg.n_angle == 32
     assert cfg.K == 1 and cfg.epsilon == pytest.approx(2.0 / 32.0)
     assert cfg.gamma == pytest.approx(0.045)
     assert len(cfg.phantom.discs) == 2
@@ -438,6 +438,27 @@ def test_unbuildable_grids_and_phantoms_are_config_errors(tmp_path, capsys, comm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("values", [
+    {"n_angle": 10**12},
+    {"n_r": 10**12},
+    # 10^7 + 1 samples are within the cap, the circle points are not
+    {"n_angle": 1, "n_r": 10**7},
+], ids=["n_angle-1e12", "n_r-1e12", "circle-points-only"])
+def test_huge_sinograms_are_config_errors(tmp_path, capsys, command, values):
+    # max_sim_nodes caps the sinogram's samples and the circle points in
+    # O(1) at load, before --out exists and before any array is allocated
+    root = importlib.resources.files("losem") / "configs"
+    text = _with_values((root / "exact_em_64.cfg").read_text(),
+                        {"phantom": str(root / "phantom_default.txt"), **values})
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "o"
+    assert main([command, str(cfg), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "max_sim_nodes" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_out_naming_a_file_is_a_config_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE)
     taken = tmp_path / "taken"
@@ -496,9 +517,11 @@ def test_failed_noise_calibration_is_a_numerical_failure(tmp_path, capsys, text)
     ("max_sim_nodes", 100, "exceeding the cap"),
 ])
 def test_only_simulated_data_check_the_simulation_grid(key, value, message):
-    # the 9 x 9 nodes of n_t = 8 are within the cap, the 17 x 17 of the
+    # the 3 x 3 nodes of n_t = 2, its 4 x 5 sinogram samples and its at most
+    # 66 circle points are within the cap, the 11 x 11 nodes of the
     # simulation grid are not
-    values = {"n_t": 8, "oversample": 2, key: value}
+    values = {"n_t": 2, "n_r": 4, "n_angle": 4, "disc": "0 0 0.4 1", "oversample": 5,
+              key: value}
     exact = BASE.replace("noise_level = 0.05", "noise_level = 0")
     parse_config_text(_with_values(exact, values), "<x>")
     with pytest.raises(ConfigError, match=message):
@@ -606,7 +629,8 @@ def test_verify_checks_the_adaptive_threshold(tmp_path, capsys):
 
 def test_compare_builds_each_system_once(tmp_path, monkeypatch):
     # run and verify build one system per subset, and no block operator
-    # besides the systems' own and the simulation's
+    # besides the systems' own, the simulation's and the one the load builds,
+    # without rows, to check the margin
     built = {operators.RadonSystem: [], operators.RadonBlockOperator: []}
     for cls, record in built.items():
         def init(self, *args, _init=cls.__init__, _record=record, **kwargs):
@@ -627,8 +651,9 @@ def test_compare_builds_each_system_once(tmp_path, monkeypatch):
         assert [s.n_blocks for s in systems] == [2, 4]
         own = {id(op) for s in systems for op in s.ops}
         others = [op for op in ops if id(op) not in own]
-        assert len(own) == 6 and len(ops) == 7
-        assert len(others) == 1 and others[0].sino_grid.n_blocks == 1
+        assert len(own) == 6 and len(ops) == 8
+        assert sorted(op.sino_grid.n_blocks for op in others) == [1, 4]
+        assert all(op.row_size() == (0, 0) for op in others)
 
 
 def test_one_compare_system_is_alive_while_rows_are_built(tmp_path, monkeypatch):

@@ -115,6 +115,27 @@ def test_trace_csv_format(small_setup, tmp_path):
     assert float(first[4]) > 0.0
 
 
+def test_trace_csv_rows_are_the_trace_columns(small_setup, tmp_path):
+    system, x_star = small_setup
+    N = system.n_blocks
+    data = consistent_data(x_star, system)
+    x0 = uniform_density(system.pixel_grid).values
+    cfg = SolverConfig(tau=1.5, gamma=0.5, delta=np.full(N, 0.05), max_cycles=50)
+    _, trace, _ = loping_osem_run(x0, system, data, cfg, x_star=x_star.values)
+    assert any(trace.performed) and not all(trace.performed)
+    path = tmp_path / "trace.csv"
+    trace.write_csv(path)
+    columns = zip(trace.step, trace.cycle, trace.block, trace.performed,
+                  trace.residual, trace.step_kl, trace.error_kl)
+    assert path.read_text().splitlines()[1:] == [
+        f"{k},{c},{j},{int(p)},{r!r},{s!r},{e!r}" for k, c, j, p, r, s, e in columns
+    ]
+    assert trace.step == list(range(len(trace)))
+    assert trace.cycle == [k // N for k in trace.step]
+    assert trace.block == [k % N for k in trace.step]
+    assert not hasattr(trace, "residuals")
+
+
 def test_delta_zero_loping_is_bitwise_osem(small_setup):
     system, x_star = small_setup
     data = consistent_data(x_star, system)
@@ -281,3 +302,56 @@ def test_osem_on_consistent_data_keeps_mass_and_never_raises_the_error(
     # is absolute, about 1e-16
     errors = trace.errors()
     assert np.all(np.diff(errors) <= 1e-12)
+
+
+# the noise level is drawn on a log scale: at levels near 1 the thresholds
+# exceed every residual from the start, and the rule performs no step
+@given(st.integers(2, 8), st.integers(1, 4), st.integers(2, 6), st.floats(-4.0, -0.05),
+       st.floats(1.0, 3.0, exclude_min=True), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_loping_on_noisy_data_never_raises_the_error_and_stops_within_the_bound(
+        n_nodes, n_blocks, n_samples, log_level, tau, seed):
+    """On noisy data, no step the loping rule performs raises KL(x*, x), and
+    a run the rule stops has k* <= StopReport.step_bound.
+
+    Assumptions, as for the loping EM-Kaczmarz iteration of arXiv 0810.3619:
+    those of the consistent-data property for the system, x* and the start;
+    noisy blocks y_j that are positive with unit b-mass, at the b-weighted L1
+    distance delta_j from A_j x*; and gamma = max(|log(m1/M)|, |log(M1/m)|),
+    with [m, M] the range of the kernels A_j/w over all blocks and [m1, M1]
+    that of the noisy data, so that |log(y_j/A_j x)| <= gamma at every
+    unit-mass x.  Jensen's inequality and the exact adjoint give
+    KL(x*, x+) <= KL(x*, x) - KL(y_j, A_j x) + gamma*delta_j.  A step
+    performed while KL(y_j, A_j x) > tau*gamma*delta_j, tau > 1, so lowers
+    the error by more than (tau - 1)*gamma*delta_j, and at most
+    KL(x*, x0) / ((tau - 1)*gamma*min_j delta_j) cycles perform a step.
+    """
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.5, 1.5, n_nodes)
+    w /= w.sum()
+    b = rng.uniform(0.5, 1.5, n_samples) / n_samples
+    system = MatrixSystem(rng.uniform(0.1, 1.0, (n_blocks, n_samples, n_nodes)), w, b)
+    x_star = rng.uniform(0.1, 1.0, n_nodes)
+    x_star /= np.sum(w * x_star)
+    level = 10.0 ** log_level
+    data, delta = [], np.empty(n_blocks)
+    for j in range(n_blocks):
+        clean = system.forward(x_star, j)
+        y = clean * rng.uniform(1.0 - level, 1.0 + level, n_samples)
+        y /= np.sum(b * y)
+        data.append(y)
+        delta[j] = np.sum(b * np.abs(y - clean))
+    m = min(float(np.min(A / w)) for A in system.matrices)
+    M = max(float(np.max(A / w)) for A in system.matrices)
+    m1 = min(float(np.min(y)) for y in data)
+    M1 = max(float(np.max(y)) for y in data)
+    gamma = max(abs(math.log(m1 / M)), abs(math.log(M1 / m)))
+    x0 = np.ones(n_nodes) / np.sum(w)
+
+    cfg = SolverConfig(tau=tau, gamma=gamma, delta=delta, max_cycles=100)
+    _, trace, report = loping_osem_run(x0, system, data, cfg, x_star=x_star)
+    # the rounding allowance of the consistent-data property
+    rises = np.diff(trace.errors())
+    assert np.all(rises[np.asarray(trace.performed)] <= 1e-12)
+    if report.stopped_by_rule:
+        assert report.k_star <= report.step_bound
