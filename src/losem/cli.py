@@ -26,6 +26,7 @@ import numpy as np
 
 from .config import AssumptionError, ConfigError, RunConfig, load_config
 from .experiment import (
+    OracleResult,
     add_poisson_noise,
     consistent_data,
     oracle_stopped_osem,
@@ -35,14 +36,10 @@ from .experiment import (
     simulate_clean_base,
     simulate_data,
 )
-from .kl_core import (
-    DensityGrid,
-    save_matrix_csv,
-    save_pgm,
-    uniform_density,
-)
+from .kl_core import save_key_values, save_matrix_csv, save_pgm, uniform_density
 from .operators import effective_bounds, kernel_floor
-from .solvers import SolverConfig, block_residuals, loping_osem_run, osem_run
+from .solvers import (IterationTrace, SolverConfig, StopReport, block_residuals,
+                      loping_osem_run, osem_run)
 
 __all__ = ["main"]
 
@@ -186,37 +183,70 @@ def _solver_config(cfg: RunConfig, system, data: SolverData,
     return cfg.solver_config(_gamma(cfg, system, data.values, bounds), data.deltas)
 
 
-def _write_noise_meta(path: Path, data: SolverData) -> None:
-    with open(path, "w") as fh:
-        if data.info is None:
-            fh.write("noise=none\n")
-            return
-        info = data.info
-        fh.write(f"algorithm={info['algorithm']}\n")
-        fh.write(f"seed={info['seed']}\n")
-        fh.write(f"counts_scale={info['counts_scale']!r}\n")
-        fh.write(f"target={info['target']!r}\n")
-        fh.write(f"aggregate_error={info['aggregate_error']!r}\n")
-        for j, (dr, du) in enumerate(zip(data.raw_deltas, data.deltas)):
-            fh.write(f"delta_raw_{j}={dr!r}\n")
-            fh.write(f"delta_shifted_{j}={du!r}\n")
+def _noise_pairs(data: SolverData) -> list:
+    """The noise record ``noise_meta.txt`` holds, as (key, value) pairs."""
+    if data.info is None:
+        return [("noise", "none")]
+    pairs = [(key, data.info[key]) for key in
+             ("algorithm", "seed", "counts_scale", "target", "aggregate_error")]
+    for j, (dr, du) in enumerate(zip(data.raw_deltas, data.deltas)):
+        pairs += [(f"delta_raw_{j}", dr), (f"delta_shifted_{j}", du)]
+    return pairs
 
 
-def _write_summary(path: Path, cfg: RunConfig, lines: dict) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"timestamp={datetime.datetime.now().isoformat()}\n")
-        fh.write(f"mode={cfg.mode}\n")
-        fh.write(
-            f"n_t={cfg.n_t}\nn_r={cfg.n_r}\nn_angle={cfg.n_angle}\n"
-            f"n_blocks={cfg.n_blocks}\nepsilon={cfg.epsilon!r}\nK={cfg.K}\n"
-            f"lambda={cfg.lam!r}\nnoise_level={cfg.noise_level!r}\n"
-        )
-        for k, v in lines.items():
-            fh.write(f"{k}={v}\n")
+def _write_summary(path: Path, cfg: RunConfig, pairs: list) -> None:
+    """``summary.txt``: the time, the configured problem, then ``pairs``."""
+    save_key_values(path, [
+        ("timestamp", datetime.datetime.now().isoformat()), ("mode", cfg.mode),
+        ("n_t", cfg.n_t), ("n_r", cfg.n_r), ("n_angle", cfg.n_angle),
+        ("n_blocks", cfg.n_blocks), ("epsilon", cfg.epsilon), ("K", cfg.K),
+        ("lambda", cfg.lam), ("noise_level", cfg.noise_level), *pairs,
+    ])
 
 
 # ---------------------------------------------------------------------------
 # run
+
+
+class Solved(NamedTuple):
+    """One system's solver results, with the wall seconds of each call."""
+
+    values: np.ndarray
+    trace: IterationTrace
+    report: StopReport | None  # None for a fixed cycle count
+    wall: float
+    oracle: OracleResult | None = None  # compare mode only
+    oracle_wall: float = 0.0
+
+
+def _solve(cfg: RunConfig, system, data: SolverData, x_star, quiet: bool) -> Solved:
+    """Run the configured solver on one system from the uniform start:
+    ``osem_run`` for a fixed cycle count in em and osem mode, otherwise
+    ``loping_osem_run``, and in compare mode ``oracle_stopped_osem`` too."""
+    x0 = uniform_density(system.pixel_grid).values
+    N = system.n_blocks
+    compare = cfg.mode == "compare"
+    if cfg.mode in ("em", "osem"):
+        _say(quiet, f"running {cfg.mode} for {cfg.cycles} cycles ...")
+        t0 = time.perf_counter()
+        vals, trace = osem_run(x0, system, data.values, cfg.cycles, x_star=x_star.values)
+        return Solved(vals, trace, None, time.perf_counter() - t0)
+    solver_cfg = _solver_config(cfg, system, data)
+    gamma = solver_cfg.gamma
+    _say(quiet, f"N={N}: loping run ..." if compare else
+         f"running loping-osem (tau={solver_cfg.tau:.4g}, "
+         f"gamma={'adaptive' if gamma is None else format(gamma, '.4g')}) ...")
+    t0 = time.perf_counter()
+    vals, trace, report = loping_osem_run(
+        x0, system, data.values, solver_cfg, x_star=x_star.values
+    )
+    wall = time.perf_counter() - t0
+    if not compare:
+        return Solved(vals, trace, report, wall)
+    _say(quiet, f"N={N}: oracle run ({cfg.max_cycles} cycles) ...")
+    t0 = time.perf_counter()
+    oracle = oracle_stopped_osem(x0, system, data.values, x_star.values, cfg.max_cycles)
+    return Solved(vals, trace, report, wall, oracle, time.perf_counter() - t0)
 
 
 def cmd_run(args) -> int:
@@ -233,50 +263,29 @@ def cmd_run(args) -> int:
 
 def _run_single(cfg: RunConfig, out: Path, quiet: bool) -> int:
     [(x_star, system, data)] = _systems(cfg, quiet)
-    x0 = uniform_density(system.pixel_grid).values
-
-    x_star.to_pgm(out / "phantom.pgm")
+    save_pgm(out / "phantom.pgm", x_star.values)
     if data.sinogram is not None:
         save_pgm(out / "sinogram.pgm", data.sinogram)
     save_matrix_csv(out / "data.csv", np.vstack(data.values))
-    _write_noise_meta(out / "noise_meta.txt", data)
+    save_key_values(out / "noise_meta.txt", _noise_pairs(data))
 
-    summary: dict = {}
-    t0 = time.perf_counter()
-    if cfg.mode in ("em", "osem"):
-        _say(quiet, f"running {cfg.mode} for {cfg.cycles} cycles ...")
-        vals, trace = osem_run(
-            x0, system, data.values, cfg.cycles, x_star=x_star.values
-        )
-    else:
-        solver_cfg = _solver_config(cfg, system, data)
-        gamma = solver_cfg.gamma
-        _say(
-            quiet,
-            f"running loping-osem (tau={solver_cfg.tau:.4g}, "
-            f"gamma={'adaptive' if gamma is None else format(gamma, '.4g')}) ...",
-        )
-        vals, trace, report = loping_osem_run(
-            x0, system, data.values, solver_cfg, x_star=x_star.values
-        )
-        report.write_text(out / "stop_report.txt")
-        summary["k_star"] = (
-            report.k_star if report.k_star is not None else "max_cycles_reached"
-        )
-    wall = time.perf_counter() - t0
-
+    run = _solve(cfg, system, data, x_star, quiet)
+    trace = run.trace
+    summary = []
+    if run.report is not None:
+        save_key_values(out / "stop_report.txt", run.report.pairs())
+        summary.append(("k_star", run.report.k_star_text))
     trace.write_csv(out / "trace.csv")
-    recon = DensityGrid(system.pixel_grid, vals)
-    recon.to_pgm(out / "reconstruction.pgm")
-    recon.to_csv(out / "reconstruction.csv")
-    summary["cycles_run"] = trace.n_cycles
-    summary["final_kl_error"] = repr(trace.final_error)
-    summary["wall_seconds"] = f"{wall:.3f}"
-    _write_summary(out / "summary.txt", cfg, summary)
+    save_pgm(out / "reconstruction.pgm", run.values)
+    save_matrix_csv(out / "reconstruction.csv", run.values)
+    _write_summary(out / "summary.txt", cfg, summary + [
+        ("cycles_run", trace.n_cycles), ("final_kl_error", trace.final_error),
+        ("wall_seconds", f"{run.wall:.3f}"),
+    ])
     _say(
         quiet,
         f"done: cycles={trace.n_cycles} final_kl_error={trace.final_error:.6g} "
-        f"({wall:.3f}s) -> {out}",
+        f"({run.wall:.3f}s) -> {out}",
     )
     return 0
 
@@ -285,42 +294,24 @@ def _run_compare(cfg: RunConfig, out: Path, quiet: bool) -> int:
     """Loping runs against oracle-stopped runs over several block counts,
     on one shared noise realization (see :func:`_systems`)."""
     rows = []
-    summary: dict = {}
     for x_star, system, data in _systems(cfg, quiet):
         if not rows:  # the inputs every block count shares, written once
-            x_star.to_pgm(out / "phantom.pgm")
+            save_pgm(out / "phantom.pgm", x_star.values)
             save_pgm(out / "sinogram.pgm", data.sinogram)
         N = system.n_blocks
-        pixel_grid = system.pixel_grid
-        x0 = uniform_density(pixel_grid).values
-        solver_cfg = _solver_config(cfg, system, data)
-        _say(quiet, f"N={N}: loping run ...")
-        t0 = time.perf_counter()
-        vals, trace, report = loping_osem_run(
-            x0, system, data.values, solver_cfg, x_star=x_star.values
-        )
-        wall_loping = time.perf_counter() - t0
-        err_loping = trace.final_error
+        run = _solve(cfg, system, data, x_star, quiet)
+        trace, oracle = run.trace, run.oracle
         trace.write_csv(out / f"trace_loping_N{N}.csv")
-        report.write_text(out / f"stop_report_N{N}.txt")
-        DensityGrid(pixel_grid, vals).to_pgm(out / f"reconstruction_loping_N{N}.pgm")
-        rows.append(("loping-osem", N, trace.n_cycles, wall_loping, err_loping))
-
-        _say(quiet, f"N={N}: oracle run ({cfg.max_cycles} cycles) ...")
-        t0 = time.perf_counter()
-        oracle = oracle_stopped_osem(
-            x0, system, data.values, x_star.values, cfg.max_cycles
-        )
-        wall_oracle = time.perf_counter() - t0
+        save_key_values(out / f"stop_report_N{N}.txt", run.report.pairs())
+        save_pgm(out / f"reconstruction_loping_N{N}.pgm", run.values)
+        save_pgm(out / f"reconstruction_oracle_N{N}.pgm", oracle.values)
         err_oracle = float(oracle.errors[oracle.best_cycle])
-        DensityGrid(pixel_grid, oracle.values).to_pgm(
-            out / f"reconstruction_oracle_N{N}.pgm"
-        )
-        rows.append(("oracle-osem", N, oracle.best_cycle, wall_oracle, err_oracle))
+        rows.append(("loping-osem", N, trace.n_cycles, run.wall, trace.final_error))
+        rows.append(("oracle-osem", N, oracle.best_cycle, run.oracle_wall, err_oracle))
         _say(
             quiet,
             f"N={N}: loping stopped after {trace.n_cycles} cycles "
-            f"(error {err_loping:.6g}), oracle best at {oracle.best_cycle} "
+            f"(error {trace.final_error:.6g}), oracle best at {oracle.best_cycle} "
             f"(error {err_oracle:.6g})",
         )
 
@@ -328,9 +319,10 @@ def _run_compare(cfg: RunConfig, out: Path, quiet: bool) -> int:
         fh.write("method,N,cycles,wall_seconds,final_kl_error\n")
         for method, N, cycles, wall, err in rows:
             fh.write(f"{method},{N},{cycles},{wall:.3f},{err!r}\n")
-    summary["subsets"] = " ".join(str(s) for s in cfg.compare_subsets)
-    summary["counts_scale"] = repr(data.info["counts_scale"])
-    _write_summary(out / "summary.txt", cfg, summary)
+    _write_summary(out / "summary.txt", cfg, [
+        ("subsets", " ".join(str(s) for s in cfg.compare_subsets)),
+        ("counts_scale", data.info["counts_scale"]),
+    ])
     _say(quiet, f"done -> {out / 'table.csv'}")
     return 0
 
@@ -416,8 +408,8 @@ def cmd_phantom(args) -> int:
     cfg = load_config(args.config)
     out = _outdir(args, cfg)
     x = render_phantom(cfg.phantom, cfg.pixel_grid())
-    x.to_pgm(out / "phantom.pgm")
-    x.to_csv(out / "phantom.csv")
+    save_pgm(out / "phantom.pgm", x.values)
+    save_matrix_csv(out / "phantom.csv", x.values)
     _say(
         args.quiet,
         f"phantom: {len(cfg.phantom.discs)} discs on {cfg.n_t + 1}x{cfg.n_t + 1} "

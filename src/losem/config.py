@@ -20,7 +20,7 @@ from pathlib import Path
 from .experiment import Disc, NoiseSpec, PhantomSpec, _simulation_grid
 from .kl_core import AssumptionError, ConfigError, PixelGrid, SinogramGrid
 from .operators import (RadonBlockOperator, RadonSystem, SmoothingKernel,
-                        _circle_point_bound)
+                        _circle_point_bound, _row_point_bound)
 from .solvers import SolverConfig, tau_schedule
 
 __all__ = [
@@ -308,6 +308,12 @@ def _validate(cfg: RunConfig, path: str) -> None:
             bad(f"the sinogram's {samples} samples and the up to {points} circle "
                 f"points of the n_t = {n_t} grid must each stay within max_sim_nodes "
                 f"= {cfg.max_sim_nodes}; lower n_angle, n_r or n_t, or raise the cap")
+        # and the points a system's cached forward rows hold
+        rows = _row_point_bound(cfg.pixel_grid(), cfg.sino_grid())
+        if rows > cfg.max_sim_nodes:
+            bad(f"the cached forward rows of a system hold up to {rows} points, more "
+                f"than max_sim_nodes = {cfg.max_sim_nodes}; lower n_angle, n_r or "
+                "n_t, or raise the cap")
         cfg.solver_config(cfg.gamma if explicit else None)
     except ValueError as e:
         bad(str(e))

@@ -27,6 +27,7 @@ __all__ = [
     "uniform_density",
     "weighted_l1",
     "weighted_l2",
+    "save_key_values",
     "save_matrix_csv",
     "save_pgm",
 ]
@@ -163,12 +164,6 @@ class DensityGrid:
     @property
     def mass(self) -> float:
         return float(np.sum(self.grid.node_weights * self.values))
-
-    def to_csv(self, path) -> None:
-        save_matrix_csv(path, self.values)
-
-    def to_pgm(self, path) -> None:
-        save_pgm(path, self.values)
 
 
 def uniform_density(grid: PixelGrid) -> DensityGrid:
@@ -341,6 +336,14 @@ def weighted_l2(a, b, weights=None) -> float:
 
 # ---------------------------------------------------------------------------
 # serialization
+
+
+def save_key_values(path, pairs) -> None:
+    """Write (key, value) pairs as ``key=value`` lines: a string value as
+    it is, any other value as its repr."""
+    with open(path, "w") as fh:
+        for key, value in pairs:
+            fh.write(f"{key}={value if isinstance(value, str) else repr(value)}\n")
 
 
 def save_matrix_csv(path, arr) -> None:

@@ -139,13 +139,58 @@ def _circle_points(pixel_grid: PixelGrid, sino_grid: SinogramGrid):
     r*n_blocks/n_omega(r) and the index of each radius's first point; the
     same for every block and angle of a geometry."""
     radii = sino_grid.radii[1:]
-    counts = np.maximum(np.ceil(3.0 * radii * pixel_grid.n_t).astype(np.int64), 8)
+    counts = _circle_counts(pixel_grid.n_t, radii)
     first = np.cumsum(counts) - counts
     k = np.arange(counts.sum()) - np.repeat(first, counts)
     theta = 2.0 * math.pi * k / np.repeat(counts, counts)
     r = np.repeat(radii, counts)
     coef = np.repeat(radii * sino_grid.n_blocks / counts, counts)
     return r * np.cos(theta), r * np.sin(theta), coef, first
+
+
+def _circle_counts(n_t: int, radii: np.ndarray) -> np.ndarray:
+    """The points n_omega(r) = max(8, ceil(3*r*n_t)) of each circle."""
+    return np.maximum(np.ceil(3.0 * radii * n_t).astype(np.int64), 8)
+
+
+def _arc_half_widths(counts: np.ndarray, r: np.ndarray, reach: float) -> np.ndarray:
+    """Half the index width of the arc of each circle (``counts`` points,
+    radius ``r``, centred on the unit circle) that lies within ``reach`` of
+    the origin.
+
+    The point at offset angle t from the detector at phi has |p|^2 =
+    1 + r^2 + 2r*cos(t - phi), so on each radius the points within the
+    reach form one arc centred opposite the detector.  The reach gets a
+    slack for rounding and the arc one point each way.
+    """
+    reach += 1e-9
+    cos_max = np.clip((reach * reach - 1.0 - r * r) / (2.0 * r), -1.0, 1.0)
+    return counts * (0.5 - np.arccos(cos_max) / (2.0 * math.pi)) + 1.0
+
+
+def _domain_reach(pixel_grid: PixelGrid) -> float:
+    """The reach of the domain's rows in O(n_t): the largest origin
+    distance of a domain node (for each node row, the largest square of a
+    node coordinate below radius^2 - x^2) plus sqrt(2)*h (node spacing h),
+    as :func:`_support` finds it on the domain's corner table."""
+    x = pixel_grid.nodes
+    y2 = np.sort(x * x)
+    k = np.searchsorted(y2, pixel_grid.radius ** 2 - x * x) - 1
+    d2 = x * x + y2.take(np.maximum(k, 0))
+    return math.sqrt(float(d2[k >= 0].max())) + math.sqrt(2.0) * pixel_grid.spacing
+
+
+def _row_point_bound(pixel_grid: PixelGrid, sino_grid: SinogramGrid) -> int:
+    """A bound, in O(n_r + n_t), on the points the cached rows of a system
+    on these grids hold.  Per angle, the kept points of radius i lie on the
+    arc within the domain's reach, half - 1 points each way of its centre
+    (see :func:`_arc_half_widths`), so they number at most min(count_i,
+    floor(2*half_i)), one point of slack for rounding included."""
+    r = sino_grid.radii[1:]
+    counts = _circle_counts(pixel_grid.n_t, r)
+    half = _arc_half_widths(counts, r, _domain_reach(pixel_grid))
+    per_angle = np.minimum(counts, np.floor(2.0 * half).astype(np.int64))
+    return sino_grid.n_angles * int(per_angle.sum())
 
 
 def _circle_point_bound(n_t: int, n_r: int) -> int:
@@ -226,21 +271,13 @@ class RadonBlockOperator:
     def _arcs(self, geometry, angles: np.ndarray):
         """Per angle, the ascending indices of the circle points of
         ``geometry`` (see :func:`_circle_geometry`) that lie within its
-        reach of the origin, found for all angles at once.
-
-        The point at offset angle t from the detector at phi has |p|^2 =
-        1 + r^2 + 2r*cos(t - phi), so on each radius the points within the
-        reach form one arc centred opposite the detector: at most two index
-        ranges.  The reach gets a slack for rounding and the arc one point
-        each way.
+        reach of the origin, found for all angles at once: on each radius,
+        one arc (see :func:`_arc_half_widths`), at most two index ranges.
         """
         points, _, reach = geometry
         first = points[3]
         counts = np.diff(first, append=len(points[2]))
-        r = self.sino_grid.radii[1:]
-        reach += 1e-9
-        cos_max = np.clip((reach * reach - 1.0 - r * r) / (2.0 * r), -1.0, 1.0)
-        half = counts * (0.5 - np.arccos(cos_max) / (2.0 * math.pi)) + 1.0
+        half = _arc_half_widths(counts, self.sino_grid.radii[1:], reach)
         centre = counts * (angles[:, None] / (2.0 * math.pi) + 0.5)
         lo = np.ceil(centre - half).astype(np.int64)
         hi = np.minimum(np.floor(centre + half).astype(np.int64) + 1, lo + counts)

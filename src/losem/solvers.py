@@ -135,20 +135,23 @@ class StopReport:
     tau: float
     step_bound: float   # bound on k_star when it applies, else nan
 
-    def write_text(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(f"stopped_by_rule={'true' if self.stopped_by_rule else 'false'}\n")
-            fh.write(
-                f"k_star={self.k_star if self.k_star is not None else 'max_cycles_reached'}\n"
-            )
-            fh.write(f"cycles={self.cycles}\n")
-            fh.write(f"tau={self.tau!r}\n")
-            if self.gamma is not None:
-                fh.write(f"gamma={self.gamma!r}\n")
-            fh.write(f"step_bound={self.step_bound!r}\n")
-            for j, (r, t) in enumerate(zip(self.final_residuals, self.thresholds)):
-                fh.write(f"final_residual_{j}={float(r)!r}\n")
-                fh.write(f"threshold_{j}={float(t)!r}\n")
+    @property
+    def k_star_text(self) -> str:
+        """``k_star`` as the run's artifacts write it."""
+        return "max_cycles_reached" if self.k_star is None else str(self.k_star)
+
+    def pairs(self) -> list:
+        """The report as (key, value) pairs, in the order
+        ``stop_report.txt`` holds them."""
+        pairs = [("stopped_by_rule", "true" if self.stopped_by_rule else "false"),
+                 ("k_star", self.k_star_text), ("cycles", self.cycles),
+                 ("tau", self.tau)]
+        if self.gamma is not None:
+            pairs.append(("gamma", self.gamma))
+        pairs.append(("step_bound", self.step_bound))
+        for j, (r, t) in enumerate(zip(self.final_residuals, self.thresholds)):
+            pairs += [(f"final_residual_{j}", float(r)), (f"threshold_{j}", float(t))]
+        return pairs
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import load_matrix_csv
-from losem import operators
+from losem import cli, operators
 from losem.cli import main
 from losem.config import (
     GAMMA_MODES,
@@ -356,6 +356,34 @@ def test_run_compare_writes_table(tmp_path):
     assert strip_wall(a / "table.csv") == strip_wall(b / "table.csv")
 
 
+@pytest.mark.parametrize("text,calls", [
+    (_with_values(BASE, {"mode": "em", "n_blocks": 1, "noise_level": 0, "cycles": 2}),
+     {"osem_run": 1}),
+    (_with_values(BASE, {"max_cycles": 3}), {"loping_osem_run": 1}),
+    (_with_values(BASE, {"mode": "compare", "compare_subsets": "2 4", "max_cycles": 3}),
+     {"loping_osem_run": 2, "oracle_stopped_osem": 2}),
+], ids=["em", "loping-osem", "compare"])
+def test_runs_reach_the_solvers_through_the_names_cli_binds(tmp_path, monkeypatch,
+                                                            text, calls):
+    # the benchmark times the solvers by rebinding these names in losem.cli,
+    # and reads the system as the second positional argument; a run that
+    # reached them another way would show no solver call to it
+    seen = {}
+
+    def wrap(name, fn):
+        def wrapper(*args, **kwargs):
+            assert args[1].n_blocks >= 1
+            seen[name] = seen.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("osem_run", "loping_osem_run", "oracle_stopped_osem"):
+        monkeypatch.setattr(f"losem.cli.{name}", wrap(name, getattr(cli, name)))
+    cfg = write_cfg(tmp_path, text)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    assert seen == calls
+
+
 def test_compare_rejects_lambda_before_simulating(tmp_path, capsys):
     text = (
         BASE.replace("mode = loping-osem", "mode = compare")
@@ -444,10 +472,14 @@ def test_unbuildable_grids_and_phantoms_are_config_errors(tmp_path, capsys, comm
     {"n_r": 10**12},
     # 10^7 + 1 samples are within the cap, the circle points are not
     {"n_angle": 1, "n_r": 10**7},
-], ids=["n_angle-1e12", "n_r-1e12", "circle-points-only"])
+    # samples and circle points are within the cap; the 59.6 M points the
+    # cached rows would hold (2.4 GB) are not
+    {"n_angle": 20000},
+], ids=["n_angle-1e12", "n_r-1e12", "circle-points-only", "cached-rows-only"])
 def test_huge_sinograms_are_config_errors(tmp_path, capsys, command, values):
     # max_sim_nodes caps the sinogram's samples and the circle points in
-    # O(1) at load, before --out exists and before any array is allocated
+    # O(1), and the cached rows in O(n_r), at load, before --out exists and
+    # before any array is allocated
     root = importlib.resources.files("losem") / "configs"
     text = _with_values((root / "exact_em_64.cfg").read_text(),
                         {"phantom": str(root / "phantom_default.txt"), **values})

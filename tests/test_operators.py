@@ -286,6 +286,32 @@ def test_arc_rows_equal_rows_over_all_points(n_t, n_r, n_blocks, n_phi, K, margi
                 assert a.dtype == c.dtype and np.array_equal(a, c)
 
 
+@given(
+    st.integers(2, 48), st.integers(2, 48), st.integers(1, 4), st.integers(1, 5),
+    st.integers(1, 24), st.floats(0.0, 1.0),
+)
+@example(n_t=40, n_r=40, n_blocks=2, n_phi=3, K=1, margin=0.0)
+# one domain node; its 43 kept points against a bound of 92
+@example(n_t=2, n_r=4, n_blocks=4, n_phi=1, K=1, margin=0.0)
+@settings(max_examples=60, deadline=None)
+def test_row_point_bound_holds_the_cached_rows(n_t, n_r, n_blocks, n_phi, K, margin):
+    # the bound the config check reads covers the points the rows of every
+    # block of the system hold once built
+    K = min(K, n_r // 2)
+    assume(2.0 * K / n_r < 0.95)
+    epsilon = 2.0 * K / n_r + margin * (0.95 - 2.0 * K / n_r)
+    try:
+        grid = PixelGrid(n_t, epsilon)
+    except ValueError:
+        assume(False)
+    sino = SinogramGrid(n_blocks=n_blocks, n_phi=n_phi, n_r=n_r)
+    system = RadonSystem(grid, sino, 0.01, K)
+    for op in system.ops:
+        op._domain_rows()
+    kept = sum(op.row_size()[0] for op in system.ops)
+    assert kept <= operators._row_point_bound(grid, sino)
+
+
 def _sparse_density(grid: PixelGrid, kind: str, draw: float, seed: int) -> np.ndarray:
     """A density nonzero on part of the domain only: up to three random
     discs, one domain node, one domain node at the edge (next to a node off

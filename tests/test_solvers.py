@@ -7,8 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MatrixSystem, cycle_errors
+from losem.cli import _pairing_defect
 from losem.experiment import consistent_data
-from losem.kl_core import kl_distance, uniform_density
+from losem.kl_core import (
+    DensityGrid,
+    PixelGrid,
+    SinogramGrid,
+    kl_distance,
+    save_key_values,
+    uniform_density,
+)
+from losem.operators import RadonSystem
 from losem.solvers import (
     SolverConfig,
     em_step,
@@ -190,7 +199,7 @@ def test_loping_stops_and_reports(small_setup, tmp_path):
     # every performed step kept the ground-truth error from rising
     assert np.all(np.diff(trace.errors()) <= 1e-8)
     path = tmp_path / "stop.txt"
-    report.write_text(path)
+    save_key_values(path, report.pairs())
     text = path.read_text()
     assert "stopped_by_rule=true" in text
     assert f"k_star={report.k_star}" in text
@@ -232,7 +241,7 @@ def test_loping_max_cycles_sentinel(small_setup, tmp_path):
     assert not report.stopped_by_rule
     assert report.k_star is None and report.cycles == 3
     path = tmp_path / "stop.txt"
-    report.write_text(path)
+    save_key_values(path, report.pairs())
     assert "k_star=max_cycles_reached" in path.read_text()
 
 
@@ -355,3 +364,46 @@ def test_loping_on_noisy_data_never_raises_the_error_and_stops_within_the_bound(
     assert np.all(rises[np.asarray(trace.performed)] <= 1e-12)
     if report.stopped_by_rule:
         assert report.k_star <= report.step_bound
+
+
+def test_exact_data_descent_fails_on_a_coarse_radon_system_but_not_on_its_exact_adjoint():
+    """A documented limit of the discretization, not a solver property.
+
+    On a coarse sampling (nine domain nodes, three blocks of three angles,
+    five radii) the backprojection is far from the exact adjoint of the
+    circular means (``verify``'s pairing defect is 0.15, against at most
+    0.014 on the bundled configs), and OS-EM on consistent data raises
+    KL(x*, x) by 8% of KL(x*, x0) at one step.  The same shifted blocks,
+    assembled densely from unit vectors on the domain nodes and given the
+    exact adjoint by ``MatrixSystem``, lower the error at every step, as the
+    paper proves for exact adjoints.
+    """
+    grid = PixelGrid(8, 0.5)
+    sino = SinogramGrid(n_blocks=3, n_phi=3, n_r=4)
+    system = RadonSystem(grid, sino, 0.01, 1)
+    idx = np.flatnonzero(grid.mask)
+    raw = np.zeros(grid.shape)
+    raw.ravel()[idx] = [0.11, 0.91, 0.49, 0.67, 0.61, 0.51, 0.78, 0.65, 0.61]
+    x_star = DensityGrid.normalized(grid, raw)
+    data = consistent_data(x_star, system)
+    x0 = uniform_density(grid).values
+    assert _pairing_defect(system, x0, data) == pytest.approx(0.15454051711199188,
+                                                              rel=1e-9)
+    _, trace = osem_run(x0, system, data, 8, x_star=x_star.values)
+    errors = trace.errors()
+    assert np.diff(errors).max() > 0.05 * errors[0]
+
+    def column(j, k):
+        e_k = np.zeros(grid.shape)
+        e_k.ravel()[k] = 1.0
+        return system.forward(e_k, j).ravel()
+
+    w = grid.node_weights.ravel()[idx]
+    b = np.full(sino.n_phi * (sino.n_r + 1), sino.sample_weight)
+    dense = MatrixSystem(
+        [np.stack([column(j, k) for k in idx], axis=1) for j in range(sino.n_blocks)],
+        w, b)
+    xd = x_star.values.ravel()[idx]
+    data = [dense.forward(xd, j) for j in range(sino.n_blocks)]
+    _, trace = osem_run(np.ones(len(idx)) / w.sum(), dense, data, 8, x_star=xd)
+    assert np.diff(trace.errors()).max() < 0.0
