@@ -169,19 +169,24 @@ def _arc_half_widths(counts: np.ndarray, r: np.ndarray, reach: float) -> np.ndar
 
 
 def _domain_reach(pixel_grid: PixelGrid) -> float:
-    """The reach of the domain's rows in O(n_t): the largest origin
-    distance of a domain node (for each node row, the largest square of a
-    node coordinate below radius^2 - x^2) plus sqrt(2)*h (node spacing h),
-    as :func:`_support` finds it on the domain's corner table."""
-    x = pixel_grid.nodes
-    y2 = np.sort(x * x)
-    k = np.searchsorted(y2, pixel_grid.radius ** 2 - x * x) - 1
-    d2 = x * x + y2.take(np.maximum(k, 0))
-    return math.sqrt(float(d2[k >= 0].max())) + math.sqrt(2.0) * pixel_grid.spacing
+    """The reach :func:`_support` finds on the domain's corner table (up
+    to rounding), in O(n_t log n_t): the largest origin distance of a domain node plus
+    sqrt(2)*h (node spacing h).  Per node row x, the largest node square
+    y^2 with x^2 + y^2 below radius^2 is searched as y^2 < radius^2 - x^2,
+    then moved by one where rounding puts the mask's own test on the other
+    side."""
+    x2 = pixel_grid.nodes * pixel_grid.nodes
+    r2 = pixel_grid.radius ** 2
+    y2 = np.concatenate([[-np.inf], np.sort(x2), [np.inf]])
+    k = np.searchsorted(y2, r2 - x2) - 1  # the last square inside
+    k += x2 + y2[k + 1] < r2
+    k -= ~(x2 + y2[k] < r2)
+    d2 = x2 + y2[k]
+    return math.sqrt(float(d2[k > 0].max())) + math.sqrt(2.0) * pixel_grid.spacing
 
 
 def _row_point_bound(pixel_grid: PixelGrid, sino_grid: SinogramGrid) -> int:
-    """A bound, in O(n_r + n_t), on the points the cached rows of a system
+    """A bound, in O(n_r + n_t log n_t), on the points the cached rows of a system
     on these grids hold.  Per angle, the kept points of radius i lie on the
     arc within the domain's reach, half - 1 points each way of its centre
     (see :func:`_arc_half_widths`), so they number at most min(count_i,

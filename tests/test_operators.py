@@ -310,6 +310,9 @@ def test_row_point_bound_holds_the_cached_rows(n_t, n_r, n_blocks, n_phi, K, mar
         op._domain_rows()
     kept = sum(op.row_size()[0] for op in system.ops)
     assert kept <= operators._row_point_bound(grid, sino)
+    # the same farthest node as the corner table's (hypot rounds apart)
+    assert operators._domain_reach(grid) == pytest.approx(system.ops[0]._geometry[2],
+                                                          rel=1e-12)
 
 
 def _sparse_density(grid: PixelGrid, kind: str, draw: float, seed: int) -> np.ndarray:
