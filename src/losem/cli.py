@@ -190,7 +190,7 @@ def _noise_pairs(data: SolverData) -> list:
     pairs = [(key, data.info[key]) for key in
              ("algorithm", "seed", "counts_scale", "target", "aggregate_error")]
     for j, (dr, du) in enumerate(zip(data.raw_deltas, data.deltas)):
-        pairs += [(f"delta_raw_{j}", dr), (f"delta_shifted_{j}", du)]
+        pairs += [(f"delta_raw_{j}", float(dr)), (f"delta_shifted_{j}", float(du))]
     return pairs
 
 

@@ -36,8 +36,8 @@ kept.  ``forward_raw`` reads each cell's corners from a table of the
 density's values on the domain, padded by zeros, one gather and one
 segment sum per angle; node values off the domain are never read.  The
 backprojection plan is angle-major, one row of radial indices and
-fractions per angle, and the result is accumulated angle by angle; the
-shifted system's adjoint adds its shift on the domain nodes only.
+fractions per angle, built and accumulated angle by angle; the shifted
+system's adjoint adds its shift on the domain nodes only.
 """
 
 from __future__ import annotations
@@ -236,6 +236,13 @@ def _circle_geometry(pixel_grid: PixelGrid, sino_grid: SinogramGrid,
     return (_circle_points(pixel_grid, sino_grid), *_support(pixel_grid, table))
 
 
+def _sum_by_key(keys: np.ndarray, values: np.ndarray):
+    """The distinct ``keys``, ascending, and the sum of the ``values`` of
+    each, added in the order they come."""
+    keys, inverse = np.unique(keys, return_inverse=True)
+    return keys, np.bincount(inverse, values, minlength=len(keys))
+
+
 class RadonBlockOperator:
     """Circular means and backprojection restricted to one angular block.
 
@@ -392,8 +399,10 @@ class RadonBlockOperator:
         """Supremum of the block's discrete smoothed kernel over its samples
         and the domain nodes.
 
-        Accumulates each angle's sparse rows per node of the padded grid,
-        which equals running ``forward`` on unit-mass single-node densities.
+        Sums each angle's sparse row entries per (domain node, sample) and
+        smooths those sums along the sample, which equals running
+        ``forward`` on unit-mass single-node densities; the sums and the
+        smoothing add in the order the dense arrays would.
         """
         grid = self.pixel_grid
         n = grid.n_t + 4
@@ -401,15 +410,27 @@ class RadonBlockOperator:
         # cell c = i*(n - 1) + j has its corner (a, b) at padded node
         # (i + a)*n + j + b = c + i + a*n + b
         offsets = np.array([a * n + b for a, b in _CORNERS])
+        on_domain = np.pad(grid.mask, (1, 2)).ravel()  # per padded node
+        K = self.kernel.K
+        # smooth_radial adds sample s + d at weight w_d to sample s, d = -K..K;
+        # a sum lands only on a sample within the radial range
+        shifts = [(d, wd) for d, wd in zip(range(-K, K + 1), self.kernel.weights)
+                  if wd != 0.0]
         sup = 0.0
         for rows, starts, cells, w in self._domain_rows():
             sample = np.repeat(rows, np.diff(starts, append=w.size))
-            node = (cells + cells // (n - 1))[:, None] + offsets
-            raw = np.bincount(sample * n * n + node.ravel(), w.ravel(),
-                              minlength=n_samples * n * n)
-            raw = raw.reshape(n_samples, n, n)[:, 1 : n - 2, 1 : n - 2].T
-            raw = smooth_radial(raw / grid.cell_measure, self.kernel)
-            sup = max(sup, float(raw[grid.mask.T].max()))
+            node = ((cells + cells // (n - 1))[:, None] + offsets).ravel()
+            keep = on_domain.take(node)
+            keys, vals = _sum_by_key(node[keep] * n_samples + sample[keep],
+                                     w.ravel()[keep])
+            vals /= grid.cell_measure
+            if K > 1:
+                s = keys % n_samples
+                lands = [(s >= d) & (s - d < n_samples) for d, _ in shifts]
+                keys, vals = _sum_by_key(
+                    np.concatenate([keys[m] - d for (d, _), m in zip(shifts, lands)]),
+                    np.concatenate([wd * vals[m] for (_, wd), m in zip(shifts, lands)]))
+            sup = max(sup, float(vals.max(initial=0.0)))
         return sup
 
     # -- backprojection -----------------------------------------------------
@@ -422,15 +443,16 @@ class RadonBlockOperator:
         tx = grid.nodes[idx // (grid.n_t + 1)]
         ty = grid.nodes[idx % (grid.n_t + 1)]
         angles = sg.block_angles(self.j)
-        # radii from every detector center of the block to every domain
-        # node, angle by angle
-        rho = np.hypot(
-            tx[None, :] - np.cos(angles)[:, None],
-            ty[None, :] - np.sin(angles)[:, None],
-        )
-        u = rho * (sg.n_r / 2.0)
-        lo = np.floor(u).astype(np.intp)
-        fr = u - lo
+        cos, sin = np.cos(angles), np.sin(angles)
+        # radial index and fraction from every detector center of the block
+        # to every domain node, built angle by angle in place
+        lo = np.empty((sg.n_phi, len(idx)), dtype=np.intp)
+        fr = np.empty((sg.n_phi, len(idx)))
+        for a in range(sg.n_phi):
+            u = np.hypot(tx - cos[a], ty - sin[a], out=fr[a])
+            u *= sg.n_r / 2.0
+            lo[a] = u  # truncation is the floor, since u >= 0
+            u -= lo[a]
         # flat indices into the data padded with one zero column: domain
         # nodes lie within distance 2 of every center, so the radial index
         # is at most n_r and the upper sample reads the zero beyond the

@@ -1,4 +1,5 @@
 import contextlib
+import datetime
 import importlib.resources
 import io
 import math
@@ -247,6 +248,14 @@ def test_run_loping_writes_artifacts(tmp_path):
     recon = load_matrix_csv(out / "reconstruction.csv")
     assert recon.shape == (33, 33)
     assert np.all(recon >= 0.0)
+    # every key=value line holds a float or a word, whatever numpy's version
+    words = {*MODES, "true", "false", "max_cycles_reached", "numpy-philox"}
+    for name in ("noise_meta.txt", "stop_report.txt", "summary.txt"):
+        for key, value in _summary(out / name).items():
+            if key == "timestamp":
+                datetime.datetime.fromisoformat(value)
+            elif value not in words:
+                float(value)
 
 
 def test_run_is_reproducible(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -214,7 +215,27 @@ def test_backprojection_matches_interp_reference(n_t, n_blocks, n_phi, K):
                             rtol=1e-13, atol=0.0)
 
 
-@pytest.mark.parametrize("K", [1, 2])
+def _dense_kernel_sup(op: RadonBlockOperator) -> float:
+    """Reference kernel sup: each angle's row entries bincounted into a
+    dense (samples, padded node) array, divided by the cell measure,
+    smoothed and masked to the domain."""
+    grid = op.pixel_grid
+    n = grid.n_t + 4
+    n_samples = op.sino_grid.n_r + 1
+    offsets = np.array([a * n + b for a, b in operators._CORNERS])
+    sup = 0.0
+    for rows, starts, cells, w in op._domain_rows():
+        sample = np.repeat(rows, np.diff(starts, append=w.size))
+        node = (cells + cells // (n - 1))[:, None] + offsets
+        raw = np.bincount(sample * n * n + node.ravel(), w.ravel(),
+                          minlength=n_samples * n * n)
+        raw = raw.reshape(n_samples, n, n)[:, 1 : n - 2, 1 : n - 2].T
+        raw = smooth_radial(raw / grid.cell_measure, op.kernel)
+        sup = max(sup, float(raw[grid.mask.T].max()))
+    return sup
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
 def test_kernel_sup_matches_dense_matrix_on_a_tiny_grid(K):
     # every circle of an 8x8 grid crosses the square's edge, so the zero
     # ring of the corner table is read on every row
@@ -231,10 +252,35 @@ def test_kernel_sup_matches_dense_matrix_on_a_tiny_grid(K):
             columns.append(smooth_radial(_gather_forward_raw(op, e), kernel))
         dense = np.stack(columns) / grid.cell_measure
         assert op.kernel_sup() == pytest.approx(float(dense.max()), rel=1e-13)
+        # the sparse sums add in the dense arrays' order: the same bits
+        assert op.kernel_sup() == _dense_kernel_sup(op)
         # an operator with no system geometry streams the same rows
         assert RadonBlockOperator(grid, sino, op.j, kernel).kernel_sup() == op.kernel_sup()
         sups.append(float(dense.max()))
     assert system.raw_kernel_sup() == pytest.approx(max(sups), rel=1e-13)
+
+
+def test_one_time_builds_allocate_little_beyond_what_they_keep():
+    grid = PixelGrid(80, 2.0 * 2 / 80)
+    sino = SinogramGrid(n_blocks=2, n_phi=8, n_r=80)
+    system = RadonSystem(grid, sino, lam=0.01, K=2)
+    op = system.ops[1]
+    op._domain_rows()  # the kept rows are built before the count starts
+    tracemalloc.start()
+    try:
+        idx, lo, fr = op._adjoint_plan
+        kept, plan_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        sup = op.kernel_sup()
+        _, sup_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the plan is built angle by angle: a few rows beyond the plan itself
+    assert plan_peak <= idx.nbytes + lo.nbytes + fr.nbytes + 8 * fr[0].nbytes
+    # the sup sums sparse entries, below one dense (samples, padded node) array
+    n = grid.n_t + 4
+    assert sup_peak - kept < (sino.n_r + 1) * n * n * 8
+    assert sup == _dense_kernel_sup(op)
 
 
 def test_rows_without_entries_stay_zero(monkeypatch):
