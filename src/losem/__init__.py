@@ -26,9 +26,7 @@ from .experiment import (
     simulate_data,
 )
 from .kl_core import (
-    DensityGrid,
     PixelGrid,
-    SinogramBlock,
     SinogramGrid,
     kl_distance,
     normalize_to_simplex,

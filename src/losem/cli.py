@@ -79,9 +79,10 @@ class SolverData(NamedTuple):
     sinogram: np.ndarray | None = None
 
 
-def _add_noise(cfg: RunConfig, clean, quiet: bool):
-    """Poisson noise on clean blocks at the configured level, scale and seed."""
-    noisy, info = add_poisson_noise(clean, cfg.noise_spec())
+def _add_noise(cfg: RunConfig, clean, sample_weight: float, quiet: bool):
+    """Poisson noise on clean blocks of the given sample weight at the
+    configured level, scale and seed."""
+    noisy, info = add_poisson_noise(clean, sample_weight, cfg.noise_spec())
     _say(
         quiet,
         f"noise: counts_scale={info['counts_scale']:.6g} realized "
@@ -93,11 +94,10 @@ def _add_noise(cfg: RunConfig, clean, quiet: bool):
 def _shifted(cfg: RunConfig, system, clean, noisy, info, sinogram) -> SolverData:
     """Shift noisy blocks for the system; the noise bounds are measured in
     the norm of the configured gamma mode."""
-    raw = realized_deltas(clean, noisy, ord=2 if cfg.gamma_mode == "l2" else 1)
-    return SolverData(
-        system.shift_data([b.values for b in noisy]),
-        system.shifted_deltas(raw), raw, noisy, info, sinogram,
-    )
+    raw = realized_deltas(clean, noisy, system.sino_grid.sample_weight,
+                          ord=2 if cfg.gamma_mode == "l2" else 1)
+    return SolverData(system.shift_data(noisy), system.shifted_deltas(raw), raw,
+                      noisy, info, sinogram)
 
 
 def _solver_data(cfg: RunConfig, system, x_star, quiet: bool) -> SolverData:
@@ -108,9 +108,8 @@ def _solver_data(cfg: RunConfig, system, x_star, quiet: bool) -> SolverData:
         return SolverData(consistent_data(x_star, system), np.zeros(system.n_blocks))
     _say(quiet, f"simulating data (oversample {cfg.oversample}) ...")
     clean = simulate_data(cfg.phantom, system, cfg.oversample, cfg.max_sim_nodes)
-    noisy, info = _add_noise(cfg, clean, quiet)
-    return _shifted(cfg, system, clean, noisy, info,
-                    np.vstack([b.values for b in noisy]))
+    noisy, info = _add_noise(cfg, clean, system.sino_grid.sample_weight, quiet)
+    return _shifted(cfg, system, clean, noisy, info, np.vstack(noisy))
 
 
 def _label(cfg: RunConfig, N: int) -> str:
@@ -140,23 +139,26 @@ def _systems(cfg: RunConfig, quiet: bool, verify: bool = False):
                 f"the effective kernel floor is zero at lambda = {cfg.lam!r}: the "
                 "shift parameter lambda must be positive, with 1 + lambda*b finite"
             )
-    x_star = render_phantom(cfg.phantom, cfg.pixel_grid())
+    grid = cfg.pixel_grid()
+    x_star = render_phantom(cfg.phantom, grid)
     if not compare:
         system = cfg.build_system()
         yield x_star, system, _solver_data(cfg, system, x_star, quiet)
         return
     _say(quiet, f"simulating shared data (oversample {cfg.oversample}) ...")
     clean_base = simulate_clean_base(
-        cfg.phantom, x_star.grid, cfg.n_angle, cfg.n_r, cfg.K, cfg.oversample,
+        cfg.phantom, grid, cfg.n_angle, cfg.n_r, cfg.K, cfg.oversample,
         cfg.max_sim_nodes,
     )
-    (noisy_base,), info = _add_noise(cfg, [clean_base], quiet)
+    # the unsplit data's sample weight, that of a single-block grid
+    (noisy_base,), info = _add_noise(cfg, [clean_base],
+                                     cfg.sino_grid(1).sample_weight, quiet)
     for N in counts:
         system = cfg.build_system(N)
         sg = system.sino_grid
         yield x_star, system, _shifted(
             cfg, system, reblock(clean_base, sg), reblock(noisy_base, sg), info,
-            noisy_base.values,
+            noisy_base,
         )
 
 
@@ -223,13 +225,13 @@ def _solve(cfg: RunConfig, system, data: SolverData, x_star, quiet: bool) -> Sol
     """Run the configured solver on one system from the uniform start:
     ``osem_run`` for a fixed cycle count in em and osem mode, otherwise
     ``loping_osem_run``, and in compare mode ``oracle_stopped_osem`` too."""
-    x0 = uniform_density(system.pixel_grid).values
+    x0 = uniform_density(system.pixel_grid)
     N = system.n_blocks
     compare = cfg.mode == "compare"
     if cfg.mode in ("em", "osem"):
         _say(quiet, f"running {cfg.mode} for {cfg.cycles} cycles ...")
         t0 = time.perf_counter()
-        vals, trace = osem_run(x0, system, data.values, cfg.cycles, x_star=x_star.values)
+        vals, trace = osem_run(x0, system, data.values, cfg.cycles, x_star=x_star)
         return Solved(vals, trace, None, time.perf_counter() - t0)
     solver_cfg = _solver_config(cfg, system, data)
     gamma = solver_cfg.gamma
@@ -238,14 +240,14 @@ def _solve(cfg: RunConfig, system, data: SolverData, x_star, quiet: bool) -> Sol
          f"gamma={'adaptive' if gamma is None else format(gamma, '.4g')}) ...")
     t0 = time.perf_counter()
     vals, trace, report = loping_osem_run(
-        x0, system, data.values, solver_cfg, x_star=x_star.values
+        x0, system, data.values, solver_cfg, x_star=x_star
     )
     wall = time.perf_counter() - t0
     if not compare:
         return Solved(vals, trace, report, wall)
     _say(quiet, f"N={N}: oracle run ({cfg.max_cycles} cycles) ...")
     t0 = time.perf_counter()
-    oracle = oracle_stopped_osem(x0, system, data.values, x_star.values, cfg.max_cycles)
+    oracle = oracle_stopped_osem(x0, system, data.values, x_star, cfg.max_cycles)
     return Solved(vals, trace, report, wall, oracle, time.perf_counter() - t0)
 
 
@@ -263,7 +265,7 @@ def cmd_run(args) -> int:
 
 def _run_single(cfg: RunConfig, out: Path, quiet: bool) -> int:
     [(x_star, system, data)] = _systems(cfg, quiet)
-    save_pgm(out / "phantom.pgm", x_star.values)
+    save_pgm(out / "phantom.pgm", x_star)
     if data.sinogram is not None:
         save_pgm(out / "sinogram.pgm", data.sinogram)
     save_matrix_csv(out / "data.csv", np.vstack(data.values))
@@ -296,7 +298,7 @@ def _run_compare(cfg: RunConfig, out: Path, quiet: bool) -> int:
     rows = []
     for x_star, system, data in _systems(cfg, quiet):
         if not rows:  # the inputs every block count shares, written once
-            save_pgm(out / "phantom.pgm", x_star.values)
+            save_pgm(out / "phantom.pgm", x_star)
             save_pgm(out / "sinogram.pgm", data.sinogram)
         N = system.n_blocks
         run = _solve(cfg, system, data, x_star, quiet)
@@ -354,7 +356,8 @@ def _verify_system(cfg: RunConfig, system, data: SolverData) -> None:
         )
 
     if data.noisy is not None:
-        mass_dev = max(abs(bl.mass - 1.0) for bl in data.noisy)
+        w = system.sino_grid.sample_weight
+        mass_dev = max(abs(float(np.sum(b) * w) - 1.0) for b in data.noisy)
         print(f"block_mass_max_dev{label}={mass_dev!r}")
     bounds = effective_bounds(system, data.values)
     print(f"kernel_sup_M{label}={bounds.M!r}")
@@ -367,7 +370,7 @@ def _verify_system(cfg: RunConfig, system, data: SolverData) -> None:
     print(f"forward_row_bytes{label}={sum(nbytes for _, nbytes in sizes)}")
     # interpolation error keeps the defect nonzero; the bounds above make
     # both sides positive
-    x0 = uniform_density(system.pixel_grid).values
+    x0 = uniform_density(system.pixel_grid)
     print(f"pairing_defect{label}={_pairing_defect(system, x0, data.values)!r}")
 
     solver_cfg = _solver_config(cfg, system, data, bounds)
@@ -407,13 +410,14 @@ def _pairing_defect(system, x, data) -> float:
 def cmd_phantom(args) -> int:
     cfg = load_config(args.config)
     out = _outdir(args, cfg)
-    x = render_phantom(cfg.phantom, cfg.pixel_grid())
-    save_pgm(out / "phantom.pgm", x.values)
-    save_matrix_csv(out / "phantom.csv", x.values)
+    grid = cfg.pixel_grid()
+    x = render_phantom(cfg.phantom, grid)
+    save_pgm(out / "phantom.pgm", x)
+    save_matrix_csv(out / "phantom.csv", x)
     _say(
         args.quiet,
         f"phantom: {len(cfg.phantom.discs)} discs on {cfg.n_t + 1}x{cfg.n_t + 1} "
-        f"nodes, mass={x.mass!r} -> {out}",
+        f"nodes, mass={float(np.sum(grid.node_weights * x))!r} -> {out}",
     )
     return 0
 

@@ -22,9 +22,7 @@ import numpy as np
 
 from .kl_core import (
     ConfigError,
-    DensityGrid,
     PixelGrid,
-    SinogramBlock,
     SinogramGrid,
     kl_distance,
     normalize_to_simplex,
@@ -116,8 +114,9 @@ class PhantomSpec:
         raise ValueError(f"no domain node of the n_t = {n} grid lies inside a disc")
 
 
-def render_phantom(spec: PhantomSpec, grid: PixelGrid) -> DensityGrid:
-    """Rasterize the disc superposition on the grid and normalize its mass."""
+def render_phantom(spec: PhantomSpec, grid: PixelGrid) -> np.ndarray:
+    """Rasterize the disc superposition on the grid, mask it to the domain
+    and normalize its mass; returns read-only node values."""
     spec.check_on(grid)
     x = grid.nodes[:, None]
     y = grid.nodes[None, :]
@@ -125,7 +124,9 @@ def render_phantom(spec: PhantomSpec, grid: PixelGrid) -> DensityGrid:
     for d in spec.discs:
         inside = (x - d.cx) ** 2 + (y - d.cy) ** 2 <= d.radius ** 2
         vals += d.amplitude * inside
-    return DensityGrid.normalized(grid, vals)
+    out = normalize_to_simplex(np.where(grid.mask, vals, 0.0), grid.node_weights)
+    out.flags.writeable = False
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +156,13 @@ def simulate_clean_base(
     K: int,
     oversample: int = 4,
     max_nodes: int = 16_000_000,
-) -> SinogramBlock:
+) -> np.ndarray:
     """Smoothed circular means of a phantom on the unsplit angle set.
 
     The phantom is rendered on ``pixel_grid`` refined to n_t * oversample
-    pixels per axis and projected from there.  The result is a single
-    normalized block covering all angles (block count one).  Raises
+    pixels per axis and projected from there.  The result is one
+    (n_angles, n_r + 1) array covering all angles, of unit mass under the
+    sample weight of the single-block grid.  Raises
     ConfigError when no circle of the sampling meets the phantom.
     """
     hi = _simulation_grid(pixel_grid, oversample, max_nodes)
@@ -169,41 +171,38 @@ def simulate_clean_base(
     kernel = SmoothingKernel(n_r, K)
     # no system geometry: the rows of the phantom's support are streamed
     op = RadonBlockOperator(hi, base_grid, 0, kernel)
-    vals = op.forward(density.values)
+    vals = op.forward(density)
     if not np.sum(vals) > 0.0:
         raise ConfigError(
             f"the simulated data have no mass: no circle of the n_r = {n_r} "
             "sampling meets the phantom"
         )
-    vals = normalize_to_simplex(vals, base_grid.sample_weight)
-    return SinogramBlock(base_grid, 0, vals)
+    return normalize_to_simplex(vals, base_grid.sample_weight)
 
 
-def reblock(base: SinogramBlock, grid: SinogramGrid) -> list[SinogramBlock]:
-    """Regroup single-block data onto a block-split grid of the same samples.
+def reblock(base: np.ndarray, grid: SinogramGrid) -> list[np.ndarray]:
+    """Regroup unsplit data, shaped (n_angles, n_r + 1), onto the blocks of
+    a grid of the same samples.
 
-    The split grid must share the angle set and radii of the base.  Values
-    are rescaled by the block count (the per-block forward map carries that
-    factor) and renormalized blockwise.  Raises ConfigError when a block
-    has no mass.
+    Values are rescaled by the block count (the per-block forward map
+    carries that factor) and renormalized blockwise under the grid's sample
+    weight.  Raises ConfigError when a block has no mass.
     """
-    if base.grid.n_blocks != 1:
-        raise ValueError("base data must live on a single-block grid")
-    if grid.n_angles != base.grid.n_angles or grid.n_r != base.grid.n_r:
+    base = np.asarray(base, dtype=np.float64)
+    if base.shape != (grid.n_angles, grid.n_r + 1):
         raise ValueError(
-            f"target grid samples ({grid.n_angles} angles, n_r={grid.n_r}) do not "
-            f"match base ({base.grid.n_angles} angles, n_r={base.grid.n_r})"
+            f"base data of shape {base.shape} do not match the "
+            f"{grid.n_angles} angles and n_r = {grid.n_r} of the target grid"
         )
     out = []
     for j in range(grid.n_blocks):
-        rows = base.values[j * grid.n_phi : (j + 1) * grid.n_phi]
+        rows = base[j * grid.n_phi : (j + 1) * grid.n_phi]
         if not np.sum(rows) > 0.0:
             raise ConfigError(
                 f"data block {j} of {grid.n_blocks} has no mass (its circles miss "
                 "the phantom or drew no counts); use fewer blocks"
             )
-        vals = normalize_to_simplex(rows * grid.n_blocks, grid.sample_weight)
-        out.append(SinogramBlock(grid, j, vals))
+        out.append(normalize_to_simplex(rows * grid.n_blocks, grid.sample_weight))
     return out
 
 
@@ -212,7 +211,7 @@ def simulate_data(
     system: RadonSystem,
     oversample: int = 4,
     max_nodes: int = 16_000_000,
-) -> list[SinogramBlock]:
+) -> list[np.ndarray]:
     """Clean shift-free data blocks for the system, simulated oversampled
     (see :func:`simulate_clean_base`)."""
     sg = system.sino_grid
@@ -223,7 +222,7 @@ def simulate_data(
     return reblock(base, sg)
 
 
-def consistent_data(x_star: DensityGrid, system: RadonSystem) -> list[np.ndarray]:
+def consistent_data(x_star: np.ndarray, system: RadonSystem) -> list[np.ndarray]:
     """Shifted data with the rendered phantom an exact discrete solution.
 
     Applies the system's own shifted forward map to ``x_star`` on the
@@ -231,7 +230,7 @@ def consistent_data(x_star: DensityGrid, system: RadonSystem) -> list[np.ndarray
     exact-data runs where the monotone decrease toward the ground truth is
     asserted step by step.
     """
-    return [system.forward(x_star.values, j) for j in range(system.n_blocks)]
+    return [system.forward(x_star, j) for j in range(system.n_blocks)]
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +267,9 @@ def _block_rng(seed: int, j: int) -> np.random.Generator:
     )
 
 
-def _draw(blocks: list[SinogramBlock], c: float, seed: int):
-    """One noise realization at counts scale c; returns blocks and aggregate."""
+def _draw(blocks: list[np.ndarray], weight: float, c: float, seed: int):
+    """One noise realization at counts scale c of blocks with sample weight
+    ``weight``; returns the noisy blocks and the aggregate error."""
     if not math.isfinite(c):
         raise FloatingPointError(f"counts scale {c} is not a finite number")
     noisy = []
@@ -278,22 +278,24 @@ def _draw(blocks: list[SinogramBlock], c: float, seed: int):
     for j, b in enumerate(blocks):
         rng = _block_rng(seed, j)
         try:
-            counts = rng.poisson(c * b.values)
+            counts = rng.poisson(c * b)
         except ValueError as e:  # expected counts beyond what numpy can draw
             raise FloatingPointError(f"counts scale {c}: {e}") from e
         vals = counts.astype(np.float64) / c
-        total = float(np.sum(vals) * b.grid.sample_weight)
+        total = float(np.sum(vals) * weight)
         if total <= 0.0:
             return None, 2.0  # complete loss of signal at this scale
         vals /= total
-        noisy.append(SinogramBlock(b.grid, b.j, vals))
-        agg_err += weighted_l1(b.values, vals, b.grid.sample_weight)
-        agg_mass += b.mass
+        noisy.append(vals)
+        agg_err += weighted_l1(b, vals, weight)
+        agg_mass += float(np.sum(b) * weight)
     return noisy, agg_err / agg_mass
 
 
-def add_poisson_noise(blocks: list[SinogramBlock], spec: NoiseSpec):
-    """Poisson noise on clean blocks, renormalized blockwise.
+def add_poisson_noise(blocks: list[np.ndarray], sample_weight: float,
+                      spec: NoiseSpec):
+    """Poisson noise on clean blocks of the given sample weight,
+    renormalized blockwise.
 
     Returns ``(noisy_blocks, info)``, where ``info`` records the counts
     scale, realized aggregate error and the generator algorithm; the
@@ -305,14 +307,14 @@ def add_poisson_noise(blocks: list[SinogramBlock], spec: NoiseSpec):
     if not blocks:
         raise ValueError("no data blocks to perturb")
     if spec.counts_scale is not None:
-        noisy, agg = _draw(blocks, spec.counts_scale, spec.seed)
+        noisy, agg = _draw(blocks, sample_weight, spec.counts_scale, spec.seed)
         if noisy is None:
             raise FloatingPointError(
                 f"counts scale {spec.counts_scale} lost the whole signal"
             )
         c = spec.counts_scale
     else:
-        c, noisy, agg = _bisect_counts(blocks, spec)
+        c, noisy, agg = _bisect_counts(blocks, sample_weight, spec)
     info = {
         "counts_scale": c,
         "aggregate_error": agg,
@@ -323,27 +325,26 @@ def add_poisson_noise(blocks: list[SinogramBlock], spec: NoiseSpec):
     return noisy, info
 
 
-def _counts_scale_guess(blocks: list[SinogramBlock], level: float) -> float:
+def _counts_scale_guess(blocks: list[np.ndarray], weight: float,
+                        level: float) -> float:
     # E|Poisson(c v)/c - v| is about sqrt(2 v / (pi c)) per sample
-    s = sum(
-        float(np.sum(np.sqrt(b.values)) * b.grid.sample_weight) for b in blocks
-    )
-    mass = sum(b.mass for b in blocks)
+    s = sum(float(np.sum(np.sqrt(b)) * weight) for b in blocks)
+    mass = sum(float(np.sum(b) * weight) for b in blocks)
     try:
         return max((2.0 / math.pi) * (s / (level * mass)) ** 2, 1.0)
     except OverflowError:
         return math.inf
 
 
-def _bisect_counts(blocks: list[SinogramBlock], spec: NoiseSpec):
+def _bisect_counts(blocks: list[np.ndarray], weight: float, spec: NoiseSpec):
     """Calibrate the counts scale so the realized error matches the target."""
     target = spec.level
     tol = 0.1 * target
 
     def realized(c):
-        return _draw(blocks, c, spec.seed)
+        return _draw(blocks, weight, c, spec.seed)
 
-    c = _counts_scale_guess(blocks, target)
+    c = _counts_scale_guess(blocks, weight, target)
     noisy, agg = realized(c)
     if abs(agg - target) <= tol:
         return c, noisy, agg
@@ -379,16 +380,12 @@ def _bisect_counts(blocks: list[SinogramBlock], spec: NoiseSpec):
     )
 
 
-def realized_deltas(clean: list[SinogramBlock], noisy: list[SinogramBlock],
-                    ord: int = 1) -> np.ndarray:
-    """Per-block quadrature distances between clean and noisy data."""
+def realized_deltas(clean: list[np.ndarray], noisy: list[np.ndarray],
+                    sample_weight: float, ord: int = 1) -> np.ndarray:
+    """Per-block quadrature distances between clean and noisy data blocks
+    of the given sample weight."""
     dist = weighted_l1 if ord == 1 else weighted_l2
-    return np.array(
-        [
-            dist(b.values, nb.values, b.grid.sample_weight)
-            for b, nb in zip(clean, noisy)
-        ]
-    )
+    return np.array([dist(b, nb, sample_weight) for b, nb in zip(clean, noisy)])
 
 
 # ---------------------------------------------------------------------------

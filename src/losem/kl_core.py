@@ -18,9 +18,7 @@ __all__ = [
     "ConfigError",
     "AssumptionError",
     "PixelGrid",
-    "DensityGrid",
     "SinogramGrid",
-    "SinogramBlock",
     "kl_distance",
     "kl_l1_bound_check",
     "normalize_to_simplex",
@@ -31,9 +29,6 @@ __all__ = [
     "save_matrix_csv",
     "save_pgm",
 ]
-
-MASS_TOL = 1e-9
-
 
 class ConfigError(Exception):
     """Invalid configuration or command line (exit code 2)."""
@@ -124,51 +119,12 @@ class PixelGrid:
         return out
 
 
-@dataclass(frozen=True)
-class DensityGrid:
-    """A nonnegative unit-mass density sampled on a :class:`PixelGrid`.
-
-    Values are zero at nodes outside the disc domain and the quadrature
-    weighted sum equals one at construction.  Instances are immutable; the
-    value array is stored read-only.
-    """
-
-    grid: PixelGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.ascontiguousarray(self.values, dtype=np.float64)
-        if vals.shape != self.grid.shape:
-            raise ValueError(
-                f"values shape {vals.shape} does not match grid {self.grid.shape}"
-            )
-        if np.any(vals < 0.0):
-            raise ValueError("density values must be nonnegative")
-        if np.any(vals[~self.grid.mask] != 0.0):
-            raise ValueError("density must vanish outside the disc domain")
-        mass = float(np.sum(self.grid.node_weights * vals))
-        if abs(mass - 1.0) > MASS_TOL:
-            raise ValueError(f"density mass {mass} deviates from 1 beyond {MASS_TOL}")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def normalized(cls, grid: PixelGrid, raw: np.ndarray) -> "DensityGrid":
-        """Mask raw values to the domain and rescale them to unit mass."""
-        vals = np.ascontiguousarray(raw, dtype=np.float64)
-        if vals.shape != grid.shape:
-            raise ValueError(f"values shape {vals.shape} does not match grid {grid.shape}")
-        vals = np.where(grid.mask, vals, 0.0)
-        return cls(grid, normalize_to_simplex(vals, grid.node_weights))
-
-    @property
-    def mass(self) -> float:
-        return float(np.sum(self.grid.node_weights * self.values))
-
-
-def uniform_density(grid: PixelGrid) -> DensityGrid:
-    """The constant unit-mass density on the disc domain."""
-    return DensityGrid.normalized(grid, grid.mask.astype(np.float64))
+def uniform_density(grid: PixelGrid) -> np.ndarray:
+    """The constant unit-mass density on the disc domain, as read-only
+    node values."""
+    out = normalize_to_simplex(np.where(grid.mask, 1.0, 0.0), grid.node_weights)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -228,35 +184,6 @@ class SinogramGrid:
         if not 0 <= j < self.n_blocks:
             raise ValueError(f"block index {j} out of range [0, {self.n_blocks})")
         return self.angles[j * self.n_phi : (j + 1) * self.n_phi]
-
-
-@dataclass(frozen=True)
-class SinogramBlock:
-    """Unit-mass data values of one block, shaped (n_phi, n_r + 1): the
-    quadrature weighted integral over the block equals one."""
-
-    grid: SinogramGrid
-    j: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        if not 0 <= self.j < self.grid.n_blocks:
-            raise ValueError(f"block index {self.j} out of range")
-        vals = np.ascontiguousarray(self.values, dtype=np.float64)
-        if vals.shape != self.grid.block_shape:
-            raise ValueError(
-                f"block shape {vals.shape} does not match grid {self.grid.block_shape}"
-            )
-        if np.any(vals < 0.0):
-            raise ValueError("sinogram values must be nonnegative")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-        if abs(self.mass - 1.0) > MASS_TOL:
-            raise ValueError(f"block {self.j} has mass {self.mass}, expected 1")
-
-    @property
-    def mass(self) -> float:
-        return float(np.sum(self.values) * self.grid.sample_weight)
 
 
 # ---------------------------------------------------------------------------

@@ -206,10 +206,14 @@ def loping_osem_run(x0, system, data, config: SolverConfig, x_star=None,
             f"for {N} blocks"
         )
     tau, g = config.tau, config.gamma
-    x, trace, stopped = _run_loop(
+    x, trace, skipped = _run_loop(
         x0, system, data, config.max_cycles, x_star, audit, tau, g, delta
     )
-    final_res, final_thr = block_residuals(x, system, data, tau, g, delta)
+    stopped = skipped is not None
+    # a fully skipped cycle left the iterate as it was, so its residuals
+    # and thresholds are those of the final iterate
+    final_res, final_thr = (skipped if stopped else
+                            block_residuals(x, system, data, tau, g, delta))
     d_min = float(np.min(delta))
     step_bound = math.nan
     if x_star is not None and g is not None and tau > 1.0 and d_min > 0.0:
@@ -245,8 +249,9 @@ def block_residuals(x, system, data, tau, gamma, delta):
 def _run_loop(x0, system, data, max_cycles, x_star, audit, tau, gamma, delta):
     """Cycle the blocks under the skip rule of (tau, gamma, delta): a step
     is performed when its block's bound is zero or its residual exceeds the
-    threshold.  Returns the final iterate, the trace and whether the run
-    stopped on a fully skipped cycle."""
+    threshold.  Returns the final iterate, the trace and, when the run
+    stopped on a fully skipped cycle, that cycle's residuals and thresholds
+    (else None)."""
     N = system.n_blocks
     if len(data) != N:
         raise ValueError(f"expected {N} data blocks, got {len(data)}")
@@ -256,17 +261,19 @@ def _run_loop(x0, system, data, max_cycles, x_star, audit, tau, gamma, delta):
     w_block = system.block_weight
 
     trace = IterationTrace(N)
-    stopped = False
+    res = np.empty(N)
+    thr = np.empty(N)
+    skipped = None
     k = 0
     for _ in range(max_cycles):
         any_performed = False
         for j in range(N):
             fx = system.forward(x, j)
-            f = kl_distance(data[j], fx, w_block)
+            res[j] = f = kl_distance(data[j], fx, w_block)
             err = math.nan if x_star is None else kl_distance(x_star, x, w_nodes)
-            if delta[j] == 0.0 or f > skip_threshold(
-                tau, gamma, delta[j], data[j], fx, w_block
-            ):
+            if delta[j] != 0.0:
+                thr[j] = skip_threshold(tau, gamma, delta[j], data[j], fx, w_block)
+            if delta[j] == 0.0 or f > thr[j]:
                 any_performed = True
                 x_new, mass = _update(x, system, j, data[j], fx)
                 step_kl = kl_distance(x_new, x, w_nodes)
@@ -279,10 +286,10 @@ def _run_loop(x0, system, data, max_cycles, x_star, audit, tau, gamma, delta):
                 trace.append(k, j, False, f, 0.0, err, f if audit else math.nan, 0.0)
             k += 1
         if not any_performed:
-            stopped = True
+            skipped = res, thr
             break
     trace.final_error = math.nan if x_star is None else kl_distance(x_star, x, w_nodes)
-    return x, trace, stopped
+    return x, trace, skipped
 
 
 def skip_threshold(tau, gamma, delta, y=None, fx=None, weight=None):

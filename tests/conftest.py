@@ -85,6 +85,24 @@ def load_matrix_csv(path) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
+def assert_density(x, grid) -> None:
+    """A density on ``grid``: nonnegative, zero off the disc domain,
+    read-only, and of unit quadrature mass within 1e-9."""
+    assert x.shape == grid.shape
+    assert np.all(x >= 0.0)
+    assert np.all(x[~grid.mask] == 0.0)
+    assert not x.flags.writeable
+    assert abs(float(np.sum(grid.node_weights * x)) - 1.0) <= 1e-9
+
+
+def assert_unit_blocks(blocks, sample_weight) -> None:
+    """Data blocks that are nonnegative, each of unit mass within 1e-9
+    under the uniform ``sample_weight``."""
+    for b in blocks:
+        assert np.all(b >= 0.0)
+        assert abs(float(np.sum(b) * sample_weight) - 1.0) <= 1e-9
+
+
 def cycle_errors(trace) -> np.ndarray:
     """Error at the end of cycle c = error before step c*n_blocks, for
     c = 0..n_cycles, ending with the final error of the ``IterationTrace``."""

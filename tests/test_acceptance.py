@@ -67,13 +67,13 @@ def exact_runs():
     """25 exact-data cycles at 64x64 with 60 angles, for 1, 5 and 10 blocks."""
     pixel = PixelGrid(64, 2.0 / 64.0)
     x_star = render_phantom(TWO_DISCS, pixel)
-    x0 = uniform_density(pixel).values
+    x0 = uniform_density(pixel)
     out = {}
     for n in (1, 5, 10):
         system = RadonSystem(pixel, SinogramGrid(n, 60 // n, 64), 0.01, 1)
         data = consistent_data(x_star, system)
         _, trace = osem_run(
-            x0, system, data, cycles=25, x_star=x_star.values, audit=True
+            x0, system, data, cycles=25, x_star=x_star, audit=True
         )
         out[n] = trace
     return out
@@ -85,21 +85,22 @@ def noisy_runs():
     cfg = CALIBRATED
     system = cfg.build_system()
     x_star = render_phantom(cfg.phantom, system.pixel_grid)
-    x0 = uniform_density(system.pixel_grid).values
+    x0 = uniform_density(system.pixel_grid)
     clean = simulate_data(cfg.phantom, system, cfg.oversample)
+    w = system.sino_grid.sample_weight
     results = []
     for seed in NOISE_SEEDS:
-        noisy, _ = add_poisson_noise(clean, NoiseSpec(cfg.noise_level, seed=seed))
-        data = system.shift_data([b.values for b in noisy])
+        noisy, _ = add_poisson_noise(clean, w, NoiseSpec(cfg.noise_level, seed=seed))
+        data = system.shift_data(noisy)
         solver = SolverConfig(
             tau=cfg.tau, gamma=cfg.gamma,
-            delta=system.shifted_deltas(realized_deltas(clean, noisy)),
+            delta=system.shifted_deltas(realized_deltas(clean, noisy, w)),
             max_cycles=cfg.max_cycles,
         )
         _, trace, report = loping_osem_run(
-            x0, system, data, solver, x_star=x_star.values
+            x0, system, data, solver, x_star=x_star
         )
-        oracle = oracle_stopped_osem(x0, system, data, x_star.values, max_cycles=25)
+        oracle = oracle_stopped_osem(x0, system, data, x_star, max_cycles=25)
         results.append({"seed": seed, "trace": trace, "report": report,
                         "oracle": oracle})
     return results
@@ -181,14 +182,14 @@ def test_04_exact_data_residuals_fall_tenfold(exact_runs):
 def test_05_block_splitting_accelerates_early_cycles():
     pixel = PixelGrid(100, 2.0 / 100.0)
     x_star = render_phantom(TWO_DISCS, pixel)
-    x0 = uniform_density(pixel).values
+    x0 = uniform_density(pixel)
     em_sys = RadonSystem(pixel, SinogramGrid(1, 100, 100), 0.01, 1)
     _, em_trace = osem_run(
-        x0, em_sys, consistent_data(x_star, em_sys), cycles=3, x_star=x_star.values
+        x0, em_sys, consistent_data(x_star, em_sys), cycles=3, x_star=x_star
     )
     os_sys = RadonSystem(pixel, SinogramGrid(5, 20, 100), 0.01, 1)
     _, os_trace = osem_run(
-        x0, os_sys, consistent_data(x_star, os_sys), cycles=1, x_star=x_star.values
+        x0, os_sys, consistent_data(x_star, os_sys), cycles=1, x_star=x_star
     )
     ok = os_trace.final_error < em_trace.final_error
     verdict(
@@ -261,7 +262,7 @@ def test_08_noisy_iteration_semi_converges(noisy_runs):
 def test_09_degenerate_cases_reduce_bitwise(identity_system):
     pixel = PixelGrid(32, 2.0 / 32.0)
     x_star = render_phantom(TWO_DISCS, pixel)
-    x0 = uniform_density(pixel).values
+    x0 = uniform_density(pixel)
 
     system = RadonSystem(pixel, SinogramGrid(4, 8, 32), 0.01, 1)
     data = consistent_data(x_star, system)
@@ -304,7 +305,7 @@ def test_10_simulated_data_matches_closed_form():
     closed[:, 1:] = r * alpha
     closed = normalize_to_simplex(closed, sino.sample_weight)
 
-    rel = weighted_l1(block.values, closed, sino.sample_weight)
+    rel = weighted_l1(block, closed, sino.sample_weight)
     verdict(
         "10 oversampled simulation reproduces the centered-disc closed form",
         rel <= 0.02, f"relative L1 mismatch {rel:.5f} (cap 0.02)",

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import cycle_errors
+from conftest import assert_density, assert_unit_blocks, cycle_errors
 from losem.experiment import (
     Disc,
     NoiseSpec,
@@ -45,16 +45,16 @@ def test_render_phantom_mass_and_profile():
     grid = PixelGrid(128, 0.02)
     spec = PhantomSpec((Disc(0.0, 0.0, 0.5, 2.0),))
     x = render_phantom(spec, grid)
-    assert x.mass == pytest.approx(1.0, abs=1e-12)
+    assert_density(x, grid)
     # constant inside, zero outside, value 1/(pi R^2) after normalization
-    center = x.values[64, 64]
+    center = x[64, 64]
     assert center == pytest.approx(1.0 / (math.pi * 0.25), rel=0.02)
-    assert x.values[64, 110] == 0.0  # (0, ~0.72) is outside the disc
+    assert x[64, 110] == 0.0  # (0, ~0.72) is outside the disc
     # two discs superpose before normalization
     two = render_phantom(
         PhantomSpec((Disc(0.0, 0.0, 0.5, 2.0), Disc(0.0, 0.0, 0.2, 2.0))), grid
     )
-    assert two.values[64, 64] > two.values[64, 90]
+    assert two[64, 64] > two[64, 90]
 
 
 @given(
@@ -87,7 +87,7 @@ def test_phantom_check_agrees_with_testing_every_node(n_t, epsilon, placements):
         inside |= (x - d.cx) ** 2 + (y - d.cy) ** 2 <= d.radius ** 2
     if np.any(inside & grid.mask):
         spec.check_on(grid)
-        render_phantom(spec, grid)
+        assert_density(render_phantom(spec, grid), grid)
     else:
         with pytest.raises(ValueError, match="no domain node"):
             spec.check_on(grid)
@@ -103,7 +103,8 @@ def test_phantom_check_rejects_an_overflowing_density():
     # amplitudes whose sum stays finite render
     x = render_phantom(PhantomSpec((Disc(0.0, 0.0, 0.01, 9e307),
                                     Disc(0.0, 0.0, 0.02, 8e307))), grid)
-    assert np.all(np.isfinite(x.values)) and x.mass == pytest.approx(1.0)
+    assert np.all(np.isfinite(x))
+    assert_density(x, grid)
 
 
 def test_render_phantom_rejects_escaping_disc():
@@ -116,11 +117,15 @@ def test_render_phantom_rejects_escaping_disc():
 # clean data
 
 
+SINO = SinogramGrid(n_blocks=4, n_phi=16, n_r=64)
+W = SINO.sample_weight  # of the blocks of ``sim_setup`` and ``clean_blocks``
+
+
 @pytest.fixture(scope="module")
 def sim_setup():
     spec = PhantomSpec((Disc(0.0, 0.0, 0.4, 1.0), Disc(0.45, 0.3, 0.18, 2.0)))
     grid = PixelGrid(64, 2.0 / 64.0)
-    sino = SinogramGrid(n_blocks=4, n_phi=16, n_r=64)
+    sino = SINO
     system = RadonSystem(grid, sino, lam=0.01, K=1)
     return spec, grid, sino, system
 
@@ -129,9 +134,9 @@ def test_simulate_data_blocks_are_normalized(sim_setup):
     spec, grid, sino, system = sim_setup
     blocks = simulate_data(spec, system, oversample=2)
     assert len(blocks) == 4
+    assert_unit_blocks(blocks, sino.sample_weight)
     for b in blocks:
-        assert b.mass == pytest.approx(1.0, abs=1e-9)
-        assert b.values.shape == sino.block_shape
+        assert b.shape == sino.block_shape
 
 
 def test_simulate_data_node_cap(sim_setup):
@@ -150,10 +155,10 @@ def test_oversample_self_convergence():
     b2 = simulate_data(spec, system, oversample=2)
     b4 = simulate_data(spec, system, oversample=4)
     worst14 = max(
-        weighted_l1(x.values, y.values, sino.sample_weight) for x, y in zip(b1, b4)
+        weighted_l1(x, y, sino.sample_weight) for x, y in zip(b1, b4)
     )
     worst24 = max(
-        weighted_l1(x.values, y.values, sino.sample_weight) for x, y in zip(b2, b4)
+        weighted_l1(x, y, sino.sample_weight) for x, y in zip(b2, b4)
     )
     assert worst14 <= 0.02
     assert worst24 <= 0.01
@@ -162,11 +167,15 @@ def test_oversample_self_convergence():
 def test_reblock_matches_direct_simulation(sim_setup):
     spec, grid, sino, system = sim_setup
     base = simulate_clean_base(spec, grid, sino.n_angles, sino.n_r, 1, oversample=2)
+    assert base.shape == (sino.n_angles, sino.n_r + 1)
+    # unit mass under the sample weight of the unsplit (single-block) grid
+    assert_unit_blocks([base], SinogramGrid(1, sino.n_angles, sino.n_r).sample_weight)
     blocks = reblock(base, sino)
+    assert_unit_blocks(blocks, sino.sample_weight)
     direct = simulate_data(spec, system, oversample=2)
     for a, b in zip(blocks, direct):
-        npt.assert_allclose(a.values, b.values, rtol=1e-12, atol=1e-15)
-    with pytest.raises(ValueError, match="single-block"):
+        npt.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+    with pytest.raises(ValueError, match="match"):
         reblock(blocks[0], sino)
     with pytest.raises(ValueError, match="match"):
         reblock(base, SinogramGrid(n_blocks=4, n_phi=16, n_r=32))
@@ -177,7 +186,7 @@ def test_consistent_data_is_exact_forward(sim_setup):
     x_star = render_phantom(spec, grid)
     data = consistent_data(x_star, system)
     for j, y in enumerate(data):
-        npt.assert_array_equal(y, system.forward(x_star.values, j))
+        npt.assert_array_equal(y, system.forward(x_star, j))
 
 
 # ---------------------------------------------------------------------------
@@ -200,40 +209,47 @@ def clean_blocks(sim_setup):
 
 
 def test_noise_is_deterministic_per_seed(clean_blocks):
-    a, _ = add_poisson_noise(clean_blocks, NoiseSpec(level=0.05, seed=42))
-    b, _ = add_poisson_noise(clean_blocks, NoiseSpec(level=0.05, seed=42))
+    a, _ = add_poisson_noise(clean_blocks, W, NoiseSpec(level=0.05, seed=42))
+    b, _ = add_poisson_noise(clean_blocks, W, NoiseSpec(level=0.05, seed=42))
     for x, y in zip(a, b):
-        assert np.array_equal(x.values, y.values)
-    c, _ = add_poisson_noise(clean_blocks, NoiseSpec(level=0.05, seed=43))
-    assert not np.array_equal(a[0].values, c[0].values)
+        assert np.array_equal(x, y)
+    c, _ = add_poisson_noise(clean_blocks, W, NoiseSpec(level=0.05, seed=43))
+    assert not np.array_equal(a[0], c[0])
 
 
 def test_noise_hits_target_window(clean_blocks):
     for seed in (0, 1, 2):
-        _, info = add_poisson_noise(clean_blocks, NoiseSpec(level=0.05, seed=seed))
+        _, info = add_poisson_noise(clean_blocks, W, NoiseSpec(level=0.05, seed=seed))
         assert 0.045 <= info["aggregate_error"] <= 0.055
         assert info["algorithm"] == "numpy-philox"
 
 
-def test_noise_blocks_stay_normalized(clean_blocks):
-    noisy, _ = add_poisson_noise(clean_blocks, NoiseSpec(level=0.05, seed=7))
-    for b in noisy:
-        assert b.mass == pytest.approx(1.0, abs=1e-9)
-    assert np.all(realized_deltas(clean_blocks, noisy) > 0.0)
+def test_noise_blocks_stay_normalized(sim_setup, clean_blocks):
+    noisy, _ = add_poisson_noise(clean_blocks, W, NoiseSpec(level=0.05, seed=7))
+    assert_unit_blocks(noisy, W)
+    assert np.all(realized_deltas(clean_blocks, noisy, W) > 0.0)
+    # the unsplit data of compare mode, under the single-block grid's weight
+    spec, grid, sino, _ = sim_setup
+    base = simulate_clean_base(spec, grid, sino.n_angles, sino.n_r, 1, oversample=2)
+    w = SinogramGrid(1, sino.n_angles, sino.n_r).sample_weight
+    (noisy_base,), _ = add_poisson_noise([base], w, NoiseSpec(level=0.05, seed=7))
+    assert_unit_blocks([noisy_base], w)
+    assert_unit_blocks(reblock(noisy_base, sino), W)
 
 
 def test_large_counts_scale_means_tiny_noise(clean_blocks):
     noisy, info = add_poisson_noise(
-        clean_blocks, NoiseSpec(level=0.05, counts_scale=1e8, seed=0)
+        clean_blocks, W, NoiseSpec(level=0.05, counts_scale=1e8, seed=0)
     )
     assert info["counts_scale"] == 1e8
-    assert np.all(realized_deltas(clean_blocks, noisy) <= 1e-3)
+    assert_unit_blocks(noisy, W)
+    assert np.all(realized_deltas(clean_blocks, noisy, W) <= 1e-3)
 
 
 def test_tiny_counts_scale_raises(clean_blocks):
     with pytest.raises(FloatingPointError, match="signal"):
         add_poisson_noise(
-            clean_blocks, NoiseSpec(level=0.05, counts_scale=1e-8, seed=0)
+            clean_blocks, W, NoiseSpec(level=0.05, counts_scale=1e-8, seed=0)
         )
 
 
@@ -244,17 +260,15 @@ def test_tiny_counts_scale_raises(clean_blocks):
 ])
 def test_undrawable_counts_scale_raises(clean_blocks, level, counts_scale):
     with pytest.raises(FloatingPointError, match="counts scale"):
-        add_poisson_noise(clean_blocks, NoiseSpec(level, counts_scale, seed=0))
+        add_poisson_noise(clean_blocks, W, NoiseSpec(level, counts_scale, seed=0))
 
 
 def test_realized_deltas_are_definitional(clean_blocks):
-    noisy, _ = add_poisson_noise(clean_blocks, NoiseSpec(level=0.05, seed=3))
-    w = clean_blocks[0].grid.sample_weight
-    expect = [
-        weighted_l1(c.values, n.values, w) for c, n in zip(clean_blocks, noisy)
-    ]
-    npt.assert_allclose(realized_deltas(clean_blocks, noisy, ord=1), expect, rtol=1e-15)
-    d2 = realized_deltas(clean_blocks, noisy, ord=2)
+    noisy, _ = add_poisson_noise(clean_blocks, W, NoiseSpec(level=0.05, seed=3))
+    expect = [weighted_l1(c, n, W) for c, n in zip(clean_blocks, noisy)]
+    npt.assert_allclose(realized_deltas(clean_blocks, noisy, W, ord=1), expect,
+                        rtol=1e-15)
+    d2 = realized_deltas(clean_blocks, noisy, W, ord=2)
     assert np.all(d2 > 0.0)
 
 
@@ -265,10 +279,10 @@ def test_realized_deltas_are_definitional(clean_blocks):
 def test_oracle_stopped_osem_picks_the_minimum(sim_setup, clean_blocks):
     spec, grid, sino, system = sim_setup
     x_star = render_phantom(spec, grid)
-    noisy, _ = add_poisson_noise(clean_blocks, NoiseSpec(level=0.05, seed=0))
-    data = system.shift_data([b.values for b in noisy])
-    x0 = uniform_density(grid).values
-    result = oracle_stopped_osem(x0, system, data, x_star.values, max_cycles=10)
+    noisy, _ = add_poisson_noise(clean_blocks, W, NoiseSpec(level=0.05, seed=0))
+    data = system.shift_data(noisy)
+    x0 = uniform_density(grid)
+    result = oracle_stopped_osem(x0, system, data, x_star, max_cycles=10)
     assert len(result.errors) == 11
     assert 1 <= result.best_cycle <= 10
     assert result.errors[result.best_cycle] == pytest.approx(
@@ -277,7 +291,7 @@ def test_oracle_stopped_osem_picks_the_minimum(sim_setup, clean_blocks):
     from losem.kl_core import kl_distance
 
     assert kl_distance(
-        x_star.values, result.values, system.node_weights
+        x_star, result.values, system.node_weights
     ) == pytest.approx(float(result.errors[result.best_cycle]), rel=1e-12)
 
 
@@ -286,14 +300,15 @@ def test_oracle_matches_one_uninterrupted_run(small_setup, two_disc_phantom):
     system, x_star = small_setup
     clean = simulate_data(two_disc_phantom, system, oversample=1)
     # at this noise level the best cycle (4) lies inside the run
-    noisy, _ = add_poisson_noise(clean, NoiseSpec(level=0.2, seed=1))
-    data = system.shift_data([b.values for b in noisy])
-    x0 = uniform_density(system.pixel_grid).values
-    oracle = oracle_stopped_osem(x0, system, data, x_star.values, max_cycles=8)
+    noisy, _ = add_poisson_noise(clean, system.sino_grid.sample_weight,
+                                 NoiseSpec(level=0.2, seed=1))
+    data = system.shift_data(noisy)
+    x0 = uniform_density(system.pixel_grid)
+    oracle = oracle_stopped_osem(x0, system, data, x_star, max_cycles=8)
     assert oracle.best_cycle < 8
-    _, trace = osem_run(x0, system, data, 8, x_star=x_star.values)
+    _, trace = osem_run(x0, system, data, 8, x_star=x_star)
     assert np.array_equal(oracle.errors, cycle_errors(trace))
     best, _ = osem_run(x0, system, data, oracle.best_cycle)
     assert np.array_equal(oracle.values, best)
     with pytest.raises(ValueError, match="data blocks"):
-        oracle_stopped_osem(x0, system, data[:-1], x_star.values, max_cycles=1)
+        oracle_stopped_osem(x0, system, data[:-1], x_star, max_cycles=1)

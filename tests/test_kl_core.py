@@ -7,11 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import load_matrix_csv
+from conftest import assert_density, load_matrix_csv
 from losem.kl_core import (
-    DensityGrid,
     PixelGrid,
-    SinogramBlock,
     SinogramGrid,
     kl_distance,
     kl_l1_bound_check,
@@ -61,27 +59,18 @@ def test_pixel_grid_validation():
         PixelGrid(10, 1.0)
 
 
-def test_density_grid_checks_mass_and_support():
+def test_normalize_rejects_negative_node_values():
     g = PixelGrid(8, 0.1)
-    vals = np.where(g.mask, 1.0, 0.0)
-    with pytest.raises(ValueError, match="mass"):
-        DensityGrid(g, vals)
-    d = DensityGrid.normalized(g, vals)
-    assert d.mass == pytest.approx(1.0, abs=1e-12)
-    bad = d.values.copy()
-    bad[0, 0] = 0.5  # outside the domain
-    with pytest.raises(ValueError, match="vanish"):
-        DensityGrid(g, bad)
     with pytest.raises(ValueError, match="negative"):
-        DensityGrid.normalized(g, np.where(g.mask, -1.0, 0.0))
+        normalize_to_simplex(np.where(g.mask, -1.0, 0.0), g.node_weights)
 
 
 def test_uniform_density_is_constant_inside():
     g = PixelGrid(16, 0.1)
     u = uniform_density(g)
-    inside = u.values[g.mask]
+    assert_density(u, g)
+    inside = u[g.mask]
     assert np.all(inside == inside[0])
-    assert np.all(u.values[~g.mask] == 0.0)
 
 
 def test_sinogram_grid_blocks_tile_the_circle():
@@ -96,16 +85,6 @@ def test_sinogram_grid_blocks_tile_the_circle():
     assert sg.radii[0] == 0.0 and sg.radii[-1] == 2.0
     with pytest.raises(ValueError):
         sg.block_angles(4)
-
-
-def test_sinogram_block_normalization_flag():
-    sg = SinogramGrid(n_blocks=2, n_phi=2, n_r=4)
-    ones = np.ones(sg.block_shape)
-    with pytest.raises(ValueError, match="mass"):
-        SinogramBlock(sg, 0, ones)
-    ok = ones / (ones.sum() * sg.sample_weight)
-    b = SinogramBlock(sg, 1, ok)
-    assert b.mass == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

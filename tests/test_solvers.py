@@ -10,16 +10,17 @@ from conftest import MatrixSystem, cycle_errors
 from losem.cli import _pairing_defect
 from losem.experiment import consistent_data
 from losem.kl_core import (
-    DensityGrid,
     PixelGrid,
     SinogramGrid,
     kl_distance,
+    normalize_to_simplex,
     save_key_values,
     uniform_density,
 )
 from losem.operators import RadonSystem
 from losem.solvers import (
     SolverConfig,
+    block_residuals,
     em_step,
     loping_osem_run,
     osem_run,
@@ -91,9 +92,9 @@ def test_em_step_degenerate_mass_raises(identity_system):
 def test_osem_trace_shape_and_monotone_error(small_setup):
     system, x_star = small_setup
     data = consistent_data(x_star, system)
-    x0 = uniform_density(system.pixel_grid).values
+    x0 = uniform_density(system.pixel_grid)
     vals, trace = osem_run(
-        x0, system, data, cycles=6, x_star=x_star.values, audit=True
+        x0, system, data, cycles=6, x_star=x_star, audit=True
     )
     assert len(trace) == 6 * system.n_blocks
     assert trace.n_cycles == 6
@@ -112,8 +113,8 @@ def test_osem_trace_shape_and_monotone_error(small_setup):
 def test_trace_csv_format(small_setup, tmp_path):
     system, x_star = small_setup
     data = consistent_data(x_star, system)
-    x0 = uniform_density(system.pixel_grid).values
-    _, trace = osem_run(x0, system, data, cycles=2, x_star=x_star.values)
+    x0 = uniform_density(system.pixel_grid)
+    _, trace = osem_run(x0, system, data, cycles=2, x_star=x_star)
     path = tmp_path / "trace.csv"
     trace.write_csv(path)
     lines = path.read_text().splitlines()
@@ -128,9 +129,9 @@ def test_trace_csv_rows_are_the_trace_columns(small_setup, tmp_path):
     system, x_star = small_setup
     N = system.n_blocks
     data = consistent_data(x_star, system)
-    x0 = uniform_density(system.pixel_grid).values
+    x0 = uniform_density(system.pixel_grid)
     cfg = SolverConfig(tau=1.5, gamma=0.5, delta=np.full(N, 0.05), max_cycles=50)
-    _, trace, _ = loping_osem_run(x0, system, data, cfg, x_star=x_star.values)
+    _, trace, _ = loping_osem_run(x0, system, data, cfg, x_star=x_star)
     assert any(trace.performed) and not all(trace.performed)
     path = tmp_path / "trace.csv"
     trace.write_csv(path)
@@ -148,7 +149,7 @@ def test_trace_csv_rows_are_the_trace_columns(small_setup, tmp_path):
 def test_delta_zero_loping_is_bitwise_osem(small_setup):
     system, x_star = small_setup
     data = consistent_data(x_star, system)
-    x0 = uniform_density(system.pixel_grid).values
+    x0 = uniform_density(system.pixel_grid)
     v_ref, _ = osem_run(x0, system, data, cycles=4)
     cfg = SolverConfig(delta=np.zeros(system.n_blocks), max_cycles=4)
     v_lop, trace, report = loping_osem_run(x0, system, data, cfg)
@@ -168,7 +169,7 @@ def test_single_block_osem_is_bitwise_em(small_setup, two_disc_phantom):
     system = RadonSystem(grid, sino, lam=0.01, K=1)
     x_star = render_phantom(two_disc_phantom, grid)
     data = consistent_data(x_star, system)
-    x0 = uniform_density(grid).values
+    x0 = uniform_density(grid)
     v_run, _ = osem_run(x0, system, data, cycles=3)
     x = x0
     for _ in range(3):
@@ -180,12 +181,12 @@ def test_loping_stops_and_reports(small_setup, tmp_path):
     system, x_star = small_setup
     N = system.n_blocks
     data = consistent_data(x_star, system)
-    x0 = uniform_density(system.pixel_grid).values
+    x0 = uniform_density(system.pixel_grid)
     # pretend noise bounds large enough that loping kicks in quickly
     delta = np.full(N, 0.05)
     cfg = SolverConfig(tau=1.5, gamma=0.5, delta=delta, max_cycles=50)
     vals, trace, report = loping_osem_run(
-        x0, system, data, cfg, x_star=x_star.values
+        x0, system, data, cfg, x_star=x_star
     )
     assert report.stopped_by_rule
     assert report.k_star is not None and report.k_star % N == 0
@@ -209,7 +210,7 @@ def test_loping_stops_and_reports(small_setup, tmp_path):
 def test_delta_needs_one_entry_per_block(small_setup, n_deltas):
     system, x_star = small_setup
     data = consistent_data(x_star, system)
-    x0 = uniform_density(system.pixel_grid).values
+    x0 = uniform_density(system.pixel_grid)
     cfg = SolverConfig(gamma=0.05, delta=np.full(n_deltas, 0.01))
     with pytest.raises(ValueError, match="one entry per block"):
         loping_osem_run(x0, system, data, cfg)
@@ -219,7 +220,7 @@ def test_loping_skips_do_not_change_the_iterate(small_setup):
     system, x_star = small_setup
     N = system.n_blocks
     data = consistent_data(x_star, system)
-    x0 = uniform_density(system.pixel_grid).values
+    x0 = uniform_density(system.pixel_grid)
     cfg = SolverConfig(tau=1.5, gamma=0.5, delta=np.full(N, 0.05), max_cycles=50)
     _, trace, report = loping_osem_run(x0, system, data, cfg)
     performed = np.asarray(trace.performed)
@@ -234,7 +235,7 @@ def test_loping_max_cycles_sentinel(small_setup, tmp_path):
     system, x_star = small_setup
     N = system.n_blocks
     data = consistent_data(x_star, system)
-    x0 = uniform_density(system.pixel_grid).values
+    x0 = uniform_density(system.pixel_grid)
     # thresholds far below reach: the rule never fires before the cap
     cfg = SolverConfig(tau=1.5, gamma=1e-9, delta=np.full(N, 1e-9), max_cycles=3)
     _, trace, report = loping_osem_run(x0, system, data, cfg)
@@ -249,10 +250,10 @@ def test_l2_condition_far_vs_near(small_setup):
     system, x_star = small_setup
     N = system.n_blocks
     data = consistent_data(x_star, system)
-    x0 = uniform_density(system.pixel_grid).values
+    x0 = uniform_density(system.pixel_grid)
     cfg = SolverConfig(tau=1.5, delta=np.full(N, 0.01), max_cycles=3)
     # at the solution the residuals vanish, so the first cycle is skipped
-    _, trace, report = loping_osem_run(x_star.values, system, data, cfg)
+    _, trace, report = loping_osem_run(x_star, system, data, cfg)
     assert not any(trace.performed) and report.k_star == 0
     # far from the solution the residual dominates the threshold
     _, trace, _ = loping_osem_run(x0, system, data, cfg)
@@ -263,14 +264,49 @@ def test_l2_mode_full_run(small_setup):
     system, x_star = small_setup
     N = system.n_blocks
     data = consistent_data(x_star, system)
-    x0 = uniform_density(system.pixel_grid).values
+    x0 = uniform_density(system.pixel_grid)
     cfg = SolverConfig(tau=1.5, delta=np.full(N, 0.02), max_cycles=50)
     vals, trace, report = loping_osem_run(
-        x0, system, data, cfg, x_star=x_star.values
+        x0, system, data, cfg, x_star=x_star
     )
     assert report.stopped_by_rule
     assert report.gamma is None
     assert np.all(report.final_residuals <= report.thresholds + 1e-15)
+
+
+class CountingSystem:
+    """A system that counts its ``forward`` calls and passes everything
+    else through."""
+
+    def __init__(self, system):
+        self.system = system
+        self.forward_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.system, name)
+
+    def forward(self, x, j):
+        self.forward_calls += 1
+        return self.system.forward(x, j)
+
+
+@pytest.mark.parametrize("gamma,delta", [(0.5, 0.05), (None, 0.02)],
+                         ids=["gamma", "adaptive"])
+def test_stopped_loping_reports_from_its_skipped_cycle(small_setup, gamma, delta):
+    # the fully skipped last cycle evaluated every block at the final
+    # iterate, so the report needs no forward beyond one per step
+    system, x_star = small_setup
+    N = system.n_blocks
+    data = consistent_data(x_star, system)
+    x0 = uniform_density(system.pixel_grid)
+    cfg = SolverConfig(tau=1.5, gamma=gamma, delta=np.full(N, delta), max_cycles=50)
+    counting = CountingSystem(system)
+    x, trace, report = loping_osem_run(x0, counting, data, cfg)
+    assert report.stopped_by_rule
+    assert counting.forward_calls == len(trace)
+    res, thr = block_residuals(x, system, data, cfg.tau, gamma, cfg.delta)
+    assert np.array_equal(report.final_residuals, res)
+    assert np.array_equal(report.thresholds, thr)
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +420,12 @@ def test_exact_data_descent_fails_on_a_coarse_radon_system_but_not_on_its_exact_
     idx = np.flatnonzero(grid.mask)
     raw = np.zeros(grid.shape)
     raw.ravel()[idx] = [0.11, 0.91, 0.49, 0.67, 0.61, 0.51, 0.78, 0.65, 0.61]
-    x_star = DensityGrid.normalized(grid, raw)
+    x_star = normalize_to_simplex(raw, grid.node_weights)
     data = consistent_data(x_star, system)
-    x0 = uniform_density(grid).values
+    x0 = uniform_density(grid)
     assert _pairing_defect(system, x0, data) == pytest.approx(0.15454051711199188,
                                                               rel=1e-9)
-    _, trace = osem_run(x0, system, data, 8, x_star=x_star.values)
+    _, trace = osem_run(x0, system, data, 8, x_star=x_star)
     errors = trace.errors()
     assert np.diff(errors).max() > 0.05 * errors[0]
 
@@ -403,7 +439,7 @@ def test_exact_data_descent_fails_on_a_coarse_radon_system_but_not_on_its_exact_
     dense = MatrixSystem(
         [np.stack([column(j, k) for k in idx], axis=1) for j in range(sino.n_blocks)],
         w, b)
-    xd = x_star.values.ravel()[idx]
+    xd = x_star.ravel()[idx]
     data = [dense.forward(xd, j) for j in range(sino.n_blocks)]
     _, trace = osem_run(np.ones(len(idx)) / w.sum(), dense, data, 8, x_star=xd)
     assert np.diff(trace.errors()).max() < 0.0
