@@ -4,7 +4,10 @@
 # volatile fields: the timestamp= and wall_seconds= lines of summary.txt
 # and the wall_seconds column of table.csv.  What `verify --seed 0` prints
 # on each config is kept as verify_<config>.txt and diffed with them.
-# Report only: the diff does not set the exit status.
+# After the diff comes one line per differing text file: how many of its
+# numbers differ, the largest relative difference among them, and whether
+# any word or integer field (k_star, cycles, stopped_by_rule, ...) differs.
+# Report only: neither the diff nor the summary sets the exit status.
 #
 #   sh .github/artifact_diff.sh BASE_REV WORK_DIR
 set -eu
@@ -43,3 +46,60 @@ for side in base head; do
   find "$work/$side" -name table.csv -exec sed -i -E 's/^([^,]*,[^,]*,[^,]*),[^,]*,/\1,,/' {} +
 done
 diff -r "$work/base" "$work/head" && echo "no differences" || true
+
+python - "$work/base" "$work/head" <<'PY' || echo "numeric summary failed (exit $?)"
+import math
+import os
+import re
+import sys
+
+base, head = sys.argv[1:]
+
+
+def fields(path):
+    # the tokens between separators; None for a file that is not text
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return re.findall(r"[^\s,=]+", fh.read())
+    except UnicodeDecodeError:
+        return None
+
+
+def as_float(token):
+    # a float field: it parses, and it is not an integer
+    if re.fullmatch(r"[+-]?\d+", token):
+        return None
+    try:
+        return float(token)
+    except ValueError:
+        return None
+
+
+print("numeric summary, one line per differing text file:")
+for root, _, names in sorted(os.walk(base)):
+    for name in sorted(names):
+        a_path = os.path.join(root, name)
+        rel = os.path.relpath(a_path, base)
+        b_path = os.path.join(head, rel)
+        if not os.path.exists(b_path):
+            continue
+        a, b = fields(a_path), fields(b_path)
+        if a is None or b is None or a == b:
+            continue
+        floats, moved, worst, other = 0, 0, 0.0, len(a) != len(b)
+        for x, y in zip(a, b):
+            fx, fy = as_float(x), as_float(y)
+            if fx is None or fy is None:
+                other |= x != y
+                continue
+            floats += 1
+            if x != y:
+                moved += 1
+                if fx != fy and not (math.isnan(fx) and math.isnan(fy)):
+                    d = abs(fx - fy) / max(abs(fx), abs(fy))
+                    # a move to or from inf or nan is an infinite difference
+                    worst = max(worst, d if d == d else math.inf)
+        print(f"{rel}: {moved} of {floats} numbers differ, largest relative "
+              f"difference {worst:.3g}; word and integer fields "
+              f"{'DIFFER' if other else 'equal'}")
+PY

@@ -201,7 +201,9 @@ def _check_pair(v, u, weights):
             raise ValueError(f"weights shape {w.shape} does not match {v.shape}")
     else:
         w = np.float64(1.0)
-    if np.any(v < 0.0) or np.any(u < 0.0):
+    # fmin skips nans, as the test v < 0 does, and needs no boolean array
+    if (np.fmin.reduce(v, axis=None, initial=0.0) < 0.0
+            or np.fmin.reduce(u, axis=None, initial=0.0) < 0.0):
         raise ValueError("kl arguments must be nonnegative")
     return v, u, w
 
@@ -215,11 +217,19 @@ def kl_distance(v, u, weights=None) -> float:
     """
     v, u, w = _check_pair(v, u, weights)
     pos = v > 0.0
-    if np.any(pos & (u == 0.0)):
+    inf_at = np.equal(u, 0.0)
+    inf_at &= pos
+    if inf_at.any():
         return math.inf
-    logterm = np.zeros_like(v)
-    np.log(np.divide(v, u, out=np.ones_like(v), where=pos), out=logterm, where=pos)
-    total = float(np.sum(w * (v * logterm - v + u)))
+    # one buffer, in the formula's order; log(1) = 0 where v = 0
+    buf = np.ones_like(v)
+    np.divide(v, u, out=buf, where=pos)
+    np.log(buf, out=buf)
+    buf *= v
+    buf -= v
+    buf += u
+    buf *= w
+    total = float(buf.sum())
     # tiny negative rounding residue is clipped; the functional is >= 0
     return max(total, 0.0)
 

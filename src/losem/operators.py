@@ -225,7 +225,11 @@ def _support(grid: PixelGrid, table: np.ndarray):
     # corner (0, 0) of cell row i*(n_t + 3) + j is node (i - 1, j - 1)
     i, j = np.divmod(np.flatnonzero(table[:, 0]), grid.n_t + 3)
     dist = np.hypot(grid.nodes.take(i - 1), grid.nodes.take(j - 1))
-    return table.any(axis=1), dist.max(initial=0.0) + math.sqrt(2.0) * grid.spacing
+    # four column tests, a fraction of the cost of table.any(axis=1)
+    nonzero = table[:, 0] != 0.0
+    for k in range(1, 4):
+        nonzero |= table[:, k] != 0.0
+    return nonzero, dist.max(initial=0.0) + math.sqrt(2.0) * grid.spacing
 
 
 def _circle_geometry(pixel_grid: PixelGrid, sino_grid: SinogramGrid,
@@ -445,11 +449,19 @@ class RadonBlockOperator:
         angles = sg.block_angles(self.j)
         cos, sin = np.cos(angles), np.sin(angles)
         # radial index and fraction from every detector center of the block
-        # to every domain node, built angle by angle in place
+        # to every domain node, built angle by angle in place; the distance
+        # is sqrt(dx*dx + dy*dy), which rounds alike on every IEEE platform
+        # and costs a fifth of libm's hypot
         lo = np.empty((sg.n_phi, len(idx)), dtype=np.intp)
         fr = np.empty((sg.n_phi, len(idx)))
+        dy = np.empty(len(idx))
         for a in range(sg.n_phi):
-            u = np.hypot(tx - cos[a], ty - sin[a], out=fr[a])
+            u = np.subtract(tx, cos[a], out=fr[a])
+            u *= u
+            np.subtract(ty, sin[a], out=dy)
+            dy *= dy
+            u += dy
+            np.sqrt(u, out=u)
             u *= sg.n_r / 2.0
             lo[a] = u  # truncation is the floor, since u >= 0
             u -= lo[a]

@@ -264,13 +264,15 @@ def _run_loop(x0, system, data, max_cycles, x_star, audit, tau, gamma, delta):
     res = np.empty(N)
     thr = np.empty(N)
     skipped = None
+    # the ground-truth error of the current iterate: a skipped step leaves
+    # the iterate, and so its error, as it was
+    err = math.nan if x_star is None else kl_distance(x_star, x, w_nodes)
     k = 0
     for _ in range(max_cycles):
         any_performed = False
         for j in range(N):
             fx = system.forward(x, j)
             res[j] = f = kl_distance(data[j], fx, w_block)
-            err = math.nan if x_star is None else kl_distance(x_star, x, w_nodes)
             if delta[j] != 0.0:
                 thr[j] = skip_threshold(tau, gamma, delta[j], data[j], fx, w_block)
             if delta[j] == 0.0 or f > thr[j]:
@@ -282,13 +284,14 @@ def _run_loop(x0, system, data, max_cycles, x_star, audit, tau, gamma, delta):
                     f_after = kl_distance(data[j], system.forward(x_new, j), w_block)
                 trace.append(k, j, True, f, step_kl, err, f_after, mass - 1.0)
                 x = x_new
+                err = math.nan if x_star is None else kl_distance(x_star, x, w_nodes)
             else:
                 trace.append(k, j, False, f, 0.0, err, f if audit else math.nan, 0.0)
             k += 1
         if not any_performed:
             skipped = res, thr
             break
-    trace.final_error = math.nan if x_star is None else kl_distance(x_star, x, w_nodes)
+    trace.final_error = err
     return x, trace, skipped
 
 

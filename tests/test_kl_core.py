@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -143,6 +144,62 @@ def test_l1_bound_pinned_example():
     u = np.array([0.5, 0.5])
     assert weighted_l1(v, u) ** 2 == pytest.approx(0.36, rel=1e-12)
     assert kl_l1_bound_check(v, u)
+
+
+def _reference_kl_distance(v, u, weights=None):
+    """The first form of kl_distance, kept as the reference: masks, a
+    temporary per operation, and the same formula in the same order."""
+    v = np.asarray(v, dtype=np.float64)
+    u = np.asarray(u, dtype=np.float64)
+    if v.shape != u.shape:
+        raise ValueError(f"shape mismatch: {v.shape} vs {u.shape}")
+    w = np.float64(1.0) if weights is None else np.asarray(weights, dtype=np.float64)
+    if w.ndim and w.shape != v.shape:
+        raise ValueError(f"weights shape {w.shape} does not match {v.shape}")
+    if np.any(v < 0.0) or np.any(u < 0.0):
+        raise ValueError("kl arguments must be nonnegative")
+    pos = v > 0.0
+    if np.any(pos & (u == 0.0)):
+        return math.inf
+    logterm = np.zeros_like(v)
+    np.log(np.divide(v, u, out=np.ones_like(v), where=pos), out=logterm, where=pos)
+    total = float(np.sum(w * (v * logterm - v + u)))
+    return max(total, 0.0)
+
+
+@st.composite
+def _kl_arguments(draw, elements):
+    """(v, u, weights) of one shape, weights None, a scalar or an array."""
+    shape = draw(st.sampled_from([(1,), (7,), (3, 4), (9, 10)]))
+    v = draw(arrays(np.float64, shape, elements=elements))
+    u = draw(arrays(np.float64, shape, elements=elements))
+    nonneg = st.floats(0.0, 10.0)
+    weights = draw(st.one_of(st.none(), nonneg, arrays(np.float64, shape, elements=nonneg)))
+    return v, u, weights
+
+
+_ZERO_OR_POSITIVE = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+
+
+@given(_kl_arguments(_ZERO_OR_POSITIVE))
+# v > 0 = u in one entry: inf, with a scalar weight
+@example((np.array([[0.0, 1.0], [0.5, 0.0]]), np.array([[0.0, 0.5], [0.0, 0.2]]), 2.0))
+@settings(max_examples=200, deadline=None)
+def test_kl_returns_the_reference_bits(args):
+    # zeros in v (0*log 0 = 0), in u (inf where v > 0) and in both
+    assert kl_distance(*args) == _reference_kl_distance(*args)
+
+
+@given(_kl_arguments(st.one_of(_ZERO_OR_POSITIVE, st.just(-0.5), st.just(math.nan))))
+@settings(max_examples=100, deadline=None)
+def test_kl_raises_where_the_reference_raises(args):
+    try:
+        expected = _reference_kl_distance(*args)
+    except ValueError as e:
+        with pytest.raises(ValueError, match=re.escape(str(e))):
+            kl_distance(*args)
+    else:
+        assert np.array_equal(kl_distance(*args), expected, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------

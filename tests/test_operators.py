@@ -1,3 +1,4 @@
+import importlib.resources
 import math
 import tracemalloc
 
@@ -8,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from losem import operators
+from losem.config import load_config
 from losem.kl_core import (ConfigError, PixelGrid, SinogramGrid, normalize_to_simplex,
                            uniform_density)
 from losem.operators import (
@@ -216,6 +218,39 @@ def test_backprojection_matches_interp_reference(n_t, n_blocks, n_phi, K):
                             rtol=1e-13, atol=0.0)
 
 
+def _hypot_adjoint_plan(op: RadonBlockOperator):
+    """Reference radial index and fraction of the backprojection plan, with
+    each node-to-detector distance from np.hypot."""
+    grid, sg = op.pixel_grid, op.sino_grid
+    idx = np.flatnonzero(grid.mask.ravel())
+    tx = grid.nodes[idx // (grid.n_t + 1)]
+    ty = grid.nodes[idx % (grid.n_t + 1)]
+    angles = sg.block_angles(op.j)[:, None]
+    u = np.hypot(tx - np.cos(angles), ty - np.sin(angles)) * (sg.n_r / 2.0)
+    lo = np.floor(u).astype(np.intp)
+    return lo + np.arange(sg.n_phi)[:, None] * (sg.n_r + 2), u - lo
+
+
+@pytest.mark.parametrize("name", ["exact_em_64.cfg", "loping_n10.cfg",
+                                  "compare_table.cfg"])
+def test_adjoint_plan_matches_a_hypot_plan_on_the_bundled_configs(name):
+    # sqrt(dx*dx + dy*dy) and hypot round apart by an ulp.  Where a distance
+    # is a whole number of sample spacings (the centre node lies at 1 from
+    # every detector, and cos^2 + sin^2 may round below 1) the index can
+    # move by one with the fraction going from 0 to 1 or back: the radial
+    # coordinate, index plus fraction, is what must agree
+    cfg = load_config(importlib.resources.files("losem") / "configs" / name)
+    for N in cfg.compare_subsets or (cfg.n_blocks,):
+        for op in cfg.build_system(N).ops:
+            sg = op.sino_grid
+            row = np.arange(sg.n_phi)[:, None] * (sg.n_r + 2)
+            _, lo, fr = op._adjoint_plan
+            ref_lo, ref_fr = _hypot_adjoint_plan(op)
+            assert np.all((lo >= row) & (lo - row <= sg.n_r))
+            npt.assert_allclose(lo - row + fr, ref_lo - row + ref_fr,
+                                rtol=0.0, atol=1e-12)
+
+
 def _dense_kernel_sup(op: RadonBlockOperator) -> float:
     """Reference kernel sup: each angle's row entries bincounted into a
     dense (samples, padded node) array, divided by the cell measure,
@@ -409,6 +444,7 @@ def test_streamed_rows_hold_the_support_of_the_density(n_t, n_r, n_blocks, n_phi
     x = _sparse_density(grid, kind, draw, seed)
     table = operators._corner_table(grid, x)
     geometry = operators._circle_geometry(grid, sino, table)
+    assert np.array_equal(geometry[1], table.any(axis=1))
     points = geometry[0]
     every_point = np.arange(len(points[2]))
     for j in range(n_blocks):

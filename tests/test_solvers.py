@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MatrixSystem, cycle_errors
+from losem import solvers
 from losem.cli import _pairing_defect
 from losem.experiment import consistent_data
 from losem.kl_core import (
@@ -275,24 +276,27 @@ def test_l2_mode_full_run(small_setup):
 
 
 class CountingSystem:
-    """A system that counts its ``forward`` calls and passes everything
-    else through."""
+    """A system that counts its ``forward`` calls, keeps a copy of each
+    iterate it projects, and passes everything else through."""
 
     def __init__(self, system):
         self.system = system
         self.forward_calls = 0
+        self.iterates = []
 
     def __getattr__(self, name):
         return getattr(self.system, name)
 
     def forward(self, x, j):
         self.forward_calls += 1
+        self.iterates.append(x.copy())
         return self.system.forward(x, j)
 
 
 @pytest.mark.parametrize("gamma,delta", [(0.5, 0.05), (None, 0.02)],
                          ids=["gamma", "adaptive"])
-def test_stopped_loping_reports_from_its_skipped_cycle(small_setup, gamma, delta):
+def test_stopped_loping_reports_from_its_skipped_cycle(small_setup, gamma, delta,
+                                                       monkeypatch):
     # the fully skipped last cycle evaluated every block at the final
     # iterate, so the report needs no forward beyond one per step
     system, x_star = small_setup
@@ -301,9 +305,24 @@ def test_stopped_loping_reports_from_its_skipped_cycle(small_setup, gamma, delta
     x0 = uniform_density(system.pixel_grid)
     cfg = SolverConfig(tau=1.5, gamma=gamma, delta=np.full(N, delta), max_cycles=50)
     counting = CountingSystem(system)
-    x, trace, report = loping_osem_run(x0, counting, data, cfg)
+    grid_kl_calls = 0
+
+    def counting_kl(v, u, weights=None):
+        nonlocal grid_kl_calls
+        grid_kl_calls += np.shape(v) == system.pixel_grid.shape
+        return kl_distance(v, u, weights)
+
+    monkeypatch.setattr(solvers, "kl_distance", counting_kl)
+    x, trace, report = loping_osem_run(x0, counting, data, cfg, x_star=x_star)
     assert report.stopped_by_rule
     assert counting.forward_calls == len(trace)
+    # a skipped step leaves the iterate, so its error is not computed again:
+    # one error per iterate and one step distance per performed step
+    assert grid_kl_calls == 1 + 2 * sum(trace.performed)
+    # the trace is the one with the error computed at every step, bit for bit
+    w = system.node_weights
+    assert trace.error_kl == [kl_distance(x_star, it, w) for it in counting.iterates]
+    assert trace.final_error == kl_distance(x_star, x, w)
     res, thr = block_residuals(x, system, data, cfg.tau, gamma, cfg.delta)
     assert np.array_equal(report.final_residuals, res)
     assert np.array_equal(report.thresholds, thr)
