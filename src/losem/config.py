@@ -308,12 +308,13 @@ def _validate(cfg: RunConfig, path: str) -> None:
             bad(f"the sinogram's {samples} samples and the up to {points} circle "
                 f"points of the n_t = {n_t} grid must each stay within max_sim_nodes "
                 f"= {cfg.max_sim_nodes}; lower n_angle, n_r or n_t, or raise the cap")
-        # and the points a system's cached forward rows hold
-        rows = _row_point_bound(cfg.pixel_grid(), cfg.sino_grid())
+        # and the entries the cached forward rows of each system run builds hold
+        rows = max(_row_point_bound(cfg.pixel_grid(), cfg.sino_grid(N))
+                   for N in subsets or (cfg.n_blocks,))
         if rows > cfg.max_sim_nodes:
-            bad(f"the cached forward rows of a system hold up to {rows} points, more "
-                f"than max_sim_nodes = {cfg.max_sim_nodes}; lower n_angle, n_r or "
-                "n_t, or raise the cap")
+            bad(f"the cached forward rows of a system hold {rows} entries, padding "
+                f"included, more than max_sim_nodes = {cfg.max_sim_nodes}; lower "
+                "n_angle, n_r or n_t, or raise the cap")
         cfg.solver_config(cfg.gamma if explicit else None)
     except ValueError as e:
         bad(str(e))

@@ -23,18 +23,21 @@ The quadrature of one angle is stored as sparse rows: the cell of each
 circle point with a bilinear corner on a support and its four weights
 (circle weight) * (bilinear weight).  The operators of a system share
 the disc domain's circle geometry, and each builds its rows of the
-domain once and keeps them; an operator made without one, such as the
-simulation's, streams at every call the rows of the domain nodes where
-the projected density is nonzero: a point whose corners are all zero
-adds an exact zero, so dropping it changes only how the sums are
-grouped.  A kept point lies within sqrt(2)*h (node spacing h) of a
-support node, so within the support's largest origin distance plus
+domain once and keeps them in chunks, one per band of radii over all
+the block's angles, each row padded to its band's cap by entries of
+weight zero on a cell whose corners are zero; an operator made without
+one, such as the simulation's, streams at every call the rows of the
+domain nodes where the projected density is nonzero: a point whose
+corners are all zero adds an exact zero, so dropping it changes only how
+the sums are grouped.  A kept point lies within sqrt(2)*h (node spacing
+h) of a support node, so within the support's largest origin distance plus
 sqrt(2)*h of the origin, and on each circle only one arc, opposite the
 detector, can hold it: the rows are built from the points of these arcs,
 at most two index ranges per radius, and the cell test picks the points
 kept.  ``forward_raw`` reads each cell's corners from a table of the
-density's values on the domain, padded by zeros, one gather and one
-segment sum per angle; node values off the domain are never read.  The
+density's values on the domain, padded by zeros: per chunk, one gather
+and one dot per row, and per angle of a streamed operator, one gather
+and one segment sum; node values off the domain are never read.  The
 backprojection plan is angle-major, one row of radial indices and
 fractions per angle, built and accumulated angle by angle; the shifted
 system's adjoint adds its shift on the domain nodes only.
@@ -185,17 +188,53 @@ def _domain_reach(pixel_grid: PixelGrid) -> float:
     return math.sqrt(float(d2[k > 0].max())) + math.sqrt(2.0) * pixel_grid.spacing
 
 
-def _row_point_bound(pixel_grid: PixelGrid, sino_grid: SinogramGrid) -> int:
-    """A bound, in O(n_r + n_t log n_t), on the points the cached rows of a system
-    on these grids hold.  Per angle, the kept points of radius i lie on the
-    arc within the domain's reach, half - 1 points each way of its centre
-    (see :func:`_arc_half_widths`), so they number at most min(count_i,
-    floor(2*half_i)), one point of slack for rounding included."""
+# the cached forward rows of a block are kept in chunks, one per band of
+# radii over all the block's angles, each row padded to the band's cap.  A
+# band grows while its chunk holds at most _CHUNK_POINTS entries and its
+# padding beyond the caps of its own radii stays within _PAD_SHARE of them.
+# Measured on one block of exact_em_64.cfg and of compare_table.cfg at
+# N = 10 and 20, chunks of 4096 and 8192 entries run alike, and unlimited
+# padding runs the N = 20 forward about 14% faster with 5.6% more entries;
+# the share bounds what padding adds to the rows' memory and to the count
+# that max_sim_nodes caps (on a 2 x 2 grid with one angle per block,
+# unlimited padding stores 128 entries for 43 points, this rule 96)
+_CHUNK_POINTS = 4096
+_PAD_SHARE = 0.125
+
+
+def _row_bands(pixel_grid: PixelGrid, sino_grid: SinogramGrid):
+    """The bands ``(s0, s1, cap)`` of samples s0 <= s < s1 whose cached rows
+    form one chunk, each padded to ``cap`` entries, in O(n_r + n_t log n_t).
+    Per angle, the kept points of radius i lie on the arc within the
+    domain's reach, half - 1 points each way of its centre (see
+    :func:`_arc_half_widths`), so they number at most min(count_i,
+    floor(2*half_i)), one point of slack for rounding included; a band's
+    cap is the largest of its radii's."""
     r = sino_grid.radii[1:]
     counts = _circle_counts(pixel_grid.n_t, r)
     half = _arc_half_widths(counts, r, _domain_reach(pixel_grid))
-    per_angle = np.minimum(counts, np.floor(2.0 * half).astype(np.int64))
-    return sino_grid.n_angles * int(per_angle.sum())
+    caps = np.minimum(counts, np.floor(2.0 * half).astype(np.int64)).tolist()
+    bands = []
+    s0 = 1
+    while s0 <= len(caps):
+        s1, cap, own = s0 + 1, caps[s0 - 1], caps[s0 - 1]
+        while s1 <= len(caps):
+            c = caps[s1 - 1]
+            size = (s1 + 1 - s0) * max(cap, c)
+            if (sino_grid.n_phi * size > _CHUNK_POINTS
+                    or size > (1.0 + _PAD_SHARE) * (own + c)):
+                break
+            s1, cap, own = s1 + 1, max(cap, c), own + c
+        bands.append((s0, s1, cap))
+        s0 = s1
+    return bands
+
+
+def _row_point_bound(pixel_grid: PixelGrid, sino_grid: SinogramGrid) -> int:
+    """The entries, padding included, the cached rows of a system on these
+    grids hold: every block's chunks of :func:`_row_bands`."""
+    bands = _row_bands(pixel_grid, sino_grid)
+    return sino_grid.n_angles * sum((s1 - s0) * cap for s0, s1, cap in bands)
 
 
 def _circle_point_bound(n_t: int, n_r: int) -> int:
@@ -247,6 +286,29 @@ def _sum_by_key(keys: np.ndarray, values: np.ndarray):
     return keys, np.bincount(inverse, values, minlength=len(keys))
 
 
+def _shift_sums(keys: np.ndarray, vals: np.ndarray, n_samples: int, shifts):
+    """The sums of ``vals`` at the ascending keys node*n_samples + sample
+    shifted along the sample as :func:`smooth_radial` shifts them: each
+    value lands at sample - d at weight w_d, for the ``(d, w_d)`` of
+    ``shifts`` (ascending d, a run of integers), where that stays within
+    [0, n_samples).  The output keys are the merged runs each key reaches,
+    and the shifts add into them in turn, as ``smooth_radial`` adds them."""
+    s = keys % n_samples
+    # key k reaches the keys [lo, hi), both nondecreasing in k
+    lo = keys - np.minimum(s, shifts[-1][0])
+    hi = keys + np.minimum(n_samples - 1 - s, -shifts[0][0]) + 1
+    head = np.flatnonzero(np.concatenate([[True], lo[1:] > hi[:-1]]))
+    tail = np.append(head[1:], len(keys)) - 1
+    sizes = hi[tail] - lo[head]
+    out_keys = np.arange(sizes.sum()) + np.repeat(lo[head] - np.cumsum(sizes) + sizes,
+                                                  sizes)
+    out = np.zeros(len(out_keys))
+    for d, wd in shifts:
+        m = (s >= d) & (s - d < n_samples)
+        out[np.searchsorted(out_keys, keys[m] - d)] += wd * vals[m]
+    return out_keys, out
+
+
 class RadonBlockOperator:
     """Circular means and backprojection restricted to one angular block.
 
@@ -257,9 +319,10 @@ class RadonBlockOperator:
     shared by all angles: a cell of the zero-padded corner table and four
     weights per quadrature point.  An operator given ``geometry``, the
     domain's circle geometry its system shares, builds that geometry's rows
-    at the first call and keeps them; one given none streams, angle by
-    angle, the rows of the support of each density it projects.  The
-    backprojection indices are built at the first call and kept.
+    at the first call and keeps them in padded chunks; one given none
+    streams, angle by angle, the rows of the support of each density it
+    projects.  The backprojection indices are built at the first call and
+    kept.
     """
 
     def __init__(
@@ -280,7 +343,7 @@ class RadonBlockOperator:
         self.j = j
         self.kernel = kernel
         self._geometry = geometry
-        self._fwd_rows = None
+        self._chunks = None
 
     # -- forward ------------------------------------------------------------
 
@@ -313,9 +376,9 @@ class RadonBlockOperator:
     def _angle_rows(self, phi: float, geometry, cand: np.ndarray):
         """Sparse rows of the angle ``phi`` from the ascending circle point
         indices ``cand`` of ``geometry`` (see :func:`_circle_geometry`): the
-        samples that have entries, the start of each one's segment, and the
         corner-table cell and the four corner weights of every candidate
-        point in a cell that passes the geometry's cell test."""
+        point in a cell that passes the geometry's cell test, radius by
+        radius, and the index of each radius's first point among them."""
         n_t = self.pixel_grid.n_t
         (offx, offy, coef, first), on_support, _ = geometry
         ux = (math.cos(phi) + offx.take(cand) + 1.0) * (n_t / 2.0)
@@ -340,11 +403,7 @@ class RadonBlockOperator:
         w = np.empty((len(kept), 4))
         for k, (a, b) in enumerate(_CORNERS):
             np.multiply(wx[a], wy[b], out=w[:, k])
-        # segment bounds per sample; empty rows (circles that miss the
-        # support) stay out of reduceat
-        bounds = np.searchsorted(kept, first)
-        rows = np.flatnonzero(np.diff(bounds, append=len(kept)))
-        return rows + 1, 4 * bounds[rows], cells[near], w
+        return np.searchsorted(kept, first), cells[near], w
 
     def _rows(self, geometry):
         """Sparse rows of every block angle, built from the points on the
@@ -354,16 +413,54 @@ class RadonBlockOperator:
         return (self._angle_rows(phi, geometry, cand)
                 for phi, cand in zip(angles, self._arcs(geometry, angles)))
 
-    def _domain_rows(self):
-        """The rows of the disc domain: built at the first call and kept by
-        an operator given its system's geometry, streamed by one given none."""
+    def _pack(self, geometry):
+        """The rows of ``geometry`` (see :func:`_circle_geometry`) as chunks
+        ``(s0, s1, cells, w)``, one per band of :func:`_row_bands`: per
+        angle and sample, the cells (n_phi, s1 - s0, cap) and the corner
+        weights (n_phi, s1 - s0, 4*cap) of its kept points, then pad
+        entries, the corner table's last cell, which lies in the zero ring,
+        at weight zero.  The points are written into their place angle by
+        angle as the rows are built."""
+        n_phi = self.sino_grid.n_phi
+        bands = _row_bands(self.pixel_grid, self.sino_grid)
+        lo, hi, caps = np.array(bands).T
+        sizes = n_phi * (hi - lo) * caps
+        ends = np.cumsum(sizes)
+        # per sample s >= 1: the cap of its band, the entry of its row at
+        # angle 0, and the entries between the rows of two angles
+        band = np.repeat(np.arange(len(bands)), hi - lo)
+        cap = caps[band]
+        row0 = (ends - sizes)[band] + (np.arange(1, len(band) + 1) - lo[band]) * cap
+        stride = (sizes // n_phi)[band]
+        cells = np.full(ends[-1], (self.pixel_grid.n_t + 3) ** 2 - 1, dtype=np.intp)
+        w = np.zeros((ends[-1], 4))
+        # a point's four weights as one 32-byte item: np.put copies them at a
+        # fifth of the cost of a row-indexed assignment
+        item = np.dtype((np.void, w.strides[0]))
+        w_items = w.view(item).ravel()
+        for a, (start, c, wa) in enumerate(self._rows(geometry)):
+            n = np.diff(start, append=len(c))
+            if np.any(n > cap):
+                raise AssertionError("a forward row holds more points than its cap")
+            dest = np.repeat(row0 + a * stride - start, n)
+            dest += np.arange(len(c))
+            cells[dest] = c
+            np.put(w_items, dest, wa.view(item).ravel())
+        return [(s0, s1, cells[e - size : e].reshape(n_phi, s1 - s0, -1),
+                 w[e - size : e].reshape(n_phi, s1 - s0, -1))
+                for (s0, s1, _), size, e in zip(bands, sizes, ends)]
+
+    def _domain_chunks(self):
+        """The chunks of the disc domain's rows (see :meth:`_pack`): packed at
+        the first call and kept by an operator given its system's geometry,
+        packed anew by one given none."""
         if self._geometry is None:
             grid = self.pixel_grid
             table = _corner_table(grid, grid.mask)
-            return self._rows(_circle_geometry(grid, self.sino_grid, table))
-        if self._fwd_rows is None:
-            self._fwd_rows = list(self._rows(self._geometry))
-        return self._fwd_rows
+            return self._pack(_circle_geometry(grid, self.sino_grid, table))
+        if self._chunks is None:
+            self._chunks = self._pack(self._geometry)
+        return self._chunks
 
     def forward_raw(self, x: np.ndarray) -> np.ndarray:
         """Circular means of the density array on the block samples; the
@@ -372,20 +469,27 @@ class RadonBlockOperator:
         if x.shape != self.pixel_grid.shape:
             raise ValueError(f"density shape {x.shape} does not match grid")
         grid = self.pixel_grid
+        out = np.zeros(self.sino_grid.block_shape)
         if self._geometry is None:
             # rows of the support of this density only
             table = _corner_table(grid, x)
             angle_rows = self._rows(_circle_geometry(grid, self.sino_grid, table))
-        else:
-            # the rows before the table: with the table first, the peak RSS
-            # of a compare_table.cfg run reads 1% higher (heap layout; the
-            # bytes alive are the same)
-            angle_rows, table = self._domain_rows(), _corner_table(grid, x)
-        out = np.zeros(self.sino_grid.block_shape)
-        for a, (rows, starts, cells, w) in enumerate(angle_rows):
+            for a, (first, cells, w) in enumerate(angle_rows):
+                vals = table.take(cells, axis=0)
+                vals *= w
+                # empty rows (circles that miss the support) stay out of
+                # reduceat
+                rows = np.flatnonzero(np.diff(first, append=len(cells)))
+                out[a, rows + 1] = np.add.reduceat(vals.ravel(), 4 * first[rows])
+            return out
+        # the rows before the table: with the table first, the peak RSS
+        # of a compare_table.cfg run reads 1% higher (heap layout; the
+        # bytes alive are the same)
+        chunks, table = self._domain_chunks(), _corner_table(grid, x)
+        for s0, s1, cells, w in chunks:
+            # one dot per (angle, sample) row
             vals = table.take(cells, axis=0)
-            vals *= w
-            out[a, rows] = np.add.reduceat(vals.ravel(), starts)
+            np.vecdot(vals.reshape(w.shape), w, out=out[:, s0:s1])
         return out
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -393,11 +497,11 @@ class RadonBlockOperator:
         return smooth_radial(self.forward_raw(x), self.kernel)
 
     def row_size(self) -> tuple[int, int]:
-        """The quadrature points and the bytes the cached rows hold; zero
-        before the first build and for streamed rows."""
-        rows = self._fwd_rows or []
-        return (sum(len(cells) for _, _, cells, _ in rows),
-                sum(a.nbytes for arrays in rows for a in arrays))
+        """The entries, padding included, and the bytes the cached rows
+        hold; zero before the first build and for streamed rows."""
+        chunks = self._chunks or []
+        return (sum(cells.size for _, _, cells, _ in chunks),
+                sum(cells.nbytes + w.nbytes for _, _, cells, w in chunks))
 
     def kernel_sup(self) -> float:
         """Supremum of the block's discrete smoothed kernel over its samples
@@ -416,24 +520,26 @@ class RadonBlockOperator:
         offsets = np.array([a * n + b for a, b in _CORNERS])
         on_domain = np.pad(grid.mask, (1, 2)).ravel()  # per padded node
         K = self.kernel.K
-        # smooth_radial adds sample s + d at weight w_d to sample s, d = -K..K;
-        # a sum lands only on a sample within the radial range
+        # smooth_radial adds sample s + d at weight w_d to sample s, d = -K..K,
+        # of which the d in (-K, K) weigh nonzero; a sum lands only on a
+        # sample within the radial range
         shifts = [(d, wd) for d, wd in zip(range(-K, K + 1), self.kernel.weights)
                   if wd != 0.0]
+        chunks = self._domain_chunks()
+        sample = np.concatenate([np.repeat(np.arange(s0, s1), w.shape[-1])
+                                 for s0, s1, _, w in chunks])
         sup = 0.0
-        for rows, starts, cells, w in self._domain_rows():
-            sample = np.repeat(rows, np.diff(starts, append=w.size))
+        for a in range(self.sino_grid.n_phi):
+            cells = np.concatenate([c[a].ravel() for _, _, c, _ in chunks])
             node = ((cells + cells // (n - 1))[:, None] + offsets).ravel()
+            # pad entries point at a cell off the domain
             keep = on_domain.take(node)
-            keys, vals = _sum_by_key(node[keep] * n_samples + sample[keep],
-                                     w.ravel()[keep])
+            keys, vals = _sum_by_key(
+                node[keep] * n_samples + sample[keep],
+                np.concatenate([w[a].ravel() for _, _, _, w in chunks])[keep])
             vals /= grid.cell_measure
             if K > 1:
-                s = keys % n_samples
-                lands = [(s >= d) & (s - d < n_samples) for d, _ in shifts]
-                keys, vals = _sum_by_key(
-                    np.concatenate([keys[m] - d for (d, _), m in zip(shifts, lands)]),
-                    np.concatenate([wd * vals[m] for (_, wd), m in zip(shifts, lands)]))
+                keys, vals = _shift_sums(keys, vals, n_samples, shifts)
             sup = max(sup, float(vals.max(initial=0.0)))
         return sup
 

@@ -712,7 +712,7 @@ def test_one_compare_system_is_alive_while_rows_are_built(tmp_path, monkeypatch)
         if geometry is self._geometry:
             live = [s for s in (ref() for ref in systems) if s is not None]
             others = [s.n_blocks for s in live if self not in s.ops
-                      and any(op._fwd_rows is not None for op in s.ops)]
+                      and any(op._chunks is not None for op in s.ops)]
             builds.append((self.sino_grid.n_blocks, [s.n_blocks for s in live], others))
         return _rows(self, geometry)
 

@@ -140,6 +140,26 @@ def _system_op(grid, sino, j, kernel) -> RadonBlockOperator:
     return RadonBlockOperator(grid, sino, j, kernel, geometry=geometry)
 
 
+def _chunk_entries(op: RadonBlockOperator):
+    """Per angle, the sample, the cell and the four corner weights of each
+    point the chunks of the domain's rows hold, pad entries dropped, in
+    their order; every pad entry sits after the points of its row, points
+    at the corner table's last cell and weighs zero."""
+    last = (op.pixel_grid.n_t + 3) ** 2 - 1
+    chunks = op._domain_chunks()
+    for a in range(op.sino_grid.n_phi):
+        sample, cells, w = [], [], []
+        for s0, s1, c, wc in chunks:
+            pad = c[a] == last
+            assert np.all(np.diff(pad.astype(int), axis=1) >= 0)
+            wa = wc[a].reshape(*c[a].shape, 4)
+            assert not np.any(wa[pad])
+            sample.append(np.broadcast_to(np.arange(s0, s1)[:, None], pad.shape)[~pad])
+            cells.append(c[a][~pad])
+            w.append(wa[~pad])
+        yield np.concatenate(sample), np.concatenate(cells), np.concatenate(w)
+
+
 def _bilinear_gather(values: np.ndarray, ix, iy, fx, fy) -> np.ndarray:
     """Sample a node array at points, zero outside the square."""
     n_t = values.shape[0] - 1
@@ -189,8 +209,18 @@ def test_sparse_rows_match_gather_reference(n_t, n_blocks, n_phi, K):
         ref = _gather_forward_raw(op, x)
         npt.assert_allclose(op.forward_raw(x), ref, rtol=1e-13, atol=0.0)
         npt.assert_allclose(op.forward(x), smooth_radial(ref, kernel), rtol=1e-13, atol=0.0)
+        # the two paths sum a row in different orders, so their rows are
+        # compared: the streamed rows of a density nonzero on the whole
+        # domain are the cached chunks' points
         streamed = RadonBlockOperator(grid, sino, j, kernel)
-        assert np.array_equal(streamed.forward(x), op.forward(x))
+        npt.assert_allclose(streamed.forward_raw(x), ref, rtol=1e-13, atol=0.0)
+        table = operators._corner_table(grid, x)
+        rows = streamed._rows(operators._circle_geometry(grid, sino, table))
+        for (first, cells, w), cached in zip(rows, _chunk_entries(op)):
+            sizes = np.diff(first, append=len(cells))
+            sample = np.repeat(np.arange(1, sino.n_r + 1), sizes)
+            for a, b in zip((sample, cells, w), cached):
+                assert np.array_equal(a, b)
 
 
 def _interp_backproject(op: RadonBlockOperator, y: np.ndarray) -> np.ndarray:
@@ -260,10 +290,9 @@ def _dense_kernel_sup(op: RadonBlockOperator) -> float:
     n_samples = op.sino_grid.n_r + 1
     offsets = np.array([a * n + b for a, b in operators._CORNERS])
     sup = 0.0
-    for rows, starts, cells, w in op._domain_rows():
-        sample = np.repeat(rows, np.diff(starts, append=w.size))
+    for sample, cells, w in _chunk_entries(op):
         node = (cells + cells // (n - 1))[:, None] + offsets
-        raw = np.bincount(sample * n * n + node.ravel(), w.ravel(),
+        raw = np.bincount(np.repeat(sample, 4) * n * n + node.ravel(), w.ravel(),
                           minlength=n_samples * n * n)
         raw = raw.reshape(n_samples, n, n)[:, 1 : n - 2, 1 : n - 2].T
         raw = smooth_radial(raw / grid.cell_measure, op.kernel)
@@ -297,26 +326,29 @@ def test_kernel_sup_matches_dense_matrix_on_a_tiny_grid(K):
 
 
 def test_one_time_builds_allocate_little_beyond_what_they_keep():
-    grid = PixelGrid(80, 2.0 * 2 / 80)
-    sino = SinogramGrid(n_blocks=2, n_phi=8, n_r=80)
-    system = RadonSystem(grid, sino, lam=0.01, K=2)
-    op = system.ops[1]
-    op._domain_rows()  # the kept rows are built before the count starts
-    tracemalloc.start()
-    try:
-        idx, lo, fr = op._adjoint_plan
-        kept, plan_peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        sup = op.kernel_sup()
-        _, sup_peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # the plan is built angle by angle: a few rows beyond the plan itself
-    assert plan_peak <= idx.nbytes + lo.nbytes + fr.nbytes + 8 * fr[0].nbytes
-    # the sup sums sparse entries, below one dense (samples, padded node) array
-    n = grid.n_t + 4
-    assert sup_peak - kept < (sino.n_r + 1) * n * n * 8
-    assert sup == _dense_kernel_sup(op)
+    # K = 10 and 25 on two angles: the sup's sums shifted 2K - 1 ways
+    for n_t, n_phi, K in [(80, 8, 2), (100, 2, 10), (100, 2, 25)]:
+        grid = PixelGrid(n_t, 2.0 * K / n_t)
+        sino = SinogramGrid(n_blocks=2, n_phi=n_phi, n_r=n_t)
+        system = RadonSystem(grid, sino, lam=0.01, K=K)
+        op = system.ops[1]
+        op._domain_chunks()  # the kept rows are built before the count starts
+        tracemalloc.start()
+        try:
+            idx, lo, fr = op._adjoint_plan
+            kept, plan_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            sup = op.kernel_sup()
+            _, sup_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the plan is built angle by angle: a few rows beyond the plan itself
+        assert plan_peak <= idx.nbytes + lo.nbytes + fr.nbytes + 8 * fr[0].nbytes
+        # the sup sums sparse entries, below one dense (samples, padded node)
+        # array
+        n = grid.n_t + 4
+        assert sup_peak - kept < (sino.n_r + 1) * n * n * 8
+        assert sup == _dense_kernel_sup(op)
 
 
 def test_rows_without_entries_stay_zero(monkeypatch):
@@ -362,7 +394,7 @@ def test_arc_rows_equal_rows_over_all_points(n_t, n_r, n_blocks, n_phi, K, margi
         op = _system_op(grid, sino, j, kernel)
         geometry = op._geometry
         every_point = np.arange(len(geometry[0][2]))
-        for phi, arc in zip(sino.block_angles(j), op._domain_rows()):
+        for phi, arc in zip(sino.block_angles(j), op._rows(geometry)):
             plain = op._angle_rows(phi, geometry, every_point)
             for a, c in zip(arc, plain):
                 assert a.dtype == c.dtype and np.array_equal(a, c)
@@ -388,10 +420,9 @@ def test_row_point_bound_holds_the_cached_rows(n_t, n_r, n_blocks, n_phi, K, mar
         assume(False)
     sino = SinogramGrid(n_blocks=n_blocks, n_phi=n_phi, n_r=n_r)
     system = RadonSystem(grid, sino, 0.01, K)
-    for op in system.ops:
-        op._domain_rows()
-    kept = sum(op.row_size()[0] for op in system.ops)
-    assert kept <= operators._row_point_bound(grid, sino)
+    kept = sum(len(cells) for op in system.ops for _, cells, _ in _chunk_entries(op))
+    stored = sum(op.row_size()[0] for op in system.ops)
+    assert kept <= stored == operators._row_point_bound(grid, sino)
     # the same farthest node as the corner table's (hypot rounds apart)
     assert operators._domain_reach(grid) == pytest.approx(system.ops[0]._geometry[2],
                                                           rel=1e-12)
@@ -499,8 +530,7 @@ def test_cached_rows_hold_only_points_with_a_corner_on_the_domain(geometry):
     # corner (a, b) at node (i - 1 + a, j - 1 + b)
     mask = np.pad(grid.mask, 1)
     for op in ops:
-        op.forward_raw(np.zeros(grid.shape))
-        for rows, starts, cells, w in op._fwd_rows:
+        for _, cells, _ in _chunk_entries(op):
             i, j = np.divmod(cells, n_t + 3)
             touches = np.zeros(len(cells), dtype=bool)
             for a, b in operators._CORNERS:
