@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .experiment import Disc, NoiseSpec, PhantomSpec, _simulation_grid
 from .kl_core import AssumptionError, ConfigError, PixelGrid, SinogramGrid
-from .operators import (RadonBlockOperator, RadonSystem, SmoothingKernel,
+from .operators import (RadonSystem, SmoothingKernel, _check_margin,
                         _circle_point_bound, _row_point_bound)
 from .solvers import SolverConfig, tau_schedule
 
@@ -292,9 +292,7 @@ def _validate(cfg: RunConfig, path: str) -> None:
         subsets = cfg.compare_subsets if cfg.mode == "compare" else ()
         for N in (cfg.n_blocks, *subsets):
             cfg.sino_grid(N)
-        # no rows are built: the operator checks the margin against the kernel
-        RadonBlockOperator(cfg.pixel_grid(), cfg.sino_grid(), 0,
-                           SmoothingKernel(cfg.n_r, cfg.K))
+        _check_margin(cfg.pixel_grid(), SmoothingKernel(cfg.n_r, cfg.K))
         # max_sim_nodes caps every grid: the reconstruction grid, the
         # oversampled one of simulated data, its circle points and the sinogram
         oversample = 1

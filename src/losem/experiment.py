@@ -29,7 +29,7 @@ from .kl_core import (
     weighted_l1,
     weighted_l2,
 )
-from .operators import RadonBlockOperator, RadonSystem, SmoothingKernel
+from .operators import RadonSystem, SmoothingKernel, support_forward
 from .solvers import em_step
 
 __all__ = [
@@ -160,7 +160,8 @@ def simulate_clean_base(
     """Smoothed circular means of a phantom on the unsplit angle set.
 
     The phantom is rendered on ``pixel_grid`` refined to n_t * oversample
-    pixels per axis and projected from there.  The result is one
+    pixels per axis and projected from there by ``support_forward``, over
+    the rows of the phantom's support.  The result is one
     (n_angles, n_r + 1) array covering all angles, of unit mass under the
     sample weight of the single-block grid.  Raises
     ConfigError when no circle of the sampling meets the phantom.
@@ -168,10 +169,7 @@ def simulate_clean_base(
     hi = _simulation_grid(pixel_grid, oversample, max_nodes)
     density = render_phantom(spec, hi)
     base_grid = SinogramGrid(n_blocks=1, n_phi=n_angles, n_r=n_r)
-    kernel = SmoothingKernel(n_r, K)
-    # no system geometry: the rows of the phantom's support are streamed
-    op = RadonBlockOperator(hi, base_grid, 0, kernel)
-    vals = op.forward(density)
+    vals = support_forward(hi, base_grid, SmoothingKernel(n_r, K), density)
     if not np.sum(vals) > 0.0:
         raise ConfigError(
             f"the simulated data have no mass: no circle of the n_r = {n_r} "

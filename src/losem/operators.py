@@ -25,20 +25,20 @@ circle point with a bilinear corner on a support and its four weights
 the disc domain's circle geometry, and each builds its rows of the
 domain once and keeps them in chunks, one per band of radii over all
 the block's angles, each row padded to its band's cap by entries of
-weight zero on a cell whose corners are zero; an operator made without
-one, such as the simulation's, streams at every call the rows of the
-domain nodes where the projected density is nonzero: a point whose
-corners are all zero adds an exact zero, so dropping it changes only how
-the sums are grouped.  A kept point lies within sqrt(2)*h (node spacing
-h) of a support node, so within the support's largest origin distance plus
+weight zero on a cell whose corners are zero.  The simulation's
+projection, ``support_forward``, streams instead the rows of the domain
+nodes where the projected density is nonzero: a point whose corners are
+all zero adds an exact zero, so dropping it changes only how the sums
+are grouped.  A kept point lies within sqrt(2)*h (node spacing h) of a
+support node, so within the support's largest origin distance plus
 sqrt(2)*h of the origin, and on each circle only one arc, opposite the
 detector, can hold it: the rows are built from the points of these arcs,
 at most two index ranges per radius, and the cell test picks the points
-kept.  ``forward_raw`` reads each cell's corners from a table of the
-density's values on the domain, padded by zeros: per chunk, one gather
-and one dot per row, and per angle of a streamed operator, one gather
-and one segment sum; node values off the domain are never read.  The
-backprojection plan is angle-major, one row of radial indices and
+kept.  Both read each cell's corners from a table of the density's
+values on the domain, padded by zeros: ``forward_raw`` per chunk, one
+gather and one dot per row, and ``support_forward`` per angle, one
+gather and one segment sum; node values off the domain are never read.
+The backprojection plan is angle-major, one row of radial indices and
 fractions per angle, built and accumulated angle by angle; the shifted
 system's adjoint adds its shift on the domain nodes only.
 """
@@ -309,20 +309,116 @@ def _shift_sums(keys: np.ndarray, vals: np.ndarray, n_samples: int, shifts):
     return out_keys, out
 
 
+def _arcs(sino_grid: SinogramGrid, angles: np.ndarray, geometry):
+    """Per angle, the ascending indices of the circle points of ``geometry``
+    (see :func:`_circle_geometry`) that lie within its reach of the origin,
+    found for all angles at once: on each radius, one arc (see
+    :func:`_arc_half_widths`), at most two index ranges."""
+    points, _, reach = geometry
+    first = points[3]
+    counts = np.diff(first, append=len(points[2]))
+    half = _arc_half_widths(counts, sino_grid.radii[1:], reach)
+    centre = counts * (angles[:, None] / (2.0 * math.pi) + 0.5)
+    lo = np.ceil(centre - half).astype(np.int64)
+    hi = np.minimum(np.floor(centre + half).astype(np.int64) + 1, lo + counts)
+    shift = lo // counts * counts
+    lo -= shift
+    hi -= shift
+    # the arc [lo, hi) of a radius is [0, hi - n) and [lo, n) where it
+    # passes its last point
+    bounds = first[:, None] + np.stack(
+        [np.zeros_like(lo), np.maximum(hi - counts, 0), lo, np.minimum(hi, counts)],
+        axis=-1)
+    for starts, stops in bounds.reshape(len(angles), -1, 2).transpose(0, 2, 1):
+        sizes = stops - starts
+        ends = np.cumsum(sizes)
+        yield np.arange(ends[-1]) + np.repeat(starts - ends + sizes, sizes)
+
+
+def _angle_rows(pixel_grid: PixelGrid, phi: float, geometry, cand: np.ndarray):
+    """Sparse rows of the angle ``phi`` from the ascending circle point
+    indices ``cand`` of ``geometry`` (see :func:`_circle_geometry`): the
+    corner-table cell and the four corner weights of every candidate point
+    in a cell that passes the geometry's cell test, radius by radius, and
+    the index of each radius's first point among them."""
+    n_t = pixel_grid.n_t
+    (offx, offy, coef, first), on_support, _ = geometry
+    ux = (math.cos(phi) + offx.take(cand) + 1.0) * (n_t / 2.0)
+    uy = (math.sin(phi) + offy.take(cand) + 1.0) * (n_t / 2.0)
+    # the cell (ix + 1)*(n_t + 3) + (iy + 1) of every point, in floats;
+    # cells beyond the zero ring are clipped onto it, which is off every
+    # support, and the points kept are not moved
+    ix, iy = np.floor(ux), np.floor(uy)
+    np.clip(ix, -1, n_t, out=ix)
+    np.clip(iy, -1, n_t, out=iy)
+    cells = ix + 1.0
+    cells *= n_t + 3
+    cells += iy
+    cells += 1.0
+    cells = cells.astype(np.intp)
+    near = on_support.take(cells)
+    kept = cand[near]
+    ix, iy, coef = ix[near], iy[near], coef.take(kept)
+    fx, fy = ux[near] - ix, uy[near] - iy
+    # weights of the corners (ix + a, iy + b)
+    wx, wy = (coef * (1.0 - fx), coef * fx), (1.0 - fy, fy)
+    w = np.empty((len(kept), 4))
+    for k, (a, b) in enumerate(_CORNERS):
+        np.multiply(wx[a], wy[b], out=w[:, k])
+    return np.searchsorted(kept, first), cells[near], w
+
+
+def _rows(pixel_grid: PixelGrid, sino_grid: SinogramGrid, angles: np.ndarray,
+          geometry):
+    """Sparse rows (see :func:`_angle_rows`) of each of the ``angles``,
+    built from the points on the arcs that can reach the support of
+    ``geometry`` (see :func:`_circle_geometry`), streamed angle by angle."""
+    return (_angle_rows(pixel_grid, phi, geometry, cand)
+            for phi, cand in zip(angles, _arcs(sino_grid, angles, geometry)))
+
+
+def _check_margin(pixel_grid: PixelGrid, kernel: SmoothingKernel) -> None:
+    """Raise ValueError where the support margin epsilon of ``pixel_grid``
+    is smaller than the smoothing width 2K/n_r of ``kernel``."""
+    if pixel_grid.epsilon + 1e-12 < kernel.epsilon:
+        raise ValueError(f"the support margin epsilon = {pixel_grid.epsilon} is "
+                         f"smaller than the smoothing width 2K/n_r = {kernel.epsilon}")
+
+
+def support_forward(pixel_grid: PixelGrid, sino_grid: SinogramGrid,
+                    kernel: SmoothingKernel, x: np.ndarray) -> np.ndarray:
+    """Smoothed circular means of the density array ``x`` at every angle of
+    ``sino_grid``, block after block, shaped (n_angles, n_r + 1).
+
+    The rows are built for this call from the support of ``x`` only and
+    streamed angle by angle: per angle, one gather and one segment sum.
+    """
+    _check_margin(pixel_grid, kernel)
+    table = _corner_table(pixel_grid, x)
+    geometry = _circle_geometry(pixel_grid, sino_grid, table)
+    out = np.zeros((sino_grid.n_angles, sino_grid.n_r + 1))
+    angle_rows = _rows(pixel_grid, sino_grid, sino_grid.angles, geometry)
+    for a, (first, cells, w) in enumerate(angle_rows):
+        vals = table.take(cells, axis=0)
+        vals *= w
+        # empty rows (circles that miss the support) stay out of reduceat
+        rows = np.flatnonzero(np.diff(first, append=len(cells)))
+        out[a, rows + 1] = np.add.reduceat(vals.ravel(), 4 * first[rows])
+    return smooth_radial(out, kernel)
+
+
 class RadonBlockOperator:
     """Circular means and backprojection restricted to one angular block.
 
     ``forward_raw`` maps a density array to circular means on the block
     samples, ``forward`` additionally applies the radial smoothing, and
     ``adjoint`` is backprojection after smoothing.  The forward map of each
-    angle is a set of sparse rows, one per sample, built from circle offsets
-    shared by all angles: a cell of the zero-padded corner table and four
-    weights per quadrature point.  An operator given ``geometry``, the
-    domain's circle geometry its system shares, builds that geometry's rows
-    at the first call and keeps them in padded chunks; one given none
-    streams, angle by angle, the rows of the support of each density it
-    projects.  The backprojection indices are built at the first call and
-    kept.
+    angle is a set of sparse rows, one per sample, built from ``geometry``,
+    the domain's circle geometry its system shares (see
+    :func:`_circle_geometry`): a cell of the zero-padded corner table and
+    four weights per quadrature point.  The rows, in padded chunks, and
+    the backprojection indices are built at the first call that needs
+    them and kept.
     """
 
     def __init__(
@@ -331,98 +427,29 @@ class RadonBlockOperator:
         sino_grid: SinogramGrid,
         j: int,
         kernel: SmoothingKernel,
-        geometry=None,
+        geometry,
     ):
         if kernel.n_r != sino_grid.n_r:
             raise ValueError("kernel and sinogram grid disagree on n_r")
-        if pixel_grid.epsilon + 1e-12 < kernel.epsilon:
-            raise ValueError(f"the support margin epsilon = {pixel_grid.epsilon} is "
-                             f"smaller than the smoothing width 2K/n_r = {kernel.epsilon}")
+        _check_margin(pixel_grid, kernel)
         self.pixel_grid = pixel_grid
         self.sino_grid = sino_grid
         self.j = j
         self.kernel = kernel
         self._geometry = geometry
-        self._chunks = None
 
     # -- forward ------------------------------------------------------------
 
-    def _arcs(self, geometry, angles: np.ndarray):
-        """Per angle, the ascending indices of the circle points of
-        ``geometry`` (see :func:`_circle_geometry`) that lie within its
-        reach of the origin, found for all angles at once: on each radius,
-        one arc (see :func:`_arc_half_widths`), at most two index ranges.
-        """
-        points, _, reach = geometry
-        first = points[3]
-        counts = np.diff(first, append=len(points[2]))
-        half = _arc_half_widths(counts, self.sino_grid.radii[1:], reach)
-        centre = counts * (angles[:, None] / (2.0 * math.pi) + 0.5)
-        lo = np.ceil(centre - half).astype(np.int64)
-        hi = np.minimum(np.floor(centre + half).astype(np.int64) + 1, lo + counts)
-        shift = lo // counts * counts
-        lo -= shift
-        hi -= shift
-        # the arc [lo, hi) of a radius is [0, hi - n) and [lo, n) where it
-        # passes its last point
-        bounds = first[:, None] + np.stack(
-            [np.zeros_like(lo), np.maximum(hi - counts, 0), lo, np.minimum(hi, counts)],
-            axis=-1)
-        for starts, stops in bounds.reshape(len(angles), -1, 2).transpose(0, 2, 1):
-            sizes = stops - starts
-            ends = np.cumsum(sizes)
-            yield np.arange(ends[-1]) + np.repeat(starts - ends + sizes, sizes)
-
-    def _angle_rows(self, phi: float, geometry, cand: np.ndarray):
-        """Sparse rows of the angle ``phi`` from the ascending circle point
-        indices ``cand`` of ``geometry`` (see :func:`_circle_geometry`): the
-        corner-table cell and the four corner weights of every candidate
-        point in a cell that passes the geometry's cell test, radius by
-        radius, and the index of each radius's first point among them."""
-        n_t = self.pixel_grid.n_t
-        (offx, offy, coef, first), on_support, _ = geometry
-        ux = (math.cos(phi) + offx.take(cand) + 1.0) * (n_t / 2.0)
-        uy = (math.sin(phi) + offy.take(cand) + 1.0) * (n_t / 2.0)
-        # the cell (ix + 1)*(n_t + 3) + (iy + 1) of every point, in floats;
-        # cells beyond the zero ring are clipped onto it, which is off every
-        # support, and the points kept are not moved
-        ix, iy = np.floor(ux), np.floor(uy)
-        np.clip(ix, -1, n_t, out=ix)
-        np.clip(iy, -1, n_t, out=iy)
-        cells = ix + 1.0
-        cells *= n_t + 3
-        cells += iy
-        cells += 1.0
-        cells = cells.astype(np.intp)
-        near = on_support.take(cells)
-        kept = cand[near]
-        ix, iy, coef = ix[near], iy[near], coef.take(kept)
-        fx, fy = ux[near] - ix, uy[near] - iy
-        # weights of the corners (ix + a, iy + b)
-        wx, wy = (coef * (1.0 - fx), coef * fx), (1.0 - fy, fy)
-        w = np.empty((len(kept), 4))
-        for k, (a, b) in enumerate(_CORNERS):
-            np.multiply(wx[a], wy[b], out=w[:, k])
-        return np.searchsorted(kept, first), cells[near], w
-
-    def _rows(self, geometry):
-        """Sparse rows of every block angle, built from the points on the
-        arcs that can reach the support of ``geometry`` (see
-        :func:`_circle_geometry`), streamed angle by angle."""
-        angles = self.sino_grid.block_angles(self.j)
-        return (self._angle_rows(phi, geometry, cand)
-                for phi, cand in zip(angles, self._arcs(geometry, angles)))
-
-    def _pack(self, geometry):
-        """The rows of ``geometry`` (see :func:`_circle_geometry`) as chunks
-        ``(s0, s1, cells, w)``, one per band of :func:`_row_bands`: per
-        angle and sample, the cells (n_phi, s1 - s0, cap) and the corner
-        weights (n_phi, s1 - s0, 4*cap) of its kept points, then pad
-        entries, the corner table's last cell, which lies in the zero ring,
-        at weight zero.  The points are written into their place angle by
-        angle as the rows are built."""
-        n_phi = self.sino_grid.n_phi
-        bands = _row_bands(self.pixel_grid, self.sino_grid)
+    @cached_property
+    def _chunks(self):
+        """The rows of the system's geometry as chunks ``(s0, s1, cells,
+        w)``, one per band of :func:`_row_bands`: per angle and sample, the
+        cells (n_phi, s1 - s0, cap) and the corner weights (n_phi, s1 - s0,
+        4*cap) of its kept points, then pad entries, the corner table's last
+        cell, which lies in the zero ring, at weight zero.  The points are
+        written into their place angle by angle as the rows are built."""
+        grid, sg, n_phi = self.pixel_grid, self.sino_grid, self.sino_grid.n_phi
+        bands = _row_bands(grid, sg)
         lo, hi, caps = np.array(bands).T
         sizes = n_phi * (hi - lo) * caps
         ends = np.cumsum(sizes)
@@ -432,13 +459,14 @@ class RadonBlockOperator:
         cap = caps[band]
         row0 = (ends - sizes)[band] + (np.arange(1, len(band) + 1) - lo[band]) * cap
         stride = (sizes // n_phi)[band]
-        cells = np.full(ends[-1], (self.pixel_grid.n_t + 3) ** 2 - 1, dtype=np.intp)
+        cells = np.full(ends[-1], (grid.n_t + 3) ** 2 - 1, dtype=np.intp)
         w = np.zeros((ends[-1], 4))
         # a point's four weights as one 32-byte item: np.put copies them at a
         # fifth of the cost of a row-indexed assignment
         item = np.dtype((np.void, w.strides[0]))
         w_items = w.view(item).ravel()
-        for a, (start, c, wa) in enumerate(self._rows(geometry)):
+        rows = _rows(grid, sg, sg.block_angles(self.j), self._geometry)
+        for a, (start, c, wa) in enumerate(rows):
             n = np.diff(start, append=len(c))
             if np.any(n > cap):
                 raise AssertionError("a forward row holds more points than its cap")
@@ -450,42 +478,17 @@ class RadonBlockOperator:
                  w[e - size : e].reshape(n_phi, s1 - s0, -1))
                 for (s0, s1, _), size, e in zip(bands, sizes, ends)]
 
-    def _domain_chunks(self):
-        """The chunks of the disc domain's rows (see :meth:`_pack`): packed at
-        the first call and kept by an operator given its system's geometry,
-        packed anew by one given none."""
-        if self._geometry is None:
-            grid = self.pixel_grid
-            table = _corner_table(grid, grid.mask)
-            return self._pack(_circle_geometry(grid, self.sino_grid, table))
-        if self._chunks is None:
-            self._chunks = self._pack(self._geometry)
-        return self._chunks
-
     def forward_raw(self, x: np.ndarray) -> np.ndarray:
         """Circular means of the density array on the block samples; the
         samples at r = 0 are exactly zero."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != self.pixel_grid.shape:
             raise ValueError(f"density shape {x.shape} does not match grid")
-        grid = self.pixel_grid
         out = np.zeros(self.sino_grid.block_shape)
-        if self._geometry is None:
-            # rows of the support of this density only
-            table = _corner_table(grid, x)
-            angle_rows = self._rows(_circle_geometry(grid, self.sino_grid, table))
-            for a, (first, cells, w) in enumerate(angle_rows):
-                vals = table.take(cells, axis=0)
-                vals *= w
-                # empty rows (circles that miss the support) stay out of
-                # reduceat
-                rows = np.flatnonzero(np.diff(first, append=len(cells)))
-                out[a, rows + 1] = np.add.reduceat(vals.ravel(), 4 * first[rows])
-            return out
         # the rows before the table: with the table first, the peak RSS
         # of a compare_table.cfg run reads 1% higher (heap layout; the
         # bytes alive are the same)
-        chunks, table = self._domain_chunks(), _corner_table(grid, x)
+        chunks, table = self._chunks, _corner_table(self.pixel_grid, x)
         for s0, s1, cells, w in chunks:
             # one dot per (angle, sample) row
             vals = table.take(cells, axis=0)
@@ -498,8 +501,8 @@ class RadonBlockOperator:
 
     def row_size(self) -> tuple[int, int]:
         """The entries, padding included, and the bytes the cached rows
-        hold; zero before the first build and for streamed rows."""
-        chunks = self._chunks or []
+        hold; zero before the first build."""
+        chunks = vars(self).get("_chunks", ())
         return (sum(cells.size for _, _, cells, _ in chunks),
                 sum(cells.nbytes + w.nbytes for _, _, cells, w in chunks))
 
@@ -525,7 +528,7 @@ class RadonBlockOperator:
         # sample within the radial range
         shifts = [(d, wd) for d, wd in zip(range(-K, K + 1), self.kernel.weights)
                   if wd != 0.0]
-        chunks = self._domain_chunks()
+        chunks = self._chunks
         sample = np.concatenate([np.repeat(np.arange(s0, s1), w.shape[-1])
                                  for s0, s1, _, w in chunks])
         sup = 0.0

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from losem import operators
+from losem.cli import main
 from losem.config import load_config
 from losem.kl_core import (ConfigError, PixelGrid, SinogramGrid, normalize_to_simplex,
                            uniform_density)
@@ -19,6 +20,7 @@ from losem.operators import (
     SmoothingKernel,
     effective_bounds,
     smooth_radial,
+    support_forward,
 )
 from losem.experiment import Disc, PhantomSpec, render_phantom, simulate_clean_base
 
@@ -68,20 +70,53 @@ def test_smoothing_k1_is_bitwise_identity():
 # block operator geometry
 
 
+def _system_op(grid, sino, j, kernel) -> RadonBlockOperator:
+    """A block operator given the domain's circle geometry, as a system's
+    are: it builds its rows of the domain once and keeps them."""
+    table = operators._corner_table(grid, grid.mask)
+    geometry = operators._circle_geometry(grid, sino, table)
+    return RadonBlockOperator(grid, sino, j, kernel, geometry=geometry)
+
+
 @pytest.fixture(scope="module")
 def op_setup():
     grid = PixelGrid(60, 2.0 / 60.0)
     sino = SinogramGrid(n_blocks=3, n_phi=10, n_r=60)
     kernel = SmoothingKernel(60, 1)
-    ops = [RadonBlockOperator(grid, sino, j, kernel) for j in range(3)]
+    ops = [_system_op(grid, sino, j, kernel) for j in range(3)]
     return grid, sino, ops
 
 
-def test_operator_rejects_margin_smaller_than_kernel():
+# a margin of 0.05 where K = 2 at n_r = 20 needs 0.2
+MARGIN_CFG = """\
+mode = em
+n_t = 20
+n_r = 20
+n_angle = 4
+K = 2
+epsilon = 0.05
+disc = 0.0 0.0 0.4 1.0
+"""
+
+
+@pytest.mark.parametrize("caller", ["system", "config", "simulation"])
+def test_operator_rejects_margin_smaller_than_kernel(caller, tmp_path):
+    # one rule, operators._check_margin, for each caller
     grid = PixelGrid(20, 0.05)
-    sino = SinogramGrid(n_blocks=1, n_phi=4, n_r=20)
-    with pytest.raises(ValueError, match="margin"):
-        RadonBlockOperator(grid, sino, 0, SmoothingKernel(20, 2))  # needs 0.2
+    if caller == "system":
+        sino = SinogramGrid(n_blocks=1, n_phi=4, n_r=20)
+        with pytest.raises(ValueError, match="margin"):
+            RadonSystem(grid, sino, lam=0.01, K=2)
+    elif caller == "config":
+        path = tmp_path / "margin.cfg"
+        path.write_text(MARGIN_CFG)
+        with pytest.raises(ConfigError, match="margin"):
+            load_config(path)
+        assert main(["verify", str(path), "--quiet"]) == 2
+    else:
+        spec = PhantomSpec((Disc(0.0, 0.0, 0.4, 1.0),))
+        with pytest.raises(ValueError, match="margin"):
+            simulate_clean_base(spec, grid, n_angles=4, n_r=20, K=2, oversample=1)
 
 
 def test_forward_is_linear(op_setup):
@@ -102,15 +137,20 @@ def test_forward_vanishes_at_zero_radius(op_setup):
         assert np.all(op.forward(x)[:, 0] == 0.0)
 
 
-def test_forward_centered_disc_matches_law_of_cosines():
+@pytest.mark.parametrize("projection", ["system", "simulation"])
+def test_forward_centered_disc_matches_law_of_cosines(projection):
     # circle of radius 1 around a boundary point covers an arc of the
-    # centered disc R = 0.5 with half-angle arccos(0.875)
+    # centered disc R = 0.5 with half-angle arccos(0.875); the system's
+    # cached rows and the simulation's streamed ones both match it
     R = 0.5
     grid = PixelGrid(200, 2.0 / 200.0)
     sino = SinogramGrid(n_blocks=1, n_phi=4, n_r=200)
-    op = RadonBlockOperator(grid, sino, 0, SmoothingKernel(200, 1))
+    kernel = SmoothingKernel(200, 1)
     x = render_phantom(PhantomSpec((Disc(0.0, 0.0, R, 1.0),)), grid)
-    out = op.forward(x)
+    if projection == "system":
+        out = _system_op(grid, sino, 0, kernel).forward(x)
+    else:
+        out = support_forward(grid, sino, kernel, x)
     i_r = 100  # r = 1.0
     expected = math.acos(0.875) / math.pi / (math.pi * R * R)
     assert out[0, i_r] == pytest.approx(expected, rel=0.02)
@@ -122,7 +162,7 @@ def test_forward_rotation_equivariance():
     grid = PixelGrid(120, 2.0 / 120.0)
     sino = SinogramGrid(n_blocks=4, n_phi=6, n_r=120)
     kernel = SmoothingKernel(120, 1)
-    ops = [RadonBlockOperator(grid, sino, j, kernel) for j in range(4)]
+    ops = [_system_op(grid, sino, j, kernel) for j in range(4)]
     d = 0.35
     x0 = render_phantom(PhantomSpec((Disc(d, 0.0, 0.2, 1.0),)), grid)
     x1 = render_phantom(PhantomSpec((Disc(0.0, d, 0.2, 1.0),)), grid)  # +90 deg
@@ -132,21 +172,13 @@ def test_forward_rotation_equivariance():
     assert np.abs(a - b).max() / scale < 1e-2
 
 
-def _system_op(grid, sino, j, kernel) -> RadonBlockOperator:
-    """A block operator given the domain's circle geometry, as a system's
-    are: it builds its rows of the domain once and keeps them."""
-    table = operators._corner_table(grid, grid.mask)
-    geometry = operators._circle_geometry(grid, sino, table)
-    return RadonBlockOperator(grid, sino, j, kernel, geometry=geometry)
-
-
 def _chunk_entries(op: RadonBlockOperator):
     """Per angle, the sample, the cell and the four corner weights of each
     point the chunks of the domain's rows hold, pad entries dropped, in
     their order; every pad entry sits after the points of its row, points
     at the corner table's last cell and weighs zero."""
     last = (op.pixel_grid.n_t + 3) ** 2 - 1
-    chunks = op._domain_chunks()
+    chunks = op._chunks
     for a in range(op.sino_grid.n_phi):
         sample, cells, w = [], [], []
         for s0, s1, c, wc in chunks:
@@ -204,18 +236,20 @@ def test_sparse_rows_match_gather_reference(n_t, n_blocks, n_phi, K):
     kernel = SmoothingKernel(n_t, K)
     rng = np.random.default_rng(n_t)
     x = np.where(grid.mask, rng.random(grid.shape), 0.0)
+    streamed = support_forward(grid, sino, kernel, x)
+    table = operators._corner_table(grid, x)
+    geometry = operators._circle_geometry(grid, sino, table)
     for j in range(n_blocks):
         op = _system_op(grid, sino, j, kernel)
         ref = _gather_forward_raw(op, x)
         npt.assert_allclose(op.forward_raw(x), ref, rtol=1e-13, atol=0.0)
         npt.assert_allclose(op.forward(x), smooth_radial(ref, kernel), rtol=1e-13, atol=0.0)
+        npt.assert_allclose(streamed[j * n_phi : (j + 1) * n_phi],
+                            smooth_radial(ref, kernel), rtol=1e-13, atol=0.0)
         # the two paths sum a row in different orders, so their rows are
         # compared: the streamed rows of a density nonzero on the whole
         # domain are the cached chunks' points
-        streamed = RadonBlockOperator(grid, sino, j, kernel)
-        npt.assert_allclose(streamed.forward_raw(x), ref, rtol=1e-13, atol=0.0)
-        table = operators._corner_table(grid, x)
-        rows = streamed._rows(operators._circle_geometry(grid, sino, table))
+        rows = operators._rows(grid, sino, sino.block_angles(j), geometry)
         for (first, cells, w), cached in zip(rows, _chunk_entries(op)):
             sizes = np.diff(first, append=len(cells))
             sample = np.repeat(np.arange(1, sino.n_r + 1), sizes)
@@ -243,7 +277,7 @@ def test_backprojection_matches_interp_reference(n_t, n_blocks, n_phi, K):
     kernel = SmoothingKernel(n_t, K)
     y = np.random.default_rng(n_t).random(sino.block_shape)
     for j in range(n_blocks):
-        op = RadonBlockOperator(grid, sino, j, kernel)
+        op = _system_op(grid, sino, j, kernel)
         npt.assert_allclose(op.backproject(y), _interp_backproject(op, y),
                             rtol=1e-13, atol=0.0)
 
@@ -319,8 +353,6 @@ def test_kernel_sup_matches_dense_matrix_on_a_tiny_grid(K):
         assert op.kernel_sup() == pytest.approx(float(dense.max()), rel=1e-13)
         # the sparse sums add in the dense arrays' order: the same bits
         assert op.kernel_sup() == _dense_kernel_sup(op)
-        # an operator with no system geometry streams the same rows
-        assert RadonBlockOperator(grid, sino, op.j, kernel).kernel_sup() == op.kernel_sup()
         sups.append(float(dense.max()))
     assert system.raw_kernel_sup() == pytest.approx(max(sups), rel=1e-13)
 
@@ -332,7 +364,7 @@ def test_one_time_builds_allocate_little_beyond_what_they_keep():
         sino = SinogramGrid(n_blocks=2, n_phi=n_phi, n_r=n_t)
         system = RadonSystem(grid, sino, lam=0.01, K=K)
         op = system.ops[1]
-        op._domain_chunks()  # the kept rows are built before the count starts
+        op._chunks  # the kept rows are built before the count starts
         tracemalloc.start()
         try:
             idx, lo, fr = op._adjoint_plan
@@ -391,11 +423,11 @@ def test_arc_rows_equal_rows_over_all_points(n_t, n_r, n_blocks, n_phi, K, margi
     sino = SinogramGrid(n_blocks=n_blocks, n_phi=n_phi, n_r=n_r)
     kernel = SmoothingKernel(n_r, K)
     for j in range(n_blocks):
-        op = _system_op(grid, sino, j, kernel)
-        geometry = op._geometry
+        geometry = _system_op(grid, sino, j, kernel)._geometry
         every_point = np.arange(len(geometry[0][2]))
-        for phi, arc in zip(sino.block_angles(j), op._rows(geometry)):
-            plain = op._angle_rows(phi, geometry, every_point)
+        angles = sino.block_angles(j)
+        for phi, arc in zip(angles, operators._rows(grid, sino, angles, geometry)):
+            plain = operators._angle_rows(grid, phi, geometry, every_point)
             for a, c in zip(arc, plain):
                 assert a.dtype == c.dtype and np.array_equal(a, c)
 
@@ -478,19 +510,20 @@ def test_streamed_rows_hold_the_support_of_the_density(n_t, n_r, n_blocks, n_phi
     assert np.array_equal(geometry[1], table.any(axis=1))
     points = geometry[0]
     every_point = np.arange(len(points[2]))
+    rows = operators._rows(grid, sino, sino.angles, geometry)
+    for phi, own in zip(sino.angles, rows):
+        plain = operators._angle_rows(grid, phi, (points, table.any(axis=1), None),
+                                      every_point)
+        for a, b in zip(own, plain):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    streamed = support_forward(grid, sino, kernel, x)
     for j in range(n_blocks):
-        streamed = RadonBlockOperator(grid, sino, j, kernel)
-        rows = streamed._rows(geometry)
-        for phi, own in zip(sino.block_angles(j), rows):
-            plain = streamed._angle_rows(phi, (points, table.any(axis=1), None),
-                                         every_point)
-            for a, b in zip(own, plain):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
+        own = streamed[j * n_phi : (j + 1) * n_phi]
         cached = _system_op(grid, sino, j, kernel).forward(x)
         if kind == "zero":
-            assert not np.any(streamed.forward(x)) and not np.any(cached)
+            assert not np.any(own) and not np.any(cached)
         else:
-            npt.assert_allclose(streamed.forward(x), cached, rtol=1e-13, atol=0.0)
+            npt.assert_allclose(own, cached, rtol=1e-13, atol=0.0)
 
 
 def test_simulating_a_phantom_no_circle_meets_is_a_config_error():
@@ -567,7 +600,7 @@ def test_forward_mass_is_near_one_per_block():
         PhantomSpec((Disc(0.0, 0.0, 0.4, 1.0), Disc(0.45, 0.3, 0.18, 2.0))), grid
     )
     for j in (0, 4, 9):
-        op = RadonBlockOperator(grid, sino, j, kernel)
+        op = _system_op(grid, sino, j, kernel)
         mass = float(op.forward(x).sum() * sino.sample_weight)
         assert mass == pytest.approx(1.0, abs=0.02)
 
