@@ -21,23 +21,26 @@ Discretization choices:
 
 The quadrature of one angle is stored as sparse rows: the cell of each
 circle point with a bilinear corner on a support and its four weights
-(circle weight) * (bilinear weight).  The operators of a system share
-the disc domain's circle geometry, and each builds its rows of the
-domain once and keeps them in chunks, one per band of radii over all
-the block's angles, each row padded to its band's cap by entries of
-weight zero on a cell whose corners are zero.  The simulation's
-projection, ``support_forward``, streams instead the rows of the domain
-nodes where the projected density is nonzero: a point whose corners are
-all zero adds an exact zero, so dropping it changes only how the sums
-are grouped.  A kept point lies within sqrt(2)*h (node spacing h) of a
+(circle weight) * (bilinear weight).  A point whose corners are all zero
+adds an exact zero, so dropping it changes only how the sums are
+grouped.  A kept point lies within sqrt(2)*h (node spacing h) of a
 support node, so within the support's largest origin distance plus
 sqrt(2)*h of the origin, and on each circle only one arc, opposite the
-detector, can hold it: the rows are built from the points of these arcs,
-at most two index ranges per radius, and the cell test picks the points
-kept.  Both read each cell's corners from a table of the density's
-values on the domain, padded by zeros: ``forward_raw`` per chunk, one
-gather and one dot per row, and ``support_forward`` per angle, one
-gather and one segment sum; node values off the domain are never read.
+detector, can hold it.  The operators of a system share the disc
+domain's circle geometry and its bands of radii, and each builds its
+rows of the domain once and keeps them in chunks, one per band over all
+the block's angles: each row holds a window of points around its arc,
+padded to its band's cap, and the window points the cell test drops and
+the padding are entries of weight zero on a cell whose corners are zero.
+A band's windows are built in one pass, straight into their chunk.  The
+simulation's projection, ``support_forward``, streams instead the rows
+of the domain nodes where the projected density is nonzero, built from
+the points of the arcs, at most two index ranges per radius, of which
+the cell test picks the points kept.  Both read each cell's corners
+from a table of the density's values on the domain, padded by zeros:
+``forward_raw`` per chunk, one gather and one dot per row, and
+``support_forward`` per angle, one gather and one segment sum; node
+values off the domain are never read.
 The backprojection plan is angle-major, one row of radial indices and
 fractions per angle, built and accumulated angle by angle; the shifted
 system's adjoint adds its shift on the domain nodes only.
@@ -138,9 +141,10 @@ _CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 def _circle_points(pixel_grid: PixelGrid, sino_grid: SinogramGrid):
     """Offsets r*(cos theta, sin theta) of the quadrature points of all
-    radii r > 0, radius by radius, with each point's weight
-    r*n_blocks/n_omega(r) and the index of each radius's first point; the
-    same for every block and angle of a geometry."""
+    radii r > 0, radius by radius, as the rows of one (2, points) array,
+    with each point's weight r*n_blocks/n_omega(r) and the index of each
+    radius's first point; the same for every block and angle of a
+    geometry."""
     radii = sino_grid.radii[1:]
     counts = _circle_counts(pixel_grid.n_t, radii)
     first = np.cumsum(counts) - counts
@@ -148,7 +152,10 @@ def _circle_points(pixel_grid: PixelGrid, sino_grid: SinogramGrid):
     theta = 2.0 * math.pi * k / np.repeat(counts, counts)
     r = np.repeat(radii, counts)
     coef = np.repeat(radii * sino_grid.n_blocks / counts, counts)
-    return r * np.cos(theta), r * np.sin(theta), coef, first
+    off = np.empty((2, len(r)))
+    np.multiply(r, np.cos(theta), out=off[0])
+    np.multiply(r, np.sin(theta), out=off[1])
+    return off, coef, first
 
 
 def _circle_counts(n_t: int, radii: np.ndarray) -> np.ndarray:
@@ -204,10 +211,11 @@ _PAD_SHARE = 0.125
 
 def _row_bands(pixel_grid: PixelGrid, sino_grid: SinogramGrid):
     """The bands ``(s0, s1, cap)`` of samples s0 <= s < s1 whose cached rows
-    form one chunk, each padded to ``cap`` entries, in O(n_r + n_t log n_t).
+    form one chunk, each padded to ``cap`` entries, with the arc half-width
+    and the cap of each radius they are cut from, in O(n_r + n_t log n_t).
     Per angle, the kept points of radius i lie on the arc within the
-    domain's reach, half - 1 points each way of its centre (see
-    :func:`_arc_half_widths`), so they number at most min(count_i,
+    domain's reach, half_i - 1 points each way of its centre (see
+    :func:`_arc_half_widths`), so they number at most cap_i = min(count_i,
     floor(2*half_i)), one point of slack for rounding included; a band's
     cap is the largest of its radii's."""
     r = sino_grid.radii[1:]
@@ -227,13 +235,13 @@ def _row_bands(pixel_grid: PixelGrid, sino_grid: SinogramGrid):
             s1, cap, own = s1 + 1, max(cap, c), own + c
         bands.append((s0, s1, cap))
         s0 = s1
-    return bands
+    return bands, half, np.array(caps)
 
 
 def _row_point_bound(pixel_grid: PixelGrid, sino_grid: SinogramGrid) -> int:
     """The entries, padding included, the cached rows of a system on these
     grids hold: every block's chunks of :func:`_row_bands`."""
-    bands = _row_bands(pixel_grid, sino_grid)
+    bands, _, _ = _row_bands(pixel_grid, sino_grid)
     return sino_grid.n_angles * sum((s1 - s0) * cap for s0, s1, cap in bands)
 
 
@@ -315,8 +323,8 @@ def _arcs(sino_grid: SinogramGrid, angles: np.ndarray, geometry):
     found for all angles at once: on each radius, one arc (see
     :func:`_arc_half_widths`), at most two index ranges."""
     points, _, reach = geometry
-    first = points[3]
-    counts = np.diff(first, append=len(points[2]))
+    first = points[2]
+    counts = np.diff(first, append=len(points[1]))
     half = _arc_half_widths(counts, sino_grid.radii[1:], reach)
     centre = counts * (angles[:, None] / (2.0 * math.pi) + 0.5)
     lo = np.ceil(centre - half).astype(np.int64)
@@ -335,36 +343,63 @@ def _arcs(sino_grid: SinogramGrid, angles: np.ndarray, geometry):
         yield np.arange(ends[-1]) + np.repeat(starts - ends + sizes, sizes)
 
 
+def _point_cells(n_t: int, cs, off: np.ndarray, pts: np.ndarray, cells: np.ndarray):
+    """Write into ``cells`` the corner-table cell (ix + 1)*(n_t + 3) + iy + 1
+    of each of the circle points ``pts`` seen from the detector at angle
+    phi, ``cs`` = (cos phi, sin phi): u = (u_x, u_y) = (cs + off + 1)*n_t/2
+    is the point in node spacings and i = (ix, iy) its floor.  Cells beyond
+    the zero ring are clipped onto it, which is off every support, and the
+    points kept are not moved.  Returns u and i, each stacked over the two
+    coordinates; indices past the offsets are clipped, for pad slots whose
+    points are never kept."""
+    u = off.take(pts, axis=1, mode="clip")
+    u += cs
+    u += 1.0
+    u *= n_t / 2.0
+    i = np.floor(u)
+    np.clip(i, -1, n_t, out=i)
+    # (ix + 1)*(n_t + 3) + iy + 1 in whole floats, which are exact, and
+    # one cast: an integer ufunc output would cast through a buffer of
+    # the input's size
+    cf = i[0] * (n_t + 3)
+    cf += i[1]
+    cf += n_t + 4
+    cells[...] = cf
+    return u, i
+
+
+def _point_weights(f: np.ndarray, g: np.ndarray, coef, w: np.ndarray) -> None:
+    """Write into ``w[..., k]`` the weight coef*(bilinear weight) of the
+    corner (ix + a, iy + b), the k-th of ``_CORNERS``, of each point from
+    its fractions f = u - i (see :func:`_point_cells`), stacked over the
+    two coordinates; f is overwritten and g, of its shape, takes 1 - f."""
+    np.subtract(1.0, f, out=g)
+    g[0] *= coef
+    f[0] *= coef
+    wx, wy = (g[0], f[0]), (g[1], f[1])
+    for k, (a, b) in enumerate(_CORNERS):
+        np.multiply(wx[a], wy[b], out=w[..., k])
+
+
 def _angle_rows(pixel_grid: PixelGrid, phi: float, geometry, cand: np.ndarray):
     """Sparse rows of the angle ``phi`` from the ascending circle point
     indices ``cand`` of ``geometry`` (see :func:`_circle_geometry`): the
     corner-table cell and the four corner weights of every candidate point
     in a cell that passes the geometry's cell test, radius by radius, and
     the index of each radius's first point among them."""
-    n_t = pixel_grid.n_t
-    (offx, offy, coef, first), on_support, _ = geometry
-    ux = (math.cos(phi) + offx.take(cand) + 1.0) * (n_t / 2.0)
-    uy = (math.sin(phi) + offy.take(cand) + 1.0) * (n_t / 2.0)
-    # the cell (ix + 1)*(n_t + 3) + (iy + 1) of every point, in floats;
-    # cells beyond the zero ring are clipped onto it, which is off every
-    # support, and the points kept are not moved
-    ix, iy = np.floor(ux), np.floor(uy)
-    np.clip(ix, -1, n_t, out=ix)
-    np.clip(iy, -1, n_t, out=iy)
-    cells = ix + 1.0
-    cells *= n_t + 3
-    cells += iy
-    cells += 1.0
-    cells = cells.astype(np.intp)
+    (off, coef, first), on_support, _ = geometry
+    cells = np.empty(len(cand), dtype=np.intp)
+    cs = np.array([[math.cos(phi)], [math.sin(phi)]])
+    u, i = _point_cells(pixel_grid.n_t, cs, off, cand, cells)
     near = on_support.take(cells)
     kept = cand[near]
-    ix, iy, coef = ix[near], iy[near], coef.take(kept)
-    fx, fy = ux[near] - ix, uy[near] - iy
-    # weights of the corners (ix + a, iy + b)
-    wx, wy = (coef * (1.0 - fx), coef * fx), (1.0 - fy, fy)
+    # the kept points' fractions, a coordinate at a time: a boolean index
+    # along one axis copies runs of points fast, one over (2, n) does not
+    f, g = np.empty((2, len(kept))), np.empty((2, len(kept)))
+    for d in range(2):
+        np.subtract(u[d][near], i[d][near], out=f[d])
     w = np.empty((len(kept), 4))
-    for k, (a, b) in enumerate(_CORNERS):
-        np.multiply(wx[a], wy[b], out=w[:, k])
+    _point_weights(f, g, coef.take(kept), w)
     return np.searchsorted(kept, first), cells[near], w
 
 
@@ -375,6 +410,82 @@ def _rows(pixel_grid: PixelGrid, sino_grid: SinogramGrid, angles: np.ndarray,
     ``geometry`` (see :func:`_circle_geometry`), streamed angle by angle."""
     return (_angle_rows(pixel_grid, phi, geometry, cand)
             for phi, cand in zip(angles, _arcs(sino_grid, angles, geometry)))
+
+
+def _band_rows(pixel_grid: PixelGrid, angles: np.ndarray, geometry, layout):
+    """The rows (see :func:`_angle_rows`) of ``geometry`` at the ``angles``
+    as chunks ``(s0, s1, cells, w)``, one per band of ``layout`` (the
+    bands, arc half-widths and caps of :func:`_row_bands`): per angle and
+    sample, the cells (n_phi, s1 - s0, cap) and the corner weights
+    (n_phi, s1 - s0, 4*cap) of its window.
+
+    On radius i the window is the cap_i points from ceil(c - half_i + 1),
+    with c = count_i*(phi/2pi + 1/2) the arc centre, the points past the
+    circle's last listed first so that the row ascends.  It covers every
+    point within half_i - 1 of the centre, which holds every kept point.
+    A band's windows are built in one pass, into views of one buffer pair;
+    the window points that fail the geometry's cell test and the slots past
+    cap_i are pad entries, the corner table's last cell, in the zero ring,
+    at weight zero.  Raises AssertionError where a circle point just
+    outside a window that is not the whole circle passes the cell test."""
+    n_t, n_phi = pixel_grid.n_t, len(angles)
+    (off, coef, first), on_support, _ = geometry
+    bands, half, caps = layout
+    counts = np.diff(first, append=len(coef))
+    cs = np.array([[math.cos(phi) for phi in angles],
+                   [math.sin(phi) for phi in angles]])[..., None, None]
+    # per angle and radius, the window's first point
+    start = counts * (angles[:, None] / (2.0 * math.pi) + 0.5)
+    start -= half
+    start += 1.0
+    start = np.ceil(start, out=start).astype(np.int64)
+    start %= counts
+    # the points just outside each window that is not the whole circle
+    # fail the cell test, checked a few angles at a time
+    part = caps < counts
+    step = max(1, _CHUNK_POINTS // (4 * len(caps)))
+    for a in range(0, n_phi, step):
+        s = start[a : a + step, part]
+        pts = np.stack([s - 1, s + caps[part]], axis=-1)
+        pts %= counts[part, None]
+        pts += first[part, None]
+        near = np.empty(pts.shape, dtype=np.intp)
+        _point_cells(n_t, cs[:, a : a + step], off, pts, near)
+        if on_support.take(near).any():
+            raise AssertionError("a kept forward point lies outside its row's window")
+    # slot k of a window holds point first + k where k < wrap, the points
+    # past the circle's last, and base + k after them
+    wrap = np.maximum(start + caps - counts, 0)
+    base = start - wrap
+    base += first
+    del start
+    sizes = [n_phi * (s1 - s0) * cap for s0, s1, cap in bands]
+    cells = np.empty(sum(sizes), dtype=np.intp)
+    w = np.empty((len(cells), 4))
+    pad_cell = (n_t + 3) ** 2 - 1
+    chunks = []
+    end = 0
+    for (s0, s1, cap), size in zip(bands, sizes):
+        c = cells[end : end + size].reshape(n_phi, s1 - s0, cap)
+        wc = w[end : end + size].reshape(n_phi, s1 - s0, cap, 4)
+        end += size
+        r = slice(s0 - 1, s1 - 1)
+        k = np.arange(cap)
+        pts = base[:, r, None] + k
+        np.copyto(pts, first[r, None] + k, where=k < wrap[:, r, None])
+        u, i = _point_cells(n_t, cs, off, pts, c)
+        keep = on_support.take(c)
+        keep &= k < caps[r, None]
+        # the fractions of every kept point lie in [0, 1]; clipped there,
+        # a pad's weights at coef 0 are +0.0
+        f = np.subtract(u, i, out=u)
+        np.clip(f, 0.0, 1.0, out=f)
+        _point_weights(f, i, np.where(keep, coef.take(first[r, None]), 0.0), wc)
+        np.copyto(c, pad_cell, where=~keep)
+        chunks.append((s0, s1, c, wc.reshape(n_phi, s1 - s0, 4 * cap)))
+        # one band's temporaries alive at a time
+        del pts, u, i, f, keep
+    return chunks
 
 
 def _check_margin(pixel_grid: PixelGrid, kernel: SmoothingKernel) -> None:
@@ -416,7 +527,8 @@ class RadonBlockOperator:
     angle is a set of sparse rows, one per sample, built from ``geometry``,
     the domain's circle geometry its system shares (see
     :func:`_circle_geometry`): a cell of the zero-padded corner table and
-    four weights per quadrature point.  The rows, in padded chunks, and
+    four weights per quadrature point.  The rows, in the padded chunks of
+    ``layout``, the bands its system shares (see :func:`_row_bands`), and
     the backprojection indices are built at the first call that needs
     them and kept.
     """
@@ -428,6 +540,7 @@ class RadonBlockOperator:
         j: int,
         kernel: SmoothingKernel,
         geometry,
+        layout,
     ):
         if kernel.n_r != sino_grid.n_r:
             raise ValueError("kernel and sinogram grid disagree on n_r")
@@ -437,46 +550,17 @@ class RadonBlockOperator:
         self.j = j
         self.kernel = kernel
         self._geometry = geometry
+        self._layout = layout
 
     # -- forward ------------------------------------------------------------
 
     @cached_property
     def _chunks(self):
         """The rows of the system's geometry as chunks ``(s0, s1, cells,
-        w)``, one per band of :func:`_row_bands`: per angle and sample, the
-        cells (n_phi, s1 - s0, cap) and the corner weights (n_phi, s1 - s0,
-        4*cap) of its kept points, then pad entries, the corner table's last
-        cell, which lies in the zero ring, at weight zero.  The points are
-        written into their place angle by angle as the rows are built."""
-        grid, sg, n_phi = self.pixel_grid, self.sino_grid, self.sino_grid.n_phi
-        bands = _row_bands(grid, sg)
-        lo, hi, caps = np.array(bands).T
-        sizes = n_phi * (hi - lo) * caps
-        ends = np.cumsum(sizes)
-        # per sample s >= 1: the cap of its band, the entry of its row at
-        # angle 0, and the entries between the rows of two angles
-        band = np.repeat(np.arange(len(bands)), hi - lo)
-        cap = caps[band]
-        row0 = (ends - sizes)[band] + (np.arange(1, len(band) + 1) - lo[band]) * cap
-        stride = (sizes // n_phi)[band]
-        cells = np.full(ends[-1], (grid.n_t + 3) ** 2 - 1, dtype=np.intp)
-        w = np.zeros((ends[-1], 4))
-        # a point's four weights as one 32-byte item: np.put copies them at a
-        # fifth of the cost of a row-indexed assignment
-        item = np.dtype((np.void, w.strides[0]))
-        w_items = w.view(item).ravel()
-        rows = _rows(grid, sg, sg.block_angles(self.j), self._geometry)
-        for a, (start, c, wa) in enumerate(rows):
-            n = np.diff(start, append=len(c))
-            if np.any(n > cap):
-                raise AssertionError("a forward row holds more points than its cap")
-            dest = np.repeat(row0 + a * stride - start, n)
-            dest += np.arange(len(c))
-            cells[dest] = c
-            np.put(w_items, dest, wa.view(item).ravel())
-        return [(s0, s1, cells[e - size : e].reshape(n_phi, s1 - s0, -1),
-                 w[e - size : e].reshape(n_phi, s1 - s0, -1))
-                for (s0, s1, _), size, e in zip(bands, sizes, ends)]
+        w)``, one per band of the system's ``layout``, built a band at a
+        time straight into their padded place (see :func:`_band_rows`)."""
+        return _band_rows(self.pixel_grid, self.sino_grid.block_angles(self.j),
+                          self._geometry, self._layout)
 
     def forward_raw(self, x: np.ndarray) -> np.ndarray:
         """Circular means of the density array on the block samples; the
@@ -662,8 +746,9 @@ class RadonSystem:
         self.kernel = SmoothingKernel(sino_grid.n_r, K)
         geometry = _circle_geometry(pixel_grid, sino_grid,
                                     _corner_table(pixel_grid, pixel_grid.mask))
+        layout = _row_bands(pixel_grid, sino_grid)
         self.ops = [
-            RadonBlockOperator(pixel_grid, sino_grid, j, self.kernel, geometry=geometry)
+            RadonBlockOperator(pixel_grid, sino_grid, j, self.kernel, geometry, layout)
             for j in range(sino_grid.n_blocks)
         ]
         self._raw_kernel_sup = None

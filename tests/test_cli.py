@@ -703,18 +703,18 @@ def test_one_compare_system_is_alive_while_rows_are_built(tmp_path, monkeypatch)
         _init(self, *args, **kwargs)
         systems.append(weakref.ref(self))
 
-    def rows(pixel_grid, sino_grid, angles, geometry, _rows=operators._rows):
-        # a system's rows are built from its geometry, the simulation's
-        # streamed rows from the phantom's support, which no system shares
+    def band_rows(pixel_grid, angles, geometry, layout, _band_rows=operators._band_rows):
+        # only a system's blocks build cached rows, each from its system's
+        # geometry, which one live system holds
         live = [s for s in (ref() for ref in systems) if s is not None]
-        if any(geometry is s.ops[0]._geometry for s in live):
-            others = [s.n_blocks for s in live if geometry is not s.ops[0]._geometry
-                      and any("_chunks" in vars(op) for op in s.ops)]
-            builds.append((sino_grid.n_blocks, [s.n_blocks for s in live], others))
-        return _rows(pixel_grid, sino_grid, angles, geometry)
+        (owner,) = [s.n_blocks for s in live if geometry is s.ops[0]._geometry]
+        others = [s.n_blocks for s in live if geometry is not s.ops[0]._geometry
+                  and any("_chunks" in vars(op) for op in s.ops)]
+        builds.append((owner, [s.n_blocks for s in live], others))
+        return _band_rows(pixel_grid, angles, geometry, layout)
 
     monkeypatch.setattr(operators.RadonSystem, "__init__", init)
-    monkeypatch.setattr(operators, "_rows", rows)
+    monkeypatch.setattr(operators, "_band_rows", band_rows)
     text = (
         BASE.replace("mode = loping-osem", "mode = compare")
         .replace("max_cycles = 30", "max_cycles = 3")

@@ -75,7 +75,8 @@ def _system_op(grid, sino, j, kernel) -> RadonBlockOperator:
     are: it builds its rows of the domain once and keeps them."""
     table = operators._corner_table(grid, grid.mask)
     geometry = operators._circle_geometry(grid, sino, table)
-    return RadonBlockOperator(grid, sino, j, kernel, geometry=geometry)
+    return RadonBlockOperator(grid, sino, j, kernel, geometry,
+                              operators._row_bands(grid, sino))
 
 
 @pytest.fixture(scope="module")
@@ -175,15 +176,14 @@ def test_forward_rotation_equivariance():
 def _chunk_entries(op: RadonBlockOperator):
     """Per angle, the sample, the cell and the four corner weights of each
     point the chunks of the domain's rows hold, pad entries dropped, in
-    their order; every pad entry sits after the points of its row, points
-    at the corner table's last cell and weighs zero."""
+    their order; every pad entry, wherever it sits in its row, points at
+    the corner table's last cell and weighs zero."""
     last = (op.pixel_grid.n_t + 3) ** 2 - 1
     chunks = op._chunks
     for a in range(op.sino_grid.n_phi):
         sample, cells, w = [], [], []
         for s0, s1, c, wc in chunks:
             pad = c[a] == last
-            assert np.all(np.diff(pad.astype(int), axis=1) >= 0)
             wa = wc[a].reshape(*c[a].shape, 4)
             assert not np.any(wa[pad])
             sample.append(np.broadcast_to(np.arange(s0, s1)[:, None], pad.shape)[~pad])
@@ -364,7 +364,19 @@ def test_one_time_builds_allocate_little_beyond_what_they_keep():
         sino = SinogramGrid(n_blocks=2, n_phi=n_phi, n_r=n_t)
         system = RadonSystem(grid, sino, lam=0.01, K=K)
         op = system.ops[1]
-        op._chunks  # the kept rows are built before the count starts
+        tracemalloc.start()
+        try:
+            op._chunks
+            _, rows_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the rows are built a band at a time into the buffers they keep,
+        # each band from a few temporaries of its size: not a (..., 4)
+        # weight temporary per band, nor one band's temporaries alive
+        # with the next's
+        bands, _, _ = operators._row_bands(grid, sino)
+        band = max(sino.n_phi * (s1 - s0) * cap for s0, s1, cap in bands)
+        assert rows_peak - op.row_size()[1] <= 10 * band * 8
         tracemalloc.start()
         try:
             idx, lo, fr = op._adjoint_plan
@@ -392,11 +404,11 @@ def test_rows_without_entries_stay_zero(monkeypatch):
     x = np.where(grid.mask, np.random.default_rng(2).random(grid.shape), 0.0)
     expected = _system_op(grid, sino, 1, kernel).forward_raw(x)
     expected[:, 5] = 0.0
-    offx, offy, coef, first = operators._circle_points(grid, sino)
-    offx = offx.copy()
-    offx[first[4] : first[5]] = 10.0
+    off, coef, first = operators._circle_points(grid, sino)
+    off = off.copy()
+    off[0, first[4] : first[5]] = 10.0
     monkeypatch.setattr(operators, "_circle_points",
-                        lambda pixel_grid, sino_grid: (offx, offy, coef, first))
+                        lambda pixel_grid, sino_grid: (off, coef, first))
     op = _system_op(grid, sino, 1, kernel)
     assert np.array_equal(op.forward_raw(x), expected)
 
@@ -424,12 +436,43 @@ def test_arc_rows_equal_rows_over_all_points(n_t, n_r, n_blocks, n_phi, K, margi
     kernel = SmoothingKernel(n_r, K)
     for j in range(n_blocks):
         geometry = _system_op(grid, sino, j, kernel)._geometry
-        every_point = np.arange(len(geometry[0][2]))
+        every_point = np.arange(len(geometry[0][1]))
         angles = sino.block_angles(j)
         for phi, arc in zip(angles, operators._rows(grid, sino, angles, geometry)):
             plain = operators._angle_rows(grid, phi, geometry, every_point)
             for a, c in zip(arc, plain):
                 assert a.dtype == c.dtype and np.array_equal(a, c)
+
+
+@given(
+    st.integers(2, 48), st.integers(2, 48), st.integers(1, 5), st.integers(1, 6),
+    st.integers(1, 24), st.floats(0.0, 1.0),
+)
+# n_angles = 6 puts an angle at pi, whose windows wrap past theta = 0
+@example(n_t=40, n_r=40, n_blocks=2, n_phi=3, K=1, margin=0.0)
+# on the 2 x 2 grid the caps of the small radii are whole circles
+@example(n_t=2, n_r=8, n_blocks=2, n_phi=2, K=1, margin=0.0)
+@settings(max_examples=60, deadline=None)
+def test_cached_rows_equal_rows_over_all_points(n_t, n_r, n_blocks, n_phi, K, margin):
+    # no window drops a kept point: per block, angle and sample, the chunks'
+    # entries other than pads are the rows over every circle point, cell
+    # and weight bit for bit and in ascending point order
+    K = min(K, n_r // 2)
+    assume(2.0 * K / n_r < 0.95)
+    epsilon = 2.0 * K / n_r + margin * (0.95 - 2.0 * K / n_r)
+    try:
+        grid = PixelGrid(n_t, epsilon)
+    except ValueError:
+        assume(False)
+    sino = SinogramGrid(n_blocks=n_blocks, n_phi=n_phi, n_r=n_r)
+    for op in RadonSystem(grid, sino, 0.01, K).ops:
+        every_point = np.arange(len(op._geometry[0][1]))
+        angles = sino.block_angles(op.j)
+        for phi, cached in zip(angles, _chunk_entries(op)):
+            first, cells, w = operators._angle_rows(grid, phi, op._geometry, every_point)
+            sample = np.repeat(np.arange(1, n_r + 1), np.diff(first, append=len(cells)))
+            for a, b in zip((sample, cells, w), cached):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 @given(
@@ -509,7 +552,7 @@ def test_streamed_rows_hold_the_support_of_the_density(n_t, n_r, n_blocks, n_phi
     geometry = operators._circle_geometry(grid, sino, table)
     assert np.array_equal(geometry[1], table.any(axis=1))
     points = geometry[0]
-    every_point = np.arange(len(points[2]))
+    every_point = np.arange(len(points[1]))
     rows = operators._rows(grid, sino, sino.angles, geometry)
     for phi, own in zip(sino.angles, rows):
         plain = operators._angle_rows(grid, phi, (points, table.any(axis=1), None),
