@@ -162,16 +162,13 @@ def _systems(cfg: RunConfig, quiet: bool, verify: bool = False):
         )
 
 
-def _gamma(cfg: RunConfig, system, data, bounds=None) -> float | None:
-    """The threshold constant of the configured gamma mode (None: adaptive),
-    from ``bounds`` when the caller has computed the system's already."""
+def _gamma(cfg: RunConfig, system, data) -> float | None:
+    """The threshold constant of the configured gamma mode (None: adaptive)."""
     if cfg.gamma_mode == "explicit":
         return cfg.gamma
     if cfg.gamma_mode == "l2":
         return None
-    if bounds is None:
-        bounds = effective_bounds(system, data)
-    gamma = bounds.gamma()
+    gamma = effective_bounds(system, data).gamma()
     if not 0.0 < gamma < math.inf:
         raise ConfigError(
             f"gamma_mode = bounds gives gamma = {gamma!r} at lambda = {cfg.lam!r}, "
@@ -180,9 +177,8 @@ def _gamma(cfg: RunConfig, system, data, bounds=None) -> float | None:
     return gamma
 
 
-def _solver_config(cfg: RunConfig, system, data: SolverData,
-                   bounds=None) -> SolverConfig:
-    return cfg.solver_config(_gamma(cfg, system, data.values, bounds), data.deltas)
+def _solver_config(cfg: RunConfig, system, data: SolverData) -> SolverConfig:
+    return cfg.solver_config(_gamma(cfg, system, data.values), data.deltas)
 
 
 def _noise_pairs(data: SolverData) -> list:
@@ -373,7 +369,7 @@ def _verify_system(cfg: RunConfig, system, data: SolverData) -> None:
     x0 = uniform_density(system.pixel_grid)
     print(f"pairing_defect{label}={_pairing_defect(system, x0, data.values)!r}")
 
-    solver_cfg = _solver_config(cfg, system, data, bounds)
+    solver_cfg = _solver_config(cfg, system, data)
     tau = solver_cfg.tau
     print(f"tau{label}={tau!r}")
     print(f"delta_min{label}={float(data.deltas.min())!r}")

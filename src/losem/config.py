@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .experiment import Disc, NoiseSpec, PhantomSpec, _simulation_grid
+from .experiment import (MAX_SIM_NODES, OVERSAMPLE, Disc, NoiseSpec, PhantomSpec,
+                         _simulation_grid)
 from .kl_core import AssumptionError, ConfigError, PixelGrid, SinogramGrid
 from .operators import (RadonSystem, SmoothingKernel, _check_margin,
                         _circle_point_bound, _row_point_bound)
@@ -47,7 +48,7 @@ class RunConfig:
     K: int
     n_blocks: int = 1
     lam: float = 0.01
-    oversample: int = 4
+    oversample: int = OVERSAMPLE
     tau: float = 1.5
     tau_mode: str = "fixed"
     gamma_mode: str = "bounds"
@@ -59,7 +60,7 @@ class RunConfig:
     seed: int = 0
     out: str | None = None
     compare_subsets: tuple[int, ...] = ()
-    max_sim_nodes: int = 16_000_000
+    max_sim_nodes: int = MAX_SIM_NODES
     phantom: PhantomSpec | None = None
 
     # -- derived builders ---------------------------------------------------

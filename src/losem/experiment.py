@@ -48,6 +48,11 @@ __all__ = [
 
 RNG_ALGORITHM = "numpy-philox"
 
+# the default refinement of the simulation grid and the default cap on the
+# nodes of any grid a run builds (``max_sim_nodes`` in a config)
+OVERSAMPLE = 4
+MAX_SIM_NODES = 16_000_000
+
 
 @dataclass(frozen=True)
 class Disc:
@@ -154,8 +159,8 @@ def simulate_clean_base(
     n_angles: int,
     n_r: int,
     K: int,
-    oversample: int = 4,
-    max_nodes: int = 16_000_000,
+    oversample: int = OVERSAMPLE,
+    max_nodes: int = MAX_SIM_NODES,
 ) -> np.ndarray:
     """Smoothed circular means of a phantom on the unsplit angle set.
 
@@ -207,8 +212,8 @@ def reblock(base: np.ndarray, grid: SinogramGrid) -> list[np.ndarray]:
 def simulate_data(
     spec: PhantomSpec,
     system: RadonSystem,
-    oversample: int = 4,
-    max_nodes: int = 16_000_000,
+    oversample: int = OVERSAMPLE,
+    max_nodes: int = MAX_SIM_NODES,
 ) -> list[np.ndarray]:
     """Clean shift-free data blocks for the system, simulated oversampled
     (see :func:`simulate_clean_base`)."""

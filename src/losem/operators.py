@@ -26,21 +26,22 @@ adds an exact zero, so dropping it changes only how the sums are
 grouped.  A kept point lies within sqrt(2)*h (node spacing h) of a
 support node, so within the support's largest origin distance plus
 sqrt(2)*h of the origin, and on each circle only one arc, opposite the
-detector, can hold it.  The operators of a system share the disc
-domain's circle geometry and its bands of radii, and each builds its
-rows of the domain once and keeps them in chunks, one per band over all
-the block's angles: each row holds a window of points around its arc,
-padded to its band's cap, and the window points the cell test drops and
-the padding are entries of weight zero on a cell whose corners are zero.
-A band's windows are built in one pass, straight into their chunk.  The
-simulation's projection, ``support_forward``, streams instead the rows
-of the domain nodes where the projected density is nonzero, built from
-the points of the arcs, at most two index ranges per radius, of which
-the cell test picks the points kept.  Both read each cell's corners
-from a table of the density's values on the domain, padded by zeros:
-``forward_raw`` per chunk, one gather and one dot per row, and
-``support_forward`` per angle, one gather and one segment sum; node
-values off the domain are never read.
+detector, can hold it.  Both projections cut each circle to a window
+around that arc, in one pass per band of radii over all their angles,
+with one guard that no kept point lies outside its window.  The
+operators of a system share the disc domain's circle geometry, with
+windows cut at the domain's reach, and each builds its rows of the
+domain once and keeps them in chunks, one per band: each row holds its
+window, padded to its band's cap, and the window points the cell test
+drops and the padding are entries of weight zero on a cell whose
+corners are zero.  The simulation's projection, ``support_forward``,
+cuts its windows at the reach of the projected density's support and
+streams the rows of that support: the window points that pass the cell
+test, compacted before their weights are computed.  Both read each
+cell's corners from a table of the density's values on the domain,
+padded by zeros: ``forward_raw`` per chunk, one gather and one dot per
+row, and ``support_forward`` per band, one gather and one segment sum;
+node values off the domain are never read.
 The backprojection plan is angle-major, one row of radial indices and
 fractions per angle, built and accumulated angle by angle; the shifted
 system's adjoint adds its shift on the domain nodes only.
@@ -179,15 +180,18 @@ def _arc_half_widths(counts: np.ndarray, r: np.ndarray, reach: float) -> np.ndar
 
 
 def _domain_reach(pixel_grid: PixelGrid) -> float:
-    """The reach :func:`_support` finds on the domain's corner table (up
-    to rounding), in O(n_t log n_t): the largest origin distance of a domain node plus
+    """The reach :func:`_support` finds on the domain's corner table, bit
+    for bit, in O(n_t log n_t): the largest origin distance of a domain node plus
     sqrt(2)*h (node spacing h).  Per node row x, the largest node square
-    y^2 with x^2 + y^2 below radius^2 is searched as y^2 < radius^2 - x^2,
-    then moved by one where rounding puts the mask's own test on the other
-    side."""
+    y^2 with x^2 + y^2 below radius^2 is searched as y^2 < radius^2 - x^2
+    among the distinct squares, then moved by one where rounding puts the
+    mask's own test on the other side."""
     x2 = pixel_grid.nodes * pixel_grid.nodes
     r2 = pixel_grid.radius ** 2
-    y2 = np.concatenate([[-np.inf], np.sort(x2), [np.inf]])
+    # distinct squares: a move by one past a square that +-y share would
+    # land on the same square (np.unique would import numpy.ma, 20 ms)
+    y2 = np.sort(x2)
+    y2 = np.concatenate([[-np.inf], y2[np.append(True, y2[1:] != y2[:-1])], [np.inf]])
     k = np.searchsorted(y2, r2 - x2) - 1  # the last square inside
     k += x2 + y2[k + 1] < r2
     k -= ~(x2 + y2[k] < r2)
@@ -209,18 +213,18 @@ _CHUNK_POINTS = 4096
 _PAD_SHARE = 0.125
 
 
-def _row_bands(pixel_grid: PixelGrid, sino_grid: SinogramGrid):
-    """The bands ``(s0, s1, cap)`` of samples s0 <= s < s1 whose cached rows
-    form one chunk, each padded to ``cap`` entries, with the arc half-width
-    and the cap of each radius they are cut from, in O(n_r + n_t log n_t).
-    Per angle, the kept points of radius i lie on the arc within the
-    domain's reach, half_i - 1 points each way of its centre (see
+def _row_bands(pixel_grid: PixelGrid, sino_grid: SinogramGrid, reach: float):
+    """The bands ``(s0, s1, cap)`` of samples s0 <= s < s1 whose row
+    windows one pass builds, each padded to ``cap`` slots, with the arc
+    half-width and the cap of each radius they are cut from, in O(n_r).  Per angle, the
+    kept points of radius i lie on the arc within ``reach`` of the origin,
+    half_i - 1 points each way of its centre (see
     :func:`_arc_half_widths`), so they number at most cap_i = min(count_i,
     floor(2*half_i)), one point of slack for rounding included; a band's
     cap is the largest of its radii's."""
     r = sino_grid.radii[1:]
     counts = _circle_counts(pixel_grid.n_t, r)
-    half = _arc_half_widths(counts, r, _domain_reach(pixel_grid))
+    half = _arc_half_widths(counts, r, reach)
     caps = np.minimum(counts, np.floor(2.0 * half).astype(np.int64)).tolist()
     bands = []
     s0 = 1
@@ -240,8 +244,9 @@ def _row_bands(pixel_grid: PixelGrid, sino_grid: SinogramGrid):
 
 def _row_point_bound(pixel_grid: PixelGrid, sino_grid: SinogramGrid) -> int:
     """The entries, padding included, the cached rows of a system on these
-    grids hold: every block's chunks of :func:`_row_bands`."""
-    bands, _, _ = _row_bands(pixel_grid, sino_grid)
+    grids hold, in O(n_r + n_t log n_t): every block's chunks of
+    :func:`_row_bands` at the domain's reach."""
+    bands, _, _ = _row_bands(pixel_grid, sino_grid, _domain_reach(pixel_grid))
     return sino_grid.n_angles * sum((s1 - s0) * cap for s0, s1, cap in bands)
 
 
@@ -271,20 +276,29 @@ def _support(grid: PixelGrid, table: np.ndarray):
     distance of a nonzero node plus sqrt(2)*h, the cell diagonal."""
     # corner (0, 0) of cell row i*(n_t + 3) + j is node (i - 1, j - 1)
     i, j = np.divmod(np.flatnonzero(table[:, 0]), grid.n_t + 3)
-    dist = np.hypot(grid.nodes.take(i - 1), grid.nodes.take(j - 1))
+    # squared distances formed as the mask forms them, so that the reach on
+    # the domain's table is _domain_reach's; a square root, correctly
+    # rounded, keeps their order
+    x, y = grid.nodes.take(i - 1), grid.nodes.take(j - 1)
+    d2 = x * x
+    d2 += y * y
     # four column tests, a fraction of the cost of table.any(axis=1)
     nonzero = table[:, 0] != 0.0
     for k in range(1, 4):
         nonzero |= table[:, k] != 0.0
-    return nonzero, dist.max(initial=0.0) + math.sqrt(2.0) * grid.spacing
+    return nonzero, math.sqrt(d2.max(initial=0.0)) + math.sqrt(2.0) * grid.spacing
 
 
 def _circle_geometry(pixel_grid: PixelGrid, sino_grid: SinogramGrid,
                      table: np.ndarray):
     """The circle points (see :func:`_circle_points`) with the cell test and
-    the reach of the support of the corner ``table`` (see
-    :func:`_support`): what the rows of every block are built from."""
-    return (_circle_points(pixel_grid, sino_grid), *_support(pixel_grid, table))
+    the reach of the support of the corner ``table`` (see :func:`_support`)
+    and the bands, arc half-widths and caps of the windows cut at that
+    reach (see :func:`_row_bands`): what the rows of every block are built
+    from."""
+    points = _circle_points(pixel_grid, sino_grid)
+    on_support, reach = _support(pixel_grid, table)
+    return points, on_support, _row_bands(pixel_grid, sino_grid, reach)
 
 
 def _sum_by_key(keys: np.ndarray, values: np.ndarray):
@@ -315,32 +329,6 @@ def _shift_sums(keys: np.ndarray, vals: np.ndarray, n_samples: int, shifts):
         m = (s >= d) & (s - d < n_samples)
         out[np.searchsorted(out_keys, keys[m] - d)] += wd * vals[m]
     return out_keys, out
-
-
-def _arcs(sino_grid: SinogramGrid, angles: np.ndarray, geometry):
-    """Per angle, the ascending indices of the circle points of ``geometry``
-    (see :func:`_circle_geometry`) that lie within its reach of the origin,
-    found for all angles at once: on each radius, one arc (see
-    :func:`_arc_half_widths`), at most two index ranges."""
-    points, _, reach = geometry
-    first = points[2]
-    counts = np.diff(first, append=len(points[1]))
-    half = _arc_half_widths(counts, sino_grid.radii[1:], reach)
-    centre = counts * (angles[:, None] / (2.0 * math.pi) + 0.5)
-    lo = np.ceil(centre - half).astype(np.int64)
-    hi = np.minimum(np.floor(centre + half).astype(np.int64) + 1, lo + counts)
-    shift = lo // counts * counts
-    lo -= shift
-    hi -= shift
-    # the arc [lo, hi) of a radius is [0, hi - n) and [lo, n) where it
-    # passes its last point
-    bounds = first[:, None] + np.stack(
-        [np.zeros_like(lo), np.maximum(hi - counts, 0), lo, np.minimum(hi, counts)],
-        axis=-1)
-    for starts, stops in bounds.reshape(len(angles), -1, 2).transpose(0, 2, 1):
-        sizes = stops - starts
-        ends = np.cumsum(sizes)
-        yield np.arange(ends[-1]) + np.repeat(starts - ends + sizes, sizes)
 
 
 def _point_cells(n_t: int, cs, off: np.ndarray, pts: np.ndarray, cells: np.ndarray):
@@ -381,56 +369,24 @@ def _point_weights(f: np.ndarray, g: np.ndarray, coef, w: np.ndarray) -> None:
         np.multiply(wx[a], wy[b], out=w[..., k])
 
 
-def _angle_rows(pixel_grid: PixelGrid, phi: float, geometry, cand: np.ndarray):
-    """Sparse rows of the angle ``phi`` from the ascending circle point
-    indices ``cand`` of ``geometry`` (see :func:`_circle_geometry`): the
-    corner-table cell and the four corner weights of every candidate point
-    in a cell that passes the geometry's cell test, radius by radius, and
-    the index of each radius's first point among them."""
-    (off, coef, first), on_support, _ = geometry
-    cells = np.empty(len(cand), dtype=np.intp)
-    cs = np.array([[math.cos(phi)], [math.sin(phi)]])
-    u, i = _point_cells(pixel_grid.n_t, cs, off, cand, cells)
-    near = on_support.take(cells)
-    kept = cand[near]
-    # the kept points' fractions, a coordinate at a time: a boolean index
-    # along one axis copies runs of points fast, one over (2, n) does not
-    f, g = np.empty((2, len(kept))), np.empty((2, len(kept)))
-    for d in range(2):
-        np.subtract(u[d][near], i[d][near], out=f[d])
-    w = np.empty((len(kept), 4))
-    _point_weights(f, g, coef.take(kept), w)
-    return np.searchsorted(kept, first), cells[near], w
-
-
-def _rows(pixel_grid: PixelGrid, sino_grid: SinogramGrid, angles: np.ndarray,
-          geometry):
-    """Sparse rows (see :func:`_angle_rows`) of each of the ``angles``,
-    built from the points on the arcs that can reach the support of
-    ``geometry`` (see :func:`_circle_geometry`), streamed angle by angle."""
-    return (_angle_rows(pixel_grid, phi, geometry, cand)
-            for phi, cand in zip(angles, _arcs(sino_grid, angles, geometry)))
-
-
-def _band_rows(pixel_grid: PixelGrid, angles: np.ndarray, geometry, layout):
-    """The rows (see :func:`_angle_rows`) of ``geometry`` at the ``angles``
-    as chunks ``(s0, s1, cells, w)``, one per band of ``layout`` (the
-    bands, arc half-widths and caps of :func:`_row_bands`): per angle and
-    sample, the cells (n_phi, s1 - s0, cap) and the corner weights
-    (n_phi, s1 - s0, 4*cap) of its window.
+def _windows(n_t: int, angles: np.ndarray, geometry, cells=None):
+    """The windows of the rows of ``geometry`` (see :func:`_circle_geometry`)
+    at the ``angles``, band by band: per band (s0, s1, cap), yields ``(s0,
+    s1, c, u, i, keep)``, with the cells c, shaped (n_phi, s1 - s0, cap),
+    of every window slot, their points u and floors i (see
+    :func:`_point_cells`), and which slots hold a point that passes the
+    cell test.  The cells go into consecutive views of the flat buffer
+    ``cells``, or into one new array per band.
 
     On radius i the window is the cap_i points from ceil(c - half_i + 1),
     with c = count_i*(phi/2pi + 1/2) the arc centre, the points past the
     circle's last listed first so that the row ascends.  It covers every
-    point within half_i - 1 of the centre, which holds every kept point.
-    A band's windows are built in one pass, into views of one buffer pair;
-    the window points that fail the geometry's cell test and the slots past
-    cap_i are pad entries, the corner table's last cell, in the zero ring,
-    at weight zero.  Raises AssertionError where a circle point just
-    outside a window that is not the whole circle passes the cell test."""
-    n_t, n_phi = pixel_grid.n_t, len(angles)
-    (off, coef, first), on_support, _ = geometry
-    bands, half, caps = layout
+    point within half_i - 1 of the centre, which holds every kept point;
+    the slots past cap_i hold none.  Raises AssertionError, before the
+    first band, where a circle point just outside a window that is not the
+    whole circle passes the cell test."""
+    n_phi = len(angles)
+    (off, coef, first), on_support, (bands, half, caps) = geometry
     counts = np.diff(first, append=len(coef))
     cs = np.array([[math.cos(phi) for phi in angles],
                    [math.sin(phi) for phi in angles]])[..., None, None]
@@ -459,33 +415,48 @@ def _band_rows(pixel_grid: PixelGrid, angles: np.ndarray, geometry, layout):
     base = start - wrap
     base += first
     del start
-    sizes = [n_phi * (s1 - s0) * cap for s0, s1, cap in bands]
-    cells = np.empty(sum(sizes), dtype=np.intp)
-    w = np.empty((len(cells), 4))
-    pad_cell = (n_t + 3) ** 2 - 1
-    chunks = []
     end = 0
-    for (s0, s1, cap), size in zip(bands, sizes):
-        c = cells[end : end + size].reshape(n_phi, s1 - s0, cap)
-        wc = w[end : end + size].reshape(n_phi, s1 - s0, cap, 4)
-        end += size
+    for s0, s1, cap in bands:
+        shape = (n_phi, s1 - s0, cap)
+        if cells is None:
+            c = np.empty(shape, dtype=np.intp)
+        else:
+            c = cells[end : end + math.prod(shape)].reshape(shape)
+            end += c.size
         r = slice(s0 - 1, s1 - 1)
         k = np.arange(cap)
         pts = base[:, r, None] + k
         np.copyto(pts, first[r, None] + k, where=k < wrap[:, r, None])
         u, i = _point_cells(n_t, cs, off, pts, c)
+        del pts
         keep = on_support.take(c)
         keep &= k < caps[r, None]
-        # the fractions of every kept point lie in [0, 1]; clipped there,
-        # a pad's weights at coef 0 are +0.0
-        f = np.subtract(u, i, out=u)
-        np.clip(f, 0.0, 1.0, out=f)
-        _point_weights(f, i, np.where(keep, coef.take(first[r, None]), 0.0), wc)
-        np.copyto(c, pad_cell, where=~keep)
-        chunks.append((s0, s1, c, wc.reshape(n_phi, s1 - s0, 4 * cap)))
+        yield s0, s1, c, u, i, keep
         # one band's temporaries alive at a time
-        del pts, u, i, f, keep
-    return chunks
+        del c, u, i, keep
+
+
+def _kept_rows(pixel_grid: PixelGrid, angles: np.ndarray, geometry):
+    """The rows of ``geometry`` at the ``angles`` from the window points that
+    pass the cell test (see :func:`_windows`), band by band: yields ``(s0,
+    s1, sizes, cells, w)``, with the kept points of each (angle, sample)
+    row, shaped (n_phi, s1 - s0), and the cell and the four corner weights
+    of every kept point, row after row, each row in ascending point
+    order."""
+    (_, coef, first), _, _ = geometry
+    for s0, s1, c, u, i, keep in _windows(pixel_grid.n_t, angles, geometry):
+        cells = c[keep]
+        # the kept points' fractions, a coordinate at a time: a boolean index
+        # over one coordinate copies runs of points fast, one over both does not
+        f, g = np.empty((2, len(cells))), np.empty((2, len(cells)))
+        for d in range(2):
+            np.subtract(u[d][keep], i[d][keep], out=f[d])
+        sizes = keep.sum(axis=-1)
+        del c, u, i, keep
+        row_coef = np.broadcast_to(coef.take(first[s0 - 1 : s1 - 1]), sizes.shape)
+        w = np.empty((len(cells), 4))
+        _point_weights(f, g, np.repeat(row_coef.ravel(), sizes.ravel()), w)
+        yield s0, s1, sizes, cells, w
 
 
 def _check_margin(pixel_grid: PixelGrid, kernel: SmoothingKernel) -> None:
@@ -501,20 +472,21 @@ def support_forward(pixel_grid: PixelGrid, sino_grid: SinogramGrid,
     """Smoothed circular means of the density array ``x`` at every angle of
     ``sino_grid``, block after block, shaped (n_angles, n_r + 1).
 
-    The rows are built for this call from the support of ``x`` only and
-    streamed angle by angle: per angle, one gather and one segment sum.
+    The rows are built for this call from the support of ``x`` only, with
+    windows cut at its reach, and streamed band by band (see
+    :func:`_kept_rows`): per band, one gather and one segment sum.
     """
     _check_margin(pixel_grid, kernel)
     table = _corner_table(pixel_grid, x)
     geometry = _circle_geometry(pixel_grid, sino_grid, table)
     out = np.zeros((sino_grid.n_angles, sino_grid.n_r + 1))
-    angle_rows = _rows(pixel_grid, sino_grid, sino_grid.angles, geometry)
-    for a, (first, cells, w) in enumerate(angle_rows):
+    for s0, s1, sizes, cells, w in _kept_rows(pixel_grid, sino_grid.angles, geometry):
         vals = table.take(cells, axis=0)
         vals *= w
         # empty rows (circles that miss the support) stay out of reduceat
-        rows = np.flatnonzero(np.diff(first, append=len(cells)))
-        out[a, rows + 1] = np.add.reduceat(vals.ravel(), 4 * first[rows])
+        rows = sizes > 0
+        starts = np.cumsum(sizes).reshape(sizes.shape) - sizes
+        out[:, s0:s1][rows] = np.add.reduceat(vals.ravel(), 4 * starts[rows])
     return smooth_radial(out, kernel)
 
 
@@ -528,9 +500,8 @@ class RadonBlockOperator:
     the domain's circle geometry its system shares (see
     :func:`_circle_geometry`): a cell of the zero-padded corner table and
     four weights per quadrature point.  The rows, in the padded chunks of
-    ``layout``, the bands its system shares (see :func:`_row_bands`), and
-    the backprojection indices are built at the first call that needs
-    them and kept.
+    the geometry's bands, and the backprojection indices are built at the
+    first call that needs them and kept.
     """
 
     def __init__(
@@ -540,7 +511,6 @@ class RadonBlockOperator:
         j: int,
         kernel: SmoothingKernel,
         geometry,
-        layout,
     ):
         if kernel.n_r != sino_grid.n_r:
             raise ValueError("kernel and sinogram grid disagree on n_r")
@@ -550,17 +520,42 @@ class RadonBlockOperator:
         self.j = j
         self.kernel = kernel
         self._geometry = geometry
-        self._layout = layout
 
     # -- forward ------------------------------------------------------------
 
     @cached_property
     def _chunks(self):
         """The rows of the system's geometry as chunks ``(s0, s1, cells,
-        w)``, one per band of the system's ``layout``, built a band at a
-        time straight into their padded place (see :func:`_band_rows`)."""
-        return _band_rows(self.pixel_grid, self.sino_grid.block_angles(self.j),
-                          self._geometry, self._layout)
+        w)``, one per band, built a band at a time straight into their
+        place in one buffer pair: per angle and sample, the cells (n_phi,
+        s1 - s0, cap) and the corner weights (n_phi, s1 - s0, 4*cap) of its
+        window (see :func:`_windows`).  The window points that fail the
+        cell test and the slots past cap_i are pad entries, the corner
+        table's last cell, in the zero ring, at weight zero."""
+        n_phi = self.sino_grid.n_phi
+        (_, coef, first), _, (bands, _, _) = self._geometry
+        cells = np.empty(n_phi * sum((s1 - s0) * cap for s0, s1, cap in bands),
+                         dtype=np.intp)
+        w = np.empty((len(cells), 4))
+        pad_cell = (self.pixel_grid.n_t + 3) ** 2 - 1
+        chunks = []
+        end = 0
+        for s0, s1, c, u, i, keep in _windows(self.pixel_grid.n_t,
+                                              self.sino_grid.block_angles(self.j),
+                                              self._geometry, cells):
+            wc = w[end : end + c.size].reshape(*c.shape, 4)
+            end += c.size
+            # the fractions of every kept point lie in [0, 1]; clipped there,
+            # a pad's weights at coef 0 are +0.0
+            f = np.subtract(u, i, out=u)
+            np.clip(f, 0.0, 1.0, out=f)
+            row_coef = coef.take(first[s0 - 1 : s1 - 1, None])
+            _point_weights(f, i, np.where(keep, row_coef, 0.0), wc)
+            np.copyto(c, pad_cell, where=~keep)
+            chunks.append((s0, s1, c, wc.reshape(n_phi, s1 - s0, -1)))
+            # one band's temporaries alive at a time
+            del u, i, f, keep
+        return chunks
 
     def forward_raw(self, x: np.ndarray) -> np.ndarray:
         """Circular means of the density array on the block samples; the
@@ -744,11 +739,11 @@ class RadonSystem:
         self.lam = lam
         self._scale = 1.0 + lam * sino_grid.block_measure
         self.kernel = SmoothingKernel(sino_grid.n_r, K)
+        # windows cut at the domain's reach, _domain_reach
         geometry = _circle_geometry(pixel_grid, sino_grid,
                                     _corner_table(pixel_grid, pixel_grid.mask))
-        layout = _row_bands(pixel_grid, sino_grid)
         self.ops = [
-            RadonBlockOperator(pixel_grid, sino_grid, j, self.kernel, geometry, layout)
+            RadonBlockOperator(pixel_grid, sino_grid, j, self.kernel, geometry)
             for j in range(sino_grid.n_blocks)
         ]
         self._raw_kernel_sup = None

@@ -703,18 +703,18 @@ def test_one_compare_system_is_alive_while_rows_are_built(tmp_path, monkeypatch)
         _init(self, *args, **kwargs)
         systems.append(weakref.ref(self))
 
-    def band_rows(pixel_grid, angles, geometry, layout, _band_rows=operators._band_rows):
-        # only a system's blocks build cached rows, each from its system's
-        # geometry, which one live system holds
+    def windows(n_t, angles, geometry, cells=None, _windows=operators._windows):
+        # the simulation's windows come before any system; a block's come
+        # from its system's geometry, which one live system holds
         live = [s for s in (ref() for ref in systems) if s is not None]
-        (owner,) = [s.n_blocks for s in live if geometry is s.ops[0]._geometry]
+        owners = [s.n_blocks for s in live if geometry is s.ops[0]._geometry]
         others = [s.n_blocks for s in live if geometry is not s.ops[0]._geometry
                   and any("_chunks" in vars(op) for op in s.ops)]
-        builds.append((owner, [s.n_blocks for s in live], others))
-        return _band_rows(pixel_grid, angles, geometry, layout)
+        builds.append((owners, [s.n_blocks for s in live], others))
+        return _windows(n_t, angles, geometry, cells)
 
     monkeypatch.setattr(operators.RadonSystem, "__init__", init)
-    monkeypatch.setattr(operators, "_band_rows", band_rows)
+    monkeypatch.setattr(operators, "_windows", windows)
     text = (
         BASE.replace("mode = loping-osem", "mode = compare")
         .replace("max_cycles = 30", "max_cycles = 3")
@@ -725,8 +725,8 @@ def test_one_compare_system_is_alive_while_rows_are_built(tmp_path, monkeypatch)
         systems.clear()
         builds.clear()
         assert main([argv[0], str(cfg), "--quiet", *argv[1:]]) == 0
-        # one row build per block of each system
-        assert builds == [(2, [2], [])] * 2 + [(4, [4], [])] * 4
+        # one simulation, then one row build per block of each system
+        assert builds == [([], [], [])] + [([2], [2], [])] * 2 + [([4], [4], [])] * 4
 
 
 def test_verify_checks_every_compare_system(tmp_path, capsys):

@@ -75,8 +75,7 @@ def _system_op(grid, sino, j, kernel) -> RadonBlockOperator:
     are: it builds its rows of the domain once and keeps them."""
     table = operators._corner_table(grid, grid.mask)
     geometry = operators._circle_geometry(grid, sino, table)
-    return RadonBlockOperator(grid, sino, j, kernel, geometry,
-                              operators._row_bands(grid, sino))
+    return RadonBlockOperator(grid, sino, j, kernel, geometry)
 
 
 @pytest.fixture(scope="module")
@@ -192,6 +191,42 @@ def _chunk_entries(op: RadonBlockOperator):
         yield np.concatenate(sample), np.concatenate(cells), np.concatenate(w)
 
 
+def _angle_rows(pixel_grid: PixelGrid, phi: float, geometry, cand: np.ndarray):
+    """Sparse rows of the angle ``phi`` from the ascending circle point
+    indices ``cand`` of ``geometry`` (see :func:`_circle_geometry`): the
+    corner-table cell and the four corner weights of every candidate point
+    in a cell that passes the geometry's cell test, radius by radius, and
+    the index of each radius's first point among them."""
+    (off, coef, first), on_support, _ = geometry
+    cells = np.empty(len(cand), dtype=np.intp)
+    cs = np.array([[math.cos(phi)], [math.sin(phi)]])
+    u, i = operators._point_cells(pixel_grid.n_t, cs, off, cand, cells)
+    near = on_support.take(cells)
+    kept = cand[near]
+    # the kept points' fractions, a coordinate at a time: a boolean index
+    # along one axis copies runs of points fast, one over (2, n) does not
+    f, g = np.empty((2, len(kept))), np.empty((2, len(kept)))
+    for d in range(2):
+        np.subtract(u[d][near], i[d][near], out=f[d])
+    w = np.empty((len(kept), 4))
+    operators._point_weights(f, g, coef.take(kept), w)
+    return np.searchsorted(kept, first), cells[near], w
+
+
+def _streamed_entries(grid: PixelGrid, angles: np.ndarray, geometry):
+    """Per angle, the sample, the cell and the four corner weights of each
+    point of the simulation's compacted windows (see
+    ``operators._kept_rows``), in their order."""
+    per_angle = [[] for _ in angles]
+    for s0, s1, sizes, cells, w in operators._kept_rows(grid, angles, geometry):
+        ends = np.cumsum(sizes.sum(axis=1))
+        for a, (lo, hi) in enumerate(zip(ends - sizes.sum(axis=1), ends)):
+            per_angle[a].append((np.repeat(np.arange(s0, s1), sizes[a]),
+                                 cells[lo:hi], w[lo:hi]))
+    for bands in per_angle:
+        yield tuple(np.concatenate(part) for part in zip(*bands))
+
+
 def _bilinear_gather(values: np.ndarray, ix, iy, fx, fy) -> np.ndarray:
     """Sample a node array at points, zero outside the square."""
     n_t = values.shape[0] - 1
@@ -249,11 +284,9 @@ def test_sparse_rows_match_gather_reference(n_t, n_blocks, n_phi, K):
         # the two paths sum a row in different orders, so their rows are
         # compared: the streamed rows of a density nonzero on the whole
         # domain are the cached chunks' points
-        rows = operators._rows(grid, sino, sino.block_angles(j), geometry)
-        for (first, cells, w), cached in zip(rows, _chunk_entries(op)):
-            sizes = np.diff(first, append=len(cells))
-            sample = np.repeat(np.arange(1, sino.n_r + 1), sizes)
-            for a, b in zip((sample, cells, w), cached):
+        streamed_rows = _streamed_entries(grid, sino.block_angles(j), geometry)
+        for own, cached in zip(streamed_rows, _chunk_entries(op)):
+            for a, b in zip(own, cached):
                 assert np.array_equal(a, b)
 
 
@@ -374,7 +407,7 @@ def test_one_time_builds_allocate_little_beyond_what_they_keep():
         # each band from a few temporaries of its size: not a (..., 4)
         # weight temporary per band, nor one band's temporaries alive
         # with the next's
-        bands, _, _ = operators._row_bands(grid, sino)
+        bands, _, _ = op._geometry[2]
         band = max(sino.n_phi * (s1 - s0) * cap for s0, s1, cap in bands)
         assert rows_peak - op.row_size()[1] <= 10 * band * 8
         tracemalloc.start()
@@ -433,15 +466,18 @@ def test_arc_rows_equal_rows_over_all_points(n_t, n_r, n_blocks, n_phi, K, margi
     except ValueError:
         assume(False)
     sino = SinogramGrid(n_blocks=n_blocks, n_phi=n_phi, n_r=n_r)
-    kernel = SmoothingKernel(n_r, K)
+    # the simulation's compacted windows of a density nonzero on the whole
+    # domain, cut at its support's reach, are the rows over every point
+    table = operators._corner_table(grid, grid.mask)
+    geometry = operators._circle_geometry(grid, sino, table)
+    every_point = np.arange(len(geometry[0][1]))
     for j in range(n_blocks):
-        geometry = _system_op(grid, sino, j, kernel)._geometry
-        every_point = np.arange(len(geometry[0][1]))
         angles = sino.block_angles(j)
-        for phi, arc in zip(angles, operators._rows(grid, sino, angles, geometry)):
-            plain = operators._angle_rows(grid, phi, geometry, every_point)
-            for a, c in zip(arc, plain):
-                assert a.dtype == c.dtype and np.array_equal(a, c)
+        for phi, own in zip(angles, _streamed_entries(grid, angles, geometry)):
+            first, cells, w = _angle_rows(grid, phi, geometry, every_point)
+            sample = np.repeat(np.arange(1, n_r + 1), np.diff(first, append=len(cells)))
+            for a, b in zip(own, (sample, cells, w)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 @given(
@@ -469,7 +505,7 @@ def test_cached_rows_equal_rows_over_all_points(n_t, n_r, n_blocks, n_phi, K, ma
         every_point = np.arange(len(op._geometry[0][1]))
         angles = sino.block_angles(op.j)
         for phi, cached in zip(angles, _chunk_entries(op)):
-            first, cells, w = operators._angle_rows(grid, phi, op._geometry, every_point)
+            first, cells, w = _angle_rows(grid, phi, op._geometry, every_point)
             sample = np.repeat(np.arange(1, n_r + 1), np.diff(first, append=len(cells)))
             for a, b in zip((sample, cells, w), cached):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -482,6 +518,9 @@ def test_cached_rows_equal_rows_over_all_points(n_t, n_r, n_blocks, n_phi, K, ma
 @example(n_t=40, n_r=40, n_blocks=2, n_phi=3, K=1, margin=0.0)
 # one domain node; its 43 kept points against a bound of 92
 @example(n_t=2, n_r=4, n_blocks=4, n_phi=1, K=1, margin=0.0)
+# epsilon = 0.1: x^2 + y^2 rounds to radius^2 at a node off the domain,
+# which a move by one among squares that +-y share did not leave
+@example(n_t=100, n_r=20, n_blocks=1, n_phi=1, K=1, margin=0.0)
 @settings(max_examples=60, deadline=None)
 def test_row_point_bound_holds_the_cached_rows(n_t, n_r, n_blocks, n_phi, K, margin):
     # the bound the config check reads covers the points the rows of every
@@ -498,9 +537,26 @@ def test_row_point_bound_holds_the_cached_rows(n_t, n_r, n_blocks, n_phi, K, mar
     kept = sum(len(cells) for op in system.ops for _, cells, _ in _chunk_entries(op))
     stored = sum(op.row_size()[0] for op in system.ops)
     assert kept <= stored == operators._row_point_bound(grid, sino)
-    # the same farthest node as the corner table's (hypot rounds apart)
-    assert operators._domain_reach(grid) == pytest.approx(system.ops[0]._geometry[2],
-                                                          rel=1e-12)
+    # the reach the system's windows are cut at, bit for bit
+    on_domain = operators._corner_table(grid, grid.mask)
+    assert operators._domain_reach(grid) == operators._support(grid, on_domain)[1]
+
+
+def test_windows_narrower_than_their_arcs_fail_both_projections(monkeypatch):
+    # with every arc half-width narrowed by 3 points, kept points fall just
+    # outside their windows: the cached rows and the simulation's streamed
+    # ones both raise instead of dropping them
+    half_widths = operators._arc_half_widths
+    monkeypatch.setattr(operators, "_arc_half_widths",
+                        lambda counts, r, reach: half_widths(counts, r, reach) - 3.0)
+    grid = PixelGrid(40, 0.05)
+    sino = SinogramGrid(n_blocks=2, n_phi=3, n_r=40)
+    x = render_phantom(PhantomSpec((Disc(0.2, -0.1, 0.4, 1.0),)), grid)
+    system = RadonSystem(grid, sino, lam=0.01, K=1)
+    with pytest.raises(AssertionError, match="outside its row's window"):
+        system.forward(x, 0)
+    with pytest.raises(AssertionError, match="outside its row's window"):
+        support_forward(grid, sino, system.kernel, x)
 
 
 def _sparse_density(grid: PixelGrid, kind: str, draw: float, seed: int) -> np.ndarray:
@@ -553,11 +609,11 @@ def test_streamed_rows_hold_the_support_of_the_density(n_t, n_r, n_blocks, n_phi
     assert np.array_equal(geometry[1], table.any(axis=1))
     points = geometry[0]
     every_point = np.arange(len(points[1]))
-    rows = operators._rows(grid, sino, sino.angles, geometry)
-    for phi, own in zip(sino.angles, rows):
-        plain = operators._angle_rows(grid, phi, (points, table.any(axis=1), None),
+    for phi, own in zip(sino.angles, _streamed_entries(grid, sino.angles, geometry)):
+        first, cells, w = _angle_rows(grid, phi, (points, table.any(axis=1), None),
                                       every_point)
-        for a, b in zip(own, plain):
+        sample = np.repeat(np.arange(1, n_r + 1), np.diff(first, append=len(cells)))
+        for a, b in zip(own, (sample, cells, w)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
     streamed = support_forward(grid, sino, kernel, x)
     for j in range(n_blocks):
