@@ -1,12 +1,15 @@
 #!/bin/sh
 # Run the three bundled configs with --seed 0 at a base revision and at the
 # working tree, and print the `diff -r` of their artifacts without the
-# volatile fields: the timestamp= and wall_seconds= lines of summary.txt
-# and the wall_seconds column of table.csv.  What `verify --seed 0` prints
-# on each config is kept as verify_<config>.txt and diffed with them.
-# After the diff comes one line per differing text file: how many of its
-# numbers differ, the largest relative difference among them, and whether
-# any word or integer field (k_star, cycles, stopped_by_rule, ...) differs.
+# volatile fields: the wall_seconds= line of summary.txt (and the timestamp=
+# line older revisions write there) and the wall_seconds column of
+# table.csv.  What `verify --seed 0` prints on each config is kept as
+# verify_<config>.txt and diffed with them.  After the diff comes one line
+# per differing text file: how many of its numbers differ, the largest
+# relative difference among them, and whether any word or integer field
+# (k_star, cycles, stopped_by_rule, ...) differs.  A CSV file whose header
+# changed is compared by column name: the line names the added and removed
+# columns, and its counts cover the shared columns only.
 # Report only: neither the diff nor the summary sets the exit status.
 #
 #   sh .github/artifact_diff.sh BASE_REV WORK_DIR
@@ -65,6 +68,24 @@ def fields(path):
         return None
 
 
+def columns(path):
+    # a CSV file's columns by name, or None when its first line holds a
+    # number and so is no header
+    with open(path, encoding="utf-8") as fh:
+        rows = [line.rstrip("\n").split(",") for line in fh]
+    if not rows or any(is_number(name) for name in rows[0]):
+        return None
+    return {name: [row[i] for row in rows[1:]] for i, name in enumerate(rows[0])}
+
+
+def is_number(token):
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 def as_float(token):
     # a float field: it parses, and it is not an integer
     if re.fullmatch(r"[+-]?\d+", token):
@@ -86,6 +107,14 @@ for root, _, names in sorted(os.walk(base)):
         a, b = fields(a_path), fields(b_path)
         if a is None or b is None or a == b:
             continue
+        note = ""
+        ca, cb = (columns(p) if p.endswith(".csv") else None for p in (a_path, b_path))
+        if ca is not None and cb is not None and list(ca) != list(cb):
+            shared = [col for col in ca if col in cb]
+            note = (f"columns added {[col for col in cb if col not in ca]}, removed "
+                    f"{[col for col in ca if col not in cb]}; in the shared columns, ")
+            a = [t for col in shared for t in ca[col]]
+            b = [t for col in shared for t in cb[col]]
         floats, moved, worst, other = 0, 0, 0.0, len(a) != len(b)
         for x, y in zip(a, b):
             fx, fy = as_float(x), as_float(y)
@@ -99,7 +128,7 @@ for root, _, names in sorted(os.walk(base)):
                     d = abs(fx - fy) / max(abs(fx), abs(fy))
                     # a move to or from inf or nan is an infinite difference
                     worst = max(worst, d if d == d else math.inf)
-        print(f"{rel}: {moved} of {floats} numbers differ, largest relative "
+        print(f"{rel}: {note}{moved} of {floats} numbers differ, largest relative "
               f"difference {worst:.3g}; word and integer fields "
               f"{'DIFFER' if other else 'equal'}")
 PY

@@ -15,7 +15,6 @@ ends as a traceback (exit 1).
 from __future__ import annotations
 
 import argparse
-import datetime
 import math
 import sys
 import time
@@ -193,12 +192,11 @@ def _noise_pairs(data: SolverData) -> list:
 
 
 def _write_summary(path: Path, cfg: RunConfig, pairs: list) -> None:
-    """``summary.txt``: the time, the configured problem, then ``pairs``."""
+    """``summary.txt``: the configured problem, then ``pairs``."""
     save_key_values(path, [
-        ("timestamp", datetime.datetime.now().isoformat()), ("mode", cfg.mode),
-        ("n_t", cfg.n_t), ("n_r", cfg.n_r), ("n_angle", cfg.n_angle),
-        ("n_blocks", cfg.n_blocks), ("epsilon", cfg.epsilon), ("K", cfg.K),
-        ("lambda", cfg.lam), ("noise_level", cfg.noise_level), *pairs,
+        ("mode", cfg.mode), ("n_t", cfg.n_t), ("n_r", cfg.n_r),
+        ("n_angle", cfg.n_angle), ("n_blocks", cfg.n_blocks), ("epsilon", cfg.epsilon),
+        ("K", cfg.K), ("lambda", cfg.lam), ("noise_level", cfg.noise_level), *pairs,
     ])
 
 
@@ -378,9 +376,7 @@ def _verify_system(cfg: RunConfig, system, data: SolverData) -> None:
         print("warning: exact data; loping performs every step and only "
               "max_cycles ends the run")
         return
-    residuals, thresholds = block_residuals(
-        x0, system, data.values, tau, solver_cfg.gamma, data.deltas
-    )
+    residuals, thresholds = block_residuals(x0, system, data.values, solver_cfg)
     print(f"threshold_max{label}={float(thresholds.max())!r}")
     print(f"initial_residual_min{label}={float(residuals.min())!r}")
     if np.all(thresholds >= residuals):

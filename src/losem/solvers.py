@@ -16,7 +16,7 @@ the stopping index is a multiple of the block count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,10 +34,9 @@ __all__ = [
     "tau_schedule",
 ]
 
-# the fields of a trace row, in order; trace.csv holds the first _CSV_FIELDS
+# the fields of a trace row, in order, as trace.csv writes them
 TRACE_FIELDS = ("step", "cycle", "block", "performed", "residual", "step_kl",
-                "error_kl", "residual_after", "drift")
-_CSV_FIELDS = 7
+                "error_kl", "drift")
 
 
 @dataclass(frozen=True)
@@ -82,20 +81,18 @@ class IterationTrace:
     ``residual`` is the block residual before the step, ``step_kl`` the KL
     distance from the previous to the new iterate (zero for skipped steps)
     and ``error_kl`` the KL distance from the ground truth to the iterate
-    before the step (nan when no ground truth was supplied).  The error of
-    the final iterate is kept in ``final_error``.  ``residual_after`` is
-    filled only when the run audits post-step residuals.
+    before the step (nan when no ground truth was supplied).  ``drift`` is
+    the iterate's mass before renormalization minus one (zero for skipped
+    steps).  The error of the final iterate is kept in ``final_error``.
     """
 
     n_blocks: int
     rows: list = field(default_factory=list)
     final_error: float = math.nan
 
-    def append(self, k, j, performed, residual, step_kl, error_kl,
-               residual_after=math.nan, drift=0.0):
+    def append(self, k, j, performed, residual, step_kl, error_kl, drift=0.0):
         self.rows.append((k, k // self.n_blocks, j, bool(performed), float(residual),
-                          float(step_kl), float(error_kl), float(residual_after),
-                          float(drift)))
+                          float(step_kl), float(error_kl), float(drift)))
 
     def __getattr__(self, name):
         if name not in TRACE_FIELDS:
@@ -108,7 +105,7 @@ class IterationTrace:
 
     @property
     def n_cycles(self) -> int:
-        return 0 if not self.rows else self.cycle[-1] + 1
+        return 0 if not self.rows else self.rows[-1][1] + 1
 
     def errors(self) -> np.ndarray:
         """Ground-truth errors per step plus the final iterate's error."""
@@ -116,10 +113,10 @@ class IterationTrace:
 
     def write_csv(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write(",".join(TRACE_FIELDS[:_CSV_FIELDS]) + "\n")
+            fh.write(",".join(TRACE_FIELDS) + "\n")
             for row in self.rows:
                 fh.write(",".join(repr(int(v) if isinstance(v, bool) else v)
-                                  for v in row[:_CSV_FIELDS]) + "\n")
+                                  for v in row) + "\n")
 
 
 @dataclass(frozen=True)
@@ -178,20 +175,18 @@ def em_step(x, system, j, y_j):
     return _update(x, system, j, y_j, system.forward(x, j))[0]
 
 
-def osem_run(x0, system, data, cycles, x_star=None, audit=False):
+def osem_run(x0, system, data, cycles, x_star=None):
     """Cyclic multiplicative iteration over all blocks for a fixed cycle count.
 
     This is the loping loop with zero noise bounds, which performs every
     step (tau and gamma are then never read).  Returns the final iterate
-    values and the :class:`IterationTrace`.  ``audit`` additionally records
-    the same-block residual after each step.
+    values and the :class:`IterationTrace`.
     """
-    zero = np.zeros(system.n_blocks)
-    return _run_loop(x0, system, data, cycles, x_star, audit, 1.0, None, zero)[:2]
+    config = SolverConfig(delta=np.zeros(system.n_blocks), max_cycles=cycles)
+    return _run_loop(x0, system, data, config, x_star)[:2]
 
 
-def loping_osem_run(x0, system, data, config: SolverConfig, x_star=None,
-                    audit=False):
+def loping_osem_run(x0, system, data, config: SolverConfig, x_star=None):
     """Loping variant: steps whose block residual is at or below the noise
     threshold are skipped, and the run stops after the first fully skipped
     cycle.
@@ -199,21 +194,21 @@ def loping_osem_run(x0, system, data, config: SolverConfig, x_star=None,
     Returns (values, trace, stop_report).
     """
     N = system.n_blocks
-    delta = np.zeros(N) if config.delta is None else config.delta
+    if config.delta is None:
+        config = replace(config, delta=np.zeros(N))
+    delta = config.delta
     if delta.shape != (N,):
         raise ValueError(
             f"delta must have one entry per block, got shape {delta.shape} "
             f"for {N} blocks"
         )
     tau, g = config.tau, config.gamma
-    x, trace, skipped = _run_loop(
-        x0, system, data, config.max_cycles, x_star, audit, tau, g, delta
-    )
+    x, trace, skipped = _run_loop(x0, system, data, config, x_star)
     stopped = skipped is not None
     # a fully skipped cycle left the iterate as it was, so its residuals
     # and thresholds are those of the final iterate
     final_res, final_thr = (skipped if stopped else
-                            block_residuals(x, system, data, tau, g, delta))
+                            block_residuals(x, system, data, config))
     d_min = float(np.min(delta))
     step_bound = math.nan
     if x_star is not None and g is not None and tau > 1.0 and d_min > 0.0:
@@ -232,23 +227,25 @@ def loping_osem_run(x0, system, data, config: SolverConfig, x_star=None,
     return x, trace, report
 
 
-def block_residuals(x, system, data, tau, gamma, delta):
+def block_residuals(x, system, data, config: SolverConfig):
     """Residual KL(y_j, A_j x) of every block at the iterate ``x``, and the
     threshold tau * gamma * delta_j a loping step on it must exceed (gamma
-    None: the adaptive rule at ``x``).  Returns two arrays."""
+    None: the adaptive rule at ``x``), for the tau, gamma and delta of
+    ``config``.  Returns two arrays."""
     w = system.block_weight
     res = np.empty(system.n_blocks)
     thr = np.empty(system.n_blocks)
     for j in range(system.n_blocks):
         fx = system.forward(x, j)
         res[j] = kl_distance(data[j], fx, w)
-        thr[j] = skip_threshold(tau, gamma, delta[j], data[j], fx, w)
+        thr[j] = skip_threshold(config.tau, config.gamma, config.delta[j],
+                                data[j], fx, w)
     return res, thr
 
 
-def _run_loop(x0, system, data, max_cycles, x_star, audit, tau, gamma, delta):
-    """Cycle the blocks under the skip rule of (tau, gamma, delta): a step
-    is performed when its block's bound is zero or its residual exceeds the
+def _run_loop(x0, system, data, config: SolverConfig, x_star):
+    """Cycle the blocks under the skip rule of ``config``: a step is
+    performed when its block's bound is zero or its residual exceeds the
     threshold.  Returns the final iterate, the trace and, when the run
     stopped on a fully skipped cycle, that cycle's residuals and thresholds
     (else None)."""
@@ -257,6 +254,7 @@ def _run_loop(x0, system, data, max_cycles, x_star, audit, tau, gamma, delta):
         raise ValueError(f"expected {N} data blocks, got {len(data)}")
     data = [np.asarray(b, dtype=np.float64) for b in data]
     x = np.array(x0, dtype=np.float64)
+    tau, gamma, delta = config.tau, config.gamma, config.delta
     w_nodes = system.node_weights
     w_block = system.block_weight
 
@@ -268,7 +266,7 @@ def _run_loop(x0, system, data, max_cycles, x_star, audit, tau, gamma, delta):
     # the iterate, and so its error, as it was
     err = math.nan if x_star is None else kl_distance(x_star, x, w_nodes)
     k = 0
-    for _ in range(max_cycles):
+    for _ in range(config.max_cycles):
         any_performed = False
         for j in range(N):
             fx = system.forward(x, j)
@@ -278,15 +276,12 @@ def _run_loop(x0, system, data, max_cycles, x_star, audit, tau, gamma, delta):
             if delta[j] == 0.0 or f > thr[j]:
                 any_performed = True
                 x_new, mass = _update(x, system, j, data[j], fx)
-                step_kl = kl_distance(x_new, x, w_nodes)
-                f_after = math.nan
-                if audit:
-                    f_after = kl_distance(data[j], system.forward(x_new, j), w_block)
-                trace.append(k, j, True, f, step_kl, err, f_after, mass - 1.0)
+                trace.append(k, j, True, f, kl_distance(x_new, x, w_nodes), err,
+                             mass - 1.0)
                 x = x_new
                 err = math.nan if x_star is None else kl_distance(x_star, x, w_nodes)
             else:
-                trace.append(k, j, False, f, 0.0, err, f if audit else math.nan, 0.0)
+                trace.append(k, j, False, f, 0.0, err)
             k += 1
         if not any_performed:
             skipped = res, thr

@@ -7,6 +7,8 @@ from losem import (
     PixelGrid,
     RadonSystem,
     SinogramGrid,
+    em_step,
+    kl_distance,
     render_phantom,
 )
 
@@ -110,3 +112,20 @@ def cycle_errors(trace) -> np.ndarray:
     out = [trace.error_kl[c * N] for c in range(trace.n_cycles)]
     out.append(trace.final_error)
     return np.asarray(out)
+
+
+def replay_residuals(x0, system, data, trace):
+    """Block residuals before and after each step of a run from ``x0`` that
+    performed every step, replayed with ``em_step``.  Each residual before
+    a step must equal the trace's bit for bit, so the replay retraces the
+    run's iterates.  Returns (before, after) as arrays."""
+    assert all(trace.performed)
+    w = system.block_weight
+    x = np.array(x0, dtype=np.float64)
+    before, after = [], []
+    for j, recorded in zip(trace.block, trace.residual):
+        before.append(kl_distance(data[j], system.forward(x, j), w))
+        assert before[-1] == recorded
+        x = em_step(x, system, j, data[j])
+        after.append(kl_distance(data[j], system.forward(x, j), w))
+    return np.asarray(before), np.asarray(after)

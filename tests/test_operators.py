@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from losem import operators
-from losem.cli import main
+from losem.cli import _pairing_defect, main
 from losem.config import load_config
 from losem.kl_core import (ConfigError, PixelGrid, SinogramGrid, normalize_to_simplex,
                            uniform_density)
@@ -388,6 +388,53 @@ def test_kernel_sup_matches_dense_matrix_on_a_tiny_grid(K):
         assert op.kernel_sup() == _dense_kernel_sup(op)
         sups.append(float(dense.max()))
     assert system.raw_kernel_sup() == pytest.approx(max(sups), rel=1e-13)
+
+
+@pytest.mark.parametrize("n_t,n_blocks,K", [(6, 1, 1), (6, 3, 2), (8, 2, 1), (8, 4, 2)])
+def test_tiny_systems_match_their_dense_matrices(n_t, n_blocks, K):
+    # each block's shifted forward (samples x domain nodes) and adjoint
+    # (domain nodes x samples) assembled from unit vectors
+    grid = PixelGrid(n_t, 2.0 * K / n_t)
+    sino = SinogramGrid(n_blocks=n_blocks, n_phi=3, n_r=n_t)
+    system = RadonSystem(grid, sino, lam=0.01, K=K)
+    dom = np.flatnonzero(grid.mask.ravel())
+    n_samples = sino.n_phi * (sino.n_r + 1)
+    rng = np.random.default_rng(10 * n_t + n_blocks)
+    data = [rng.uniform(0.5, 1.5, sino.block_shape) for _ in range(n_blocks)]
+    x = uniform_density(grid).ravel()[dom]
+    w_dom = system.node_weights.ravel()[dom]
+    n = n_t + 4
+    offsets = np.array([a * n + b for a, b in operators._CORNERS])
+    defect, sup = 0.0, 0.0
+    for j, op in enumerate(system.ops):
+        forward, raw = [], []
+        for node in dom:
+            e = np.zeros(grid.shape)
+            e.ravel()[node] = 1.0
+            forward.append(system.forward(e, j).ravel())
+            raw.append(_gather_forward_raw(op, e).ravel())
+        forward, raw = np.stack(forward, axis=1), np.stack(raw, axis=1)
+        adjoint = np.stack([system.adjoint(e.reshape(sino.block_shape), j).ravel()[dom]
+                            for e in np.eye(n_samples)], axis=1)
+        y = data[j].ravel()
+        lhs = float(np.sum(forward @ x * y) * system.block_weight)
+        rhs = float(np.sum(x * (adjoint @ y) * w_dom))
+        defect = max(defect, abs(lhs - rhs) / lhs)
+        sup = max(sup, float(forward.max()) / grid.cell_measure)
+        # the packed chunks' entries scattered onto the padded nodes
+        packed = np.zeros((sino.n_phi, sino.n_r + 1, n * n))
+        for a, (sample, cells, w) in enumerate(_chunk_entries(op)):
+            node = (cells + cells // (n - 1))[:, None] + offsets
+            np.add.at(packed[a], (sample[:, None], node), w)
+        packed = packed.reshape(n_samples, n, n)[:, 1 : n - 2, 1 : n - 2]
+        # a point within rounding of a node line leaves entries near 1e-17,
+        # where the two bilinear forms round apart by an ulp of the largest
+        # entry (3.1e-16 relative to it, at most, on these grids)
+        npt.assert_allclose(packed.reshape(n_samples, -1)[:, dom], raw,
+                            rtol=1e-13, atol=1e-15 * raw.max())
+    assert _pairing_defect(system, uniform_density(grid), data) == pytest.approx(
+        defect, rel=1e-12)
+    assert effective_bounds(system, data).M == pytest.approx(sup, rel=1e-12)
 
 
 def test_one_time_builds_allocate_little_beyond_what_they_keep():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MatrixSystem, cycle_errors
+from conftest import MatrixSystem, cycle_errors, replay_residuals
 from losem import solvers
 from losem.cli import _pairing_defect
 from losem.experiment import consistent_data
@@ -94,17 +94,14 @@ def test_osem_trace_shape_and_monotone_error(small_setup):
     system, x_star = small_setup
     data = consistent_data(x_star, system)
     x0 = uniform_density(system.pixel_grid)
-    vals, trace = osem_run(
-        x0, system, data, cycles=6, x_star=x_star, audit=True
-    )
+    vals, trace = osem_run(x0, system, data, cycles=6, x_star=x_star)
     assert len(trace) == 6 * system.n_blocks
     assert trace.n_cycles == 6
     errs = trace.errors()
     assert len(errs) == len(trace) + 1
     assert np.all(np.diff(errs) <= 1e-12)
-    # audit recorded post-step residuals, never above the pre-step ones
-    res = np.asarray(trace.residual)
-    after = np.asarray(trace.residual_after)
+    # replayed, no step raises its block's residual
+    res, after = replay_residuals(x0, system, data, trace)
     assert np.all(after <= res + 1e-12)
     ce = cycle_errors(trace)
     assert len(ce) == 7
@@ -119,7 +116,7 @@ def test_trace_csv_format(small_setup, tmp_path):
     path = tmp_path / "trace.csv"
     trace.write_csv(path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "step,cycle,block,performed,residual,step_kl,error_kl"
+    assert lines[0] == "step,cycle,block,performed,residual,step_kl,error_kl,drift"
     assert len(lines) == 1 + 2 * system.n_blocks
     first = lines[1].split(",")
     assert first[:4] == ["0", "0", "0", "1"]
@@ -137,9 +134,10 @@ def test_trace_csv_rows_are_the_trace_columns(small_setup, tmp_path):
     path = tmp_path / "trace.csv"
     trace.write_csv(path)
     columns = zip(trace.step, trace.cycle, trace.block, trace.performed,
-                  trace.residual, trace.step_kl, trace.error_kl)
+                  trace.residual, trace.step_kl, trace.error_kl, trace.drift)
     assert path.read_text().splitlines()[1:] == [
-        f"{k},{c},{j},{int(p)},{r!r},{s!r},{e!r}" for k, c, j, p, r, s, e in columns
+        f"{k},{c},{j},{int(p)},{r!r},{s!r},{e!r},{d!r}"
+        for k, c, j, p, r, s, e, d in columns
     ]
     assert trace.step == list(range(len(trace)))
     assert trace.cycle == [k // N for k in trace.step]
@@ -323,7 +321,7 @@ def test_stopped_loping_reports_from_its_skipped_cycle(small_setup, gamma, delta
     w = system.node_weights
     assert trace.error_kl == [kl_distance(x_star, it, w) for it in counting.iterates]
     assert trace.final_error == kl_distance(x_star, x, w)
-    res, thr = block_residuals(x, system, data, cfg.tau, gamma, cfg.delta)
+    res, thr = block_residuals(x, system, data, cfg)
     assert np.array_equal(report.final_residuals, res)
     assert np.array_equal(report.thresholds, thr)
 
