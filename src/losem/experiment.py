@@ -351,7 +351,12 @@ def _bisect_counts(blocks: list[np.ndarray], weight: float, spec: NoiseSpec):
     noisy, agg = realized(c)
     if abs(agg - target) <= tol:
         return c, noisy, agg
-    # bracket: realized error decreases as the counts scale grows
+    # bracket: realized error decreases as the counts scale grows.  Each
+    # direction ends well within its 60 quadruplings: upward the draw
+    # raises FloatingPointError once numpy rejects the expected counts
+    # (from about 1e19), downward the draws come up empty and read error
+    # 2.0.  Unbracketed, the bisection below still returns only a scale
+    # within the window, or raises.
     lo, hi = c, c
     agg_lo = agg_hi = agg
     for _ in range(60):
@@ -363,11 +368,6 @@ def _bisect_counts(blocks: list[np.ndarray], weight: float, spec: NoiseSpec):
             _, agg_hi = realized(hi)
         else:
             break
-    if not (agg_lo >= target >= agg_hi):
-        raise FloatingPointError(
-            f"could not bracket the noise target {target}: realized error is "
-            f"{agg_lo} at counts scale {lo} and {agg_hi} at {hi}"
-        )
     for _ in range(60):
         mid = math.sqrt(lo * hi)
         noisy, agg = realized(mid)

@@ -20,7 +20,6 @@ __all__ = [
     "PixelGrid",
     "SinogramGrid",
     "kl_distance",
-    "kl_l1_bound_check",
     "normalize_to_simplex",
     "uniform_density",
     "weighted_l1",
@@ -232,17 +231,6 @@ def kl_distance(v, u, weights=None) -> float:
     total = float(buf.sum())
     # tiny negative rounding residue is clipped; the functional is >= 0
     return max(total, 0.0)
-
-
-def kl_l1_bound_check(v, u, weights=None, slack: float = 1e-12) -> bool:
-    """Check the L1 bound ||v - u||_1^2 <= (2/3 ||v||_1 + 4/3 ||u||_1) * kl."""
-    v, u, w = _check_pair(v, u, weights)
-    lhs = float(np.sum(w * np.abs(v - u))) ** 2
-    d = kl_distance(v, u, weights)
-    if math.isinf(d):
-        return True
-    rhs = (2.0 / 3.0 * float(np.sum(w * v)) + 4.0 / 3.0 * float(np.sum(w * u))) * d
-    return lhs <= rhs + slack
 
 
 def normalize_to_simplex(values, weights=None) -> np.ndarray:

@@ -1,8 +1,11 @@
 """Discretized circular Radon transform blocks with radial smoothing.
 
 The forward map of block j evaluates circular means of a density over
-circles centered on the unit circle, scaled so that the data of every block
-integrates to the mass of the density.  A triangular radial smoothing makes
+circles centered on the unit circle, scaled so that its sums over the radii,
+at their spacing 2/n_r, integrate to the mass of the density.  The sample
+weight spreads the block measure over all n_r + 1 radii, the always-zero
+r = 0 included, so the data of a block integrate to about n_r/(n_r + 1) of
+the mass.  A triangular radial smoothing makes
 point evaluation of the data well defined, and an additive shift bounds the
 effective kernel away from zero, which the multiplicative solvers require.
 
@@ -512,9 +515,6 @@ class RadonBlockOperator:
         kernel: SmoothingKernel,
         geometry,
     ):
-        if kernel.n_r != sino_grid.n_r:
-            raise ValueError("kernel and sinogram grid disagree on n_r")
-        _check_margin(pixel_grid, kernel)
         self.pixel_grid = pixel_grid
         self.sino_grid = sino_grid
         self.j = j
@@ -739,6 +739,7 @@ class RadonSystem:
         self.lam = lam
         self._scale = 1.0 + lam * sino_grid.block_measure
         self.kernel = SmoothingKernel(sino_grid.n_r, K)
+        _check_margin(pixel_grid, self.kernel)
         # windows cut at the domain's reach, _domain_reach
         geometry = _circle_geometry(pixel_grid, sino_grid,
                                     _corner_table(pixel_grid, pixel_grid.mask))

@@ -194,15 +194,8 @@ def loping_osem_run(x0, system, data, config: SolverConfig, x_star=None):
     Returns (values, trace, stop_report).
     """
     N = system.n_blocks
-    if config.delta is None:
-        config = replace(config, delta=np.zeros(N))
-    delta = config.delta
-    if delta.shape != (N,):
-        raise ValueError(
-            f"delta must have one entry per block, got shape {delta.shape} "
-            f"for {N} blocks"
-        )
-    tau, g = config.tau, config.gamma
+    config = _with_block_deltas(config, N)
+    delta, tau, g = config.delta, config.tau, config.gamma
     x, trace, skipped = _run_loop(x0, system, data, config, x_star)
     stopped = skipped is not None
     # a fully skipped cycle left the iterate as it was, so its residuals
@@ -227,11 +220,25 @@ def loping_osem_run(x0, system, data, config: SolverConfig, x_star=None):
     return x, trace, report
 
 
+def _with_block_deltas(config: SolverConfig, N: int) -> SolverConfig:
+    """``config`` with its noise bounds checked for an N-block system, one
+    per block; without bounds, with zeros (exact data)."""
+    if config.delta is None:
+        return replace(config, delta=np.zeros(N))
+    if config.delta.shape != (N,):
+        raise ValueError(
+            f"delta must have one entry per block, got shape {config.delta.shape} "
+            f"for {N} blocks"
+        )
+    return config
+
+
 def block_residuals(x, system, data, config: SolverConfig):
     """Residual KL(y_j, A_j x) of every block at the iterate ``x``, and the
     threshold tau * gamma * delta_j a loping step on it must exceed (gamma
     None: the adaptive rule at ``x``), for the tau, gamma and delta of
     ``config``.  Returns two arrays."""
+    config = _with_block_deltas(config, system.n_blocks)
     w = system.block_weight
     res = np.empty(system.n_blocks)
     thr = np.empty(system.n_blocks)

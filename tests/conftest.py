@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -129,3 +131,16 @@ def replay_residuals(x0, system, data, trace):
         x = em_step(x, system, j, data[j])
         after.append(kl_distance(data[j], system.forward(x, j), w))
     return np.asarray(before), np.asarray(after)
+
+
+def kl_l1_bound_check(v, u, weights=None, slack: float = 1e-12) -> bool:
+    """Check the L1 bound ||v - u||_1^2 <= (2/3 ||v||_1 + 4/3 ||u||_1) * kl
+    of the weighted KL distance (``weights`` default 1)."""
+    d = kl_distance(v, u, weights)
+    if math.isinf(d):
+        return True
+    w = 1.0 if weights is None else np.asarray(weights, dtype=np.float64)
+    v, u = np.asarray(v, dtype=np.float64), np.asarray(u, dtype=np.float64)
+    lhs = float(np.sum(w * np.abs(v - u))) ** 2
+    rhs = (2.0 / 3.0 * float(np.sum(w * v)) + 4.0 / 3.0 * float(np.sum(w * u))) * d
+    return lhs <= rhs + slack

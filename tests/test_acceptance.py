@@ -10,7 +10,7 @@ import importlib.resources
 import numpy as np
 import pytest
 
-from conftest import replay_residuals
+from conftest import kl_l1_bound_check, replay_residuals
 from losem.cli import main
 from losem.config import load_config
 from losem.experiment import (
@@ -28,7 +28,6 @@ from losem.kl_core import (
     PixelGrid,
     SinogramGrid,
     kl_distance,
-    kl_l1_bound_check,
     normalize_to_simplex,
     uniform_density,
     weighted_l1,

@@ -101,6 +101,12 @@ def test_angle_block_divisibility():
         parse_config_text(both, "<x>")
 
 
+def test_n_phi_gives_the_angles_of_one_block():
+    # 8 angles on each of 4 blocks are BASE's n_angle = 32
+    per_block = parse_config_text(BASE.replace("n_angle = 32", "n_phi = 8"), "<x>")
+    assert per_block == parse_config_text(BASE, "<x>")
+
+
 def test_epsilon_and_kernel_width_tied():
     # epsilon alone must be a whole half-width
     cfg = parse_config_text(BASE.replace("K = 1", "epsilon = 0.0625"), "<x>")
@@ -112,6 +118,13 @@ def test_epsilon_and_kernel_width_tied():
         parse_config_text(BASE.replace("K = 1", "K = 2\nepsilon = 0.0625"), "<x>")
     ok = parse_config_text(BASE.replace("K = 1", "K = 1\nepsilon = 0.125"), "<x>")
     assert ok.epsilon == pytest.approx(0.125) and ok.K == 1
+
+
+def test_without_k_and_epsilon_the_kernel_is_the_identity():
+    # K = 1, and the margin 2K/n_r follows from it
+    cfg = parse_config_text(BASE.replace("K = 1\n", ""), "<x>")
+    assert cfg == parse_config_text(BASE, "<x>")
+    assert cfg.K == 1 and cfg.epsilon == 2.0 / 32.0
 
 
 def test_phantom_sources_are_exclusive(tmp_path):
@@ -447,6 +460,13 @@ def test_a_value_error_in_a_command_is_a_bug(tmp_path, monkeypatch):
     ("gamma = 0.045", "gamma = nan"),
     ("gamma = 0.045", "gamma = inf"),
     ("lambda = 0.01", "lambda = inf"),
+    ("mode = loping-osem", "mode = bogus"),
+    ("tau = 1.5", "tau_mode = bogus"),
+    ("mode = loping-osem", "mode = compare\ncompare_subsets = 0"),
+    ("disc = 0.0 0.0 0.4 1.0", "disc = 0.0 0.0 -0.4 1.0"),
+    ("disc = 0.0 0.0 0.4 1.0\ndisc = 0.45 0.3 0.18 2.0", "phantom = missing.txt"),
+    # the block count divides zero angles, and SinogramGrid needs n_phi >= 1
+    ("n_angle = 32", "n_angle = 0"),
 ])
 def test_unusable_values_are_config_errors(tmp_path, capsys, old, new):
     cfg = write_cfg(tmp_path, BASE.replace(old, new))
@@ -659,6 +679,36 @@ def test_verify_ok_and_warnings(tmp_path, capsys):
     assert main(["verify", str(exact), "--quiet"]) == 0
     text = capsys.readouterr().out
     assert "exact data" in text
+    strict = write_cfg(tmp_path, BASE.replace("tau = 1.5", "tau = 1e6"), "t.cfg")
+    assert main(["verify", str(strict), "--quiet"]) == 0
+    text = capsys.readouterr().out
+    assert "warning: every threshold exceeds its initial residual" in text
+
+
+def test_verify_rejects_a_backprojection_of_ones_that_is_not_flat(tmp_path, capsys,
+                                                                   monkeypatch):
+    backproject = operators.RadonBlockOperator.backproject
+
+    def tilted(self, y, shift=0.0, scale=1.0):
+        return backproject(self, y, shift, scale) * (1.0 + 1e-9)
+
+    monkeypatch.setattr(operators.RadonBlockOperator, "backproject", tilted)
+    cfg = write_cfg(tmp_path, BASE)
+    assert main(["verify", str(cfg), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("assumption violated: backprojection of flat data deviates")
+
+
+def test_gamma_mode_bounds_runs_on_the_gamma_verify_prints(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BASE.replace("gamma_mode = explicit", "gamma_mode = bounds"))
+    assert main(["verify", str(cfg), "--quiet"]) == 0
+    printed = dict(ln.split("=", 1) for ln in capsys.readouterr().out.splitlines()
+                   if "=" in ln)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 0
+    gamma = _summary(out / "stop_report.txt")["gamma"]
+    assert gamma == printed["gamma_bounds"]
+    assert 0.0 < float(gamma) < math.inf
 
 
 def test_verify_checks_the_adaptive_threshold(tmp_path, capsys):
@@ -761,10 +811,15 @@ def test_verify_checks_every_compare_system(tmp_path, capsys):
     assert "kernel_floor_m_N10=0.0" in capsys.readouterr().out
 
 
-def test_phantom_subcommand(tmp_path):
+def test_phantom_subcommand(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE)
     out = tmp_path / "ph"
-    assert main(["phantom", str(cfg), "--out", str(out), "--quiet"]) == 0
+    # without --quiet, the command reports what it rendered
+    assert main(["phantom", str(cfg), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    head, mass = printed.removesuffix(f" -> {out}\n").split(", mass=")
+    assert head == "phantom: 2 discs on 33x33 nodes"
+    assert float(mass) == pytest.approx(1.0, abs=1e-12)
     assert (out / "phantom.pgm").exists()
     assert (out / "phantom.csv").exists()
     assert (out / "phantom.scale").exists()

@@ -290,6 +290,18 @@ def test_noise_hits_target_window(clean_blocks):
         assert info["algorithm"] == "numpy-philox"
 
 
+def test_noise_calibration_lands_by_bisection_where_its_guess_misses():
+    # 16 equal samples: the first guess, (2/pi)/level^2 = 15.9, realizes an
+    # error outside the 10% window, and the bisection finds a scale inside it
+    blocks, w, level = [np.ones(16)], 1.0 / 16.0, 0.2
+    noisy, info = add_poisson_noise(blocks, w, NoiseSpec(level, None, seed=0))
+    assert info["counts_scale"] != (2.0 / math.pi) / level ** 2
+    assert abs(info["aggregate_error"] - level) <= 0.1 * level
+    # the recorded scale redraws the same noise
+    again, _ = add_poisson_noise(blocks, w, NoiseSpec(level, info["counts_scale"], 0))
+    assert np.array_equal(again[0], noisy[0])
+
+
 def test_noise_blocks_stay_normalized(sim_setup, clean_blocks):
     noisy, _ = add_poisson_noise(clean_blocks, W, NoiseSpec(level=0.05, seed=7))
     assert_unit_blocks(noisy, W)
@@ -320,7 +332,8 @@ def test_tiny_counts_scale_raises(clean_blocks):
 
 
 @pytest.mark.parametrize("level,counts_scale", [
-    (5e-324, None),   # the calibration's first guess overflows
+    (5e-324, None),   # the calibration's first guess is infinite
+    (1e-200, None),   # squaring the calibration's first guess overflows
     (1e-12, None),    # the guess is finite, but too large for a Poisson draw
     (0.05, 1e300),
 ])

@@ -8,18 +8,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import assert_density, load_matrix_csv
+from conftest import assert_density, kl_l1_bound_check, load_matrix_csv
+from losem.experiment import NoiseSpec, add_poisson_noise
 from losem.kl_core import (
     PixelGrid,
     SinogramGrid,
     kl_distance,
-    kl_l1_bound_check,
     normalize_to_simplex,
     save_matrix_csv,
     save_pgm,
     uniform_density,
     weighted_l1,
 )
+from losem.operators import RadonSystem, effective_bounds, smooth_radial
+from losem.solvers import osem_run, skip_threshold
 
 # ---------------------------------------------------------------------------
 # grids
@@ -291,3 +293,43 @@ def test_pgm_constant_image(tmp_path):
     raw = path.read_bytes()
     pix = np.frombuffer(raw.split(b"65535\n", 1)[1], dtype=">u2")
     assert np.all(pix == 0)
+
+
+# ---------------------------------------------------------------------------
+# library inputs
+
+
+# input from outside the program that the library rejects, by name: the
+# error message and a call, which gets a two-block system on an 8 x 8 grid
+# and a scratch directory
+LIBRARY_INPUTS = {
+    "sinogram-blocks": ("n_blocks must be >= 1", lambda s, path: SinogramGrid(0, 4, 8)),
+    "sinogram-radii": ("n_r must be >= 2", lambda s, path: SinogramGrid(1, 4, 1)),
+    "kl-weights": ("weights shape",
+                   lambda s, path: kl_distance(np.ones(3), np.ones(3), np.ones(2))),
+    "pgm-ndim": ("expected a 2D array",
+                 lambda s, path: save_pgm(path / "a.pgm", np.zeros(3))),
+    "smoothing-radii": ("radial axis has 5 samples",
+                        lambda s, path: smooth_radial(np.zeros(5), s.kernel)),
+    "forward-shape": ("density shape",
+                      lambda s, path: s.ops[0].forward_raw(np.zeros((3, 3)))),
+    "backprojection-shape": ("block shape",
+                             lambda s, path: s.ops[0].backproject(np.zeros((1, 9)))),
+    "bounds-of-infinite-data": ("non-finite", lambda s, path: effective_bounds(
+        s, [np.full(s.sino_grid.block_shape, np.inf)] * 2)),
+    "run-block-count": ("expected 2 data blocks", lambda s, path: osem_run(
+        uniform_density(s.pixel_grid), s, [np.ones((2, 9))], 1)),
+    "adaptive-threshold-of-zero-data": ("strictly positive", lambda s, path: (
+        skip_threshold(1.5, None, 0.1, np.zeros(3), np.ones(3), 1.0))),
+    "noise-without-blocks": ("no data blocks",
+                             lambda s, path: add_poisson_noise([], 1.0, NoiseSpec())),
+}
+
+
+@pytest.mark.parametrize("name", LIBRARY_INPUTS)
+def test_library_functions_reject_unusable_input(tmp_path, name):
+    message, call = LIBRARY_INPUTS[name]
+    system = RadonSystem(PixelGrid(8, 0.25), SinogramGrid(2, 2, 8), lam=0.01, K=1)
+    with pytest.raises(ValueError, match=message):
+        call(system, tmp_path)
+    assert not any(tmp_path.iterdir())

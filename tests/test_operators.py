@@ -751,6 +751,27 @@ def test_forward_mass_is_near_one_per_block():
         assert mass == pytest.approx(1.0, abs=0.02)
 
 
+@pytest.mark.parametrize("n_t,n_r,n_blocks,K,n_angle", [
+    (64, 64, 1, 1, 64), (100, 100, 10, 1, 100), (40, 40, 4, 2, 40),
+    (20, 60, 3, 3, 24), (64, 16, 2, 1, 64),
+])
+def test_forward_keeps_n_r_over_n_r_plus_one_of_the_mass(n_t, n_r, n_blocks, K,
+                                                          n_angle):
+    # the sample weight spreads each block's measure over all n_r + 1
+    # radii, while the circle sums integrate to the mass at spacing 2/n_r;
+    # measured offsets from the factor reach 0.13 of its gap to one
+    grid = PixelGrid(n_t, 2.0 * K / n_r)
+    system = RadonSystem(grid, SinogramGrid(n_blocks, n_angle // n_blocks, n_r),
+                         lam=0.01, K=K)
+    rng = np.random.default_rng(0)
+    noise = np.where(grid.mask, rng.random(grid.shape), 0.0)
+    factor = n_r / (n_r + 1)
+    for x in (uniform_density(grid), normalize_to_simplex(noise, grid.node_weights)):
+        for op in system.ops:
+            mass = float(np.sum(op.forward(x))) * system.block_weight
+            assert abs(mass - factor) <= 0.25 * (1.0 - factor)
+
+
 # ---------------------------------------------------------------------------
 # shifted system
 

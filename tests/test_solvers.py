@@ -213,6 +213,20 @@ def test_delta_needs_one_entry_per_block(small_setup, n_deltas):
     cfg = SolverConfig(gamma=0.05, delta=np.full(n_deltas, 0.01))
     with pytest.raises(ValueError, match="one entry per block"):
         loping_osem_run(x0, system, data, cfg)
+    with pytest.raises(ValueError, match="one entry per block"):
+        block_residuals(x0, system, data, cfg)
+
+
+@pytest.mark.parametrize("gamma", [0.05, None])
+def test_block_residuals_read_no_delta_as_exact_data(small_setup, gamma):
+    system, x_star = small_setup
+    data = consistent_data(x_star, system)
+    x0 = uniform_density(system.pixel_grid)
+    res, thr = block_residuals(x0, system, data, SolverConfig(gamma=gamma))
+    zeros = SolverConfig(gamma=gamma, delta=np.zeros(system.n_blocks))
+    res0, thr0 = block_residuals(x0, system, data, zeros)
+    assert np.array_equal(res, res0) and np.array_equal(thr, thr0)
+    assert np.all(res > 0.0) and np.all(thr == 0.0)
 
 
 def test_loping_skips_do_not_change_the_iterate(small_setup):
