@@ -10,8 +10,10 @@ line in a subprocess reaches nothing here.
 
 At the end of the session the unreached statements are printed, one per
 line as ``path:line: source``, and, where ``GITHUB_STEP_SUMMARY`` names a
-file, appended to it as a Markdown list.  The report never changes the
-exit status.
+file, appended to it as a Markdown list.  Any of them but a statement of
+``ALLOWED`` directly under ``if __name__ == "__main__":``, which runs only
+when its module is the program, fails a session that passed; so run it
+over the whole suite.
 
 A statement is one of the ``ast`` module's: for a compound statement the
 header lines (``if``, ``for``, ``def`` with its decorators, ...), for any
@@ -27,7 +29,12 @@ import sys
 import threading
 from pathlib import Path
 
+import pytest
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "losem"
+# the source text of each statement that may stay unreached under a
+# ``__main__`` guard
+ALLOWED = {"sys.exit(main())"}
 
 # the lines run, per file of the package
 _hits: dict[Path, set[int]] = {}
@@ -90,34 +97,55 @@ def _statements(tree):
         yield node, own
 
 
-def unreached() -> list[tuple[str, int, str]]:
-    """(path, line, first source line) of every statement of the package
-    that holds bytecode and never ran, file by file."""
+def _allowed(tree) -> set[ast.stmt]:
+    """The statements of ``ALLOWED`` directly under a ``__main__`` guard."""
+    return {stmt for node in ast.walk(tree)
+            if isinstance(node, ast.If)
+            and ast.unparse(node.test) == "__name__ == '__main__'"
+            for stmt in node.body if ast.unparse(stmt) in ALLOWED}
+
+
+def unreached() -> list[tuple[str, int, str, bool]]:
+    """(path, line, first source line, allowed) of every statement of the
+    package that holds bytecode and never ran, file by file."""
     out = []
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text()
         executable = _code_lines(compile(source, str(path), "exec"))
         hits = _hits.get(path.resolve(), set())
         text = source.splitlines()
-        for node, own in sorted(_statements(ast.parse(source)),
-                                key=lambda item: item[0].lineno):
+        tree = ast.parse(source)
+        allowed = _allowed(tree)
+        for node, own in sorted(_statements(tree), key=lambda item: item[0].lineno):
             lines = own & executable
             if lines and not lines & hits:
                 out.append((str(path.relative_to(PACKAGE.parent.parent)),
-                            node.lineno, text[node.lineno - 1].strip()))
+                            node.lineno, text[node.lineno - 1].strip(),
+                            node in allowed))
     return out
 
 
-def pytest_terminal_summary(terminalreporter):
+missed: list[tuple[str, int, str, bool]] = []
+
+
+def pytest_sessionfinish(session):
     sys.settrace(None)
     threading.settrace(None)
-    missed = unreached()
-    terminalreporter.section(f"line trace: {len(missed)} unreached statements")
-    for path, line, text in missed:
-        terminalreporter.write_line(f"{path}:{line}: {text}")
+    missed[:] = unreached()
+    if session.exitstatus == 0 and not all(ok for *_, ok in missed):
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
+
+
+def pytest_terminal_summary(terminalreporter):
+    gaps = sum(not ok for *_, ok in missed)
+    terminalreporter.section(f"line trace: {len(missed)} unreached statements, "
+                             f"{gaps} not allowed")
+    for path, line, text, ok in missed:
+        terminalreporter.write_line(f"{path}:{line}: {text}"
+                                    + ("" if ok else "  (not allowed)"))
     summary = os.environ.get("GITHUB_STEP_SUMMARY")
     if summary:
         with open(summary, "a") as fh:
             fh.write(f"### `src/losem` statements the tests never ran: {len(missed)}\n")
-            for path, line, text in missed:
+            for path, line, text, _ in missed:
                 fh.write(f"- `{path}:{line}`: `{text}`\n")

@@ -25,7 +25,6 @@ import numpy as np
 
 from .config import AssumptionError, ConfigError, RunConfig, load_config
 from .experiment import (
-    OracleResult,
     add_poisson_noise,
     consistent_data,
     oracle_stopped_osem,
@@ -37,8 +36,7 @@ from .experiment import (
 )
 from .kl_core import save_key_values, save_matrix_csv, save_pgm, uniform_density
 from .operators import effective_bounds, kernel_floor
-from .solvers import (IterationTrace, SolverConfig, StopReport, block_residuals,
-                      loping_osem_run, osem_run)
+from .solvers import SolverConfig, block_residuals, loping_osem_run, osem_run
 
 __all__ = ["main"]
 
@@ -161,23 +159,18 @@ def _systems(cfg: RunConfig, quiet: bool, verify: bool = False):
         )
 
 
-def _gamma(cfg: RunConfig, system, data) -> float | None:
-    """The threshold constant of the configured gamma mode (None: adaptive)."""
-    if cfg.gamma_mode == "explicit":
-        return cfg.gamma
-    if cfg.gamma_mode == "l2":
-        return None
-    gamma = effective_bounds(system, data).gamma()
-    if not 0.0 < gamma < math.inf:
-        raise ConfigError(
-            f"gamma_mode = bounds gives gamma = {gamma!r} at lambda = {cfg.lam!r}, "
-            "where a positive finite gamma is needed; use gamma_mode = explicit"
-        )
-    return gamma
-
-
 def _solver_config(cfg: RunConfig, system, data: SolverData) -> SolverConfig:
-    return cfg.solver_config(_gamma(cfg, system, data.values), data.deltas)
+    """The loping config of one system, with the threshold constant of the
+    configured gamma mode (None: adaptive)."""
+    gamma = cfg.gamma if cfg.gamma_mode == "explicit" else None
+    if cfg.gamma_mode == "bounds":
+        gamma = effective_bounds(system, data.values).gamma()
+        if not 0.0 < gamma < math.inf:
+            raise ConfigError(
+                f"gamma_mode = bounds gives gamma = {gamma!r} at lambda = {cfg.lam!r}, "
+                "where a positive finite gamma is needed; use gamma_mode = explicit"
+            )
+    return cfg.solver_config(gamma, data.deltas)
 
 
 def _noise_pairs(data: SolverData) -> list:
@@ -204,45 +197,27 @@ def _write_summary(path: Path, cfg: RunConfig, pairs: list) -> None:
 # run
 
 
-class Solved(NamedTuple):
-    """One system's solver results, with the wall seconds of each call."""
-
-    values: np.ndarray
-    trace: IterationTrace
-    report: StopReport | None  # None for a fixed cycle count
-    wall: float
-    oracle: OracleResult | None = None  # compare mode only
-    oracle_wall: float = 0.0
-
-
-def _solve(cfg: RunConfig, system, data: SolverData, x_star, quiet: bool) -> Solved:
+def _solve(cfg: RunConfig, system, data: SolverData, x_star, quiet: bool):
     """Run the configured solver on one system from the uniform start:
     ``osem_run`` for a fixed cycle count in em and osem mode, otherwise
-    ``loping_osem_run``, and in compare mode ``oracle_stopped_osem`` too."""
+    ``loping_osem_run``.  Returns the iterate, the trace, the stop report
+    (None for a fixed cycle count) and the wall seconds of the call."""
     x0 = uniform_density(system.pixel_grid)
-    N = system.n_blocks
-    compare = cfg.mode == "compare"
     if cfg.mode in ("em", "osem"):
         _say(quiet, f"running {cfg.mode} for {cfg.cycles} cycles ...")
         t0 = time.perf_counter()
         vals, trace = osem_run(x0, system, data.values, cfg.cycles, x_star=x_star)
-        return Solved(vals, trace, None, time.perf_counter() - t0)
+        return vals, trace, None, time.perf_counter() - t0
     solver_cfg = _solver_config(cfg, system, data)
     gamma = solver_cfg.gamma
-    _say(quiet, f"N={N}: loping run ..." if compare else
+    _say(quiet, f"N={system.n_blocks}: loping run ..." if cfg.mode == "compare" else
          f"running loping-osem (tau={solver_cfg.tau:.4g}, "
          f"gamma={'adaptive' if gamma is None else format(gamma, '.4g')}) ...")
     t0 = time.perf_counter()
     vals, trace, report = loping_osem_run(
         x0, system, data.values, solver_cfg, x_star=x_star
     )
-    wall = time.perf_counter() - t0
-    if not compare:
-        return Solved(vals, trace, report, wall)
-    _say(quiet, f"N={N}: oracle run ({cfg.max_cycles} cycles) ...")
-    t0 = time.perf_counter()
-    oracle = oracle_stopped_osem(x0, system, data.values, x_star, cfg.max_cycles)
-    return Solved(vals, trace, report, wall, oracle, time.perf_counter() - t0)
+    return vals, trace, report, time.perf_counter() - t0
 
 
 def cmd_run(args) -> int:
@@ -265,23 +240,22 @@ def _run_single(cfg: RunConfig, out: Path, quiet: bool) -> int:
     save_matrix_csv(out / "data.csv", np.vstack(data.values))
     save_key_values(out / "noise_meta.txt", _noise_pairs(data))
 
-    run = _solve(cfg, system, data, x_star, quiet)
-    trace = run.trace
+    values, trace, report, wall = _solve(cfg, system, data, x_star, quiet)
     summary = []
-    if run.report is not None:
-        save_key_values(out / "stop_report.txt", run.report.pairs())
-        summary.append(("k_star", run.report.k_star_text))
+    if report is not None:
+        save_key_values(out / "stop_report.txt", report.pairs())
+        summary.append(("k_star", report.k_star_text))
     trace.write_csv(out / "trace.csv")
-    save_pgm(out / "reconstruction.pgm", run.values)
-    save_matrix_csv(out / "reconstruction.csv", run.values)
+    save_pgm(out / "reconstruction.pgm", values)
+    save_matrix_csv(out / "reconstruction.csv", values)
     _write_summary(out / "summary.txt", cfg, summary + [
         ("cycles_run", trace.n_cycles), ("final_kl_error", trace.final_error),
-        ("wall_seconds", f"{run.wall:.3f}"),
+        ("wall_seconds", f"{wall:.3f}"),
     ])
     _say(
         quiet,
         f"done: cycles={trace.n_cycles} final_kl_error={trace.final_error:.6g} "
-        f"({run.wall:.3f}s) -> {out}",
+        f"({wall:.3f}s) -> {out}",
     )
     return 0
 
@@ -295,15 +269,19 @@ def _run_compare(cfg: RunConfig, out: Path, quiet: bool) -> int:
             save_pgm(out / "phantom.pgm", x_star)
             save_pgm(out / "sinogram.pgm", data.sinogram)
         N = system.n_blocks
-        run = _solve(cfg, system, data, x_star, quiet)
-        trace, oracle = run.trace, run.oracle
+        values, trace, report, wall = _solve(cfg, system, data, x_star, quiet)
+        _say(quiet, f"N={N}: oracle run ({cfg.max_cycles} cycles) ...")
+        x0 = uniform_density(system.pixel_grid)
+        t0 = time.perf_counter()
+        oracle = oracle_stopped_osem(x0, system, data.values, x_star, cfg.max_cycles)
+        oracle_wall = time.perf_counter() - t0
         trace.write_csv(out / f"trace_loping_N{N}.csv")
-        save_key_values(out / f"stop_report_N{N}.txt", run.report.pairs())
-        save_pgm(out / f"reconstruction_loping_N{N}.pgm", run.values)
+        save_key_values(out / f"stop_report_N{N}.txt", report.pairs())
+        save_pgm(out / f"reconstruction_loping_N{N}.pgm", values)
         save_pgm(out / f"reconstruction_oracle_N{N}.pgm", oracle.values)
         err_oracle = float(oracle.errors[oracle.best_cycle])
-        rows.append(("loping-osem", N, trace.n_cycles, run.wall, trace.final_error))
-        rows.append(("oracle-osem", N, oracle.best_cycle, run.oracle_wall, err_oracle))
+        rows.append(("loping-osem", N, trace.n_cycles, wall, trace.final_error))
+        rows.append(("oracle-osem", N, oracle.best_cycle, oracle_wall, err_oracle))
         _say(
             quiet,
             f"N={N}: loping stopped after {trace.n_cycles} cycles "

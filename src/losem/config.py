@@ -151,8 +151,8 @@ def parse_phantom_file(path) -> PhantomSpec:
     """Phantom file: one 'cx cy radius amplitude' line per disc."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as e:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read phantom file {path}: {e}") from e
     discs = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -322,7 +322,7 @@ def _validate(cfg: RunConfig, path: str) -> None:
 def load_config(path, seed: int | None = None) -> RunConfig:
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as e:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     return parse_config_text(text, str(path), base_dir=path.parent, seed=seed)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import types
 import warnings
 import weakref
 from pathlib import Path
@@ -393,19 +394,31 @@ def test_runs_reach_the_solvers_through_the_names_cli_binds(tmp_path, monkeypatc
     # and reads the system as the second positional argument; a run that
     # reached them another way would show no solver call to it
     seen = {}
+    # a clock only the solver calls advance: each wall written must be the
+    # seconds of its own call
+    clock = [0.0]
+    seconds = {"osem_run": 1.0, "loping_osem_run": 1.0, "oracle_stopped_osem": 2.0}
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
 
     def wrap(name, fn):
         def wrapper(*args, **kwargs):
             assert args[1].n_blocks >= 1
             seen[name] = seen.get(name, 0) + 1
+            clock[0] += seconds[name]
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("osem_run", "loping_osem_run", "oracle_stopped_osem"):
+    for name in seconds:
         monkeypatch.setattr(f"losem.cli.{name}", wrap(name, getattr(cli, name)))
     cfg = write_cfg(tmp_path, text)
-    assert main(["run", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 0
     assert seen == calls
+    if "oracle_stopped_osem" in calls:
+        rows = (out / "table.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[3] for row in rows] == ["1.000", "2.000"] * 2
+    else:
+        assert "wall_seconds=1.000" in (out / "summary.txt").read_text().splitlines()
 
 
 def test_compare_rejects_lambda_before_simulating(tmp_path, capsys):
@@ -519,6 +532,23 @@ def test_huge_sinograms_are_config_errors(tmp_path, capsys, command, values):
     assert main([command, str(cfg), "--out", str(out), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert "max_sim_nodes" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "phantom"])
+@pytest.mark.parametrize("bad", ["config", "phantom file"])
+def test_a_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys, command, bad):
+    # one stray 0xff byte, in the config or in the phantom file it names
+    (tmp_path / "ph.txt").write_bytes(
+        b"0 0 0.3 1\n" + (b"# \xff\n" if bad == "phantom file" else b""))
+    text = BASE.replace("disc = 0.0 0.0 0.4 1.0\ndisc = 0.45 0.3 0.18 2.0",
+                        "phantom = ph.txt")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(text.encode() + (b"# \xff\n" if bad == "config" else b""))
+    out = tmp_path / "o"
+    assert main([command, str(cfg), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {bad} ") and "Traceback" not in err
     assert not out.exists()
 
 

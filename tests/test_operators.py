@@ -738,19 +738,6 @@ def test_forward_adjoint_pairing_defect_is_small(op_setup):
     assert abs(lhs - rhs) / abs(lhs) < 0.05
 
 
-def test_forward_mass_is_near_one_per_block():
-    grid = PixelGrid(100, 0.02)
-    sino = SinogramGrid(n_blocks=10, n_phi=10, n_r=100)
-    kernel = SmoothingKernel(100, 1)
-    x = render_phantom(
-        PhantomSpec((Disc(0.0, 0.0, 0.4, 1.0), Disc(0.45, 0.3, 0.18, 2.0))), grid
-    )
-    for j in (0, 4, 9):
-        op = _system_op(grid, sino, j, kernel)
-        mass = float(op.forward(x).sum() * sino.sample_weight)
-        assert mass == pytest.approx(1.0, abs=0.02)
-
-
 @pytest.mark.parametrize("n_t,n_r,n_blocks,K,n_angle", [
     (64, 64, 1, 1, 64), (100, 100, 10, 1, 100), (40, 40, 4, 2, 40),
     (20, 60, 3, 3, 24), (64, 16, 2, 1, 64),
@@ -759,14 +746,17 @@ def test_forward_keeps_n_r_over_n_r_plus_one_of_the_mass(n_t, n_r, n_blocks, K,
                                                           n_angle):
     # the sample weight spreads each block's measure over all n_r + 1
     # radii, while the circle sums integrate to the mass at spacing 2/n_r;
-    # measured offsets from the factor reach 0.13 of its gap to one
+    # measured offsets from the factor reach 0.248 of its gap to one, for
+    # the two-disc phantom at n_r = 16 (0.125 for the other densities)
     grid = PixelGrid(n_t, 2.0 * K / n_r)
     system = RadonSystem(grid, SinogramGrid(n_blocks, n_angle // n_blocks, n_r),
                          lam=0.01, K=K)
     rng = np.random.default_rng(0)
     noise = np.where(grid.mask, rng.random(grid.shape), 0.0)
+    phantom = PhantomSpec((Disc(0.0, 0.0, 0.4, 1.0), Disc(0.45, 0.3, 0.18, 2.0)))
     factor = n_r / (n_r + 1)
-    for x in (uniform_density(grid), normalize_to_simplex(noise, grid.node_weights)):
+    for x in (uniform_density(grid), normalize_to_simplex(noise, grid.node_weights),
+              render_phantom(phantom, grid)):
         for op in system.ops:
             mass = float(np.sum(op.forward(x))) * system.block_weight
             assert abs(mass - factor) <= 0.25 * (1.0 - factor)
