@@ -46,7 +46,8 @@ padded by zeros: ``forward_raw`` per chunk, one gather and one dot per
 row, and ``support_forward`` per band, one gather and one segment sum;
 node values off the domain are never read.
 The backprojection plan is angle-major, one row of radial indices and
-fractions per angle, built and accumulated angle by angle; the shifted
+fractions per angle, built angle by angle and contracted over the angles
+by ``einsum``, one block-sized gather per term; the shifted
 system's adjoint adds its shift on the domain nodes only.
 """
 
@@ -266,7 +267,7 @@ def _corner_table(grid: PixelGrid, x: np.ndarray) -> np.ndarray:
     (n_t + 4)^2."""
     n = grid.n_t + 4
     padded = np.zeros((n, n))
-    padded[1 : n - 2, 1 : n - 2] = np.where(grid.mask, x, 0.0)
+    np.copyto(padded[1 : n - 2, 1 : n - 2], x, where=grid.mask)
     table = np.empty((n - 1, n - 1, 4))
     for k, (a, b) in enumerate(_CORNERS):
         table[..., k] = padded[a : n - 1 + a, b : n - 1 + b]
@@ -677,14 +678,10 @@ class RadonBlockOperator:
         padded = np.zeros((sg.n_phi, sg.n_r + 2))
         padded[:, :-1] = y
         flat = padded.ravel()
-        # y0 + fr*(y1 - y0), summed angle by angle
-        diff = flat[1:] - flat[:-1]
-        acc = np.zeros(len(idx))
-        for lo_a, fr_a in zip(lo, fr):
-            vals = diff.take(lo_a)
-            vals *= fr_a
-            vals += flat.take(lo_a)
-            acc += vals
+        # y0 + fr*(y1 - y0), each term gathered over the whole plan and
+        # contracted over the angles; one block-sized gather alive at a time
+        acc = np.einsum("ij,ij->j", (flat[1:] - flat[:-1]).take(lo), fr)
+        acc += np.einsum("ij->j", flat.take(lo))
         acc /= sg.n_phi
         acc += shift
         acc /= scale

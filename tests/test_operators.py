@@ -315,6 +315,75 @@ def test_backprojection_matches_interp_reference(n_t, n_blocks, n_phi, K):
                             rtol=1e-13, atol=0.0)
 
 
+def _loop_backproject(op: RadonBlockOperator, y: np.ndarray) -> np.ndarray:
+    """Reference backprojection: the plan's angles accumulated one by one,
+    a gather, multiply and two adds per angle."""
+    sg = op.sino_grid
+    idx, lo, fr = op._adjoint_plan
+    padded = np.zeros((sg.n_phi, sg.n_r + 2))
+    padded[:, :-1] = y
+    flat = padded.ravel()
+    # y0 + fr*(y1 - y0), summed angle by angle
+    diff = flat[1:] - flat[:-1]
+    acc = np.zeros(len(idx))
+    for lo_a, fr_a in zip(lo, fr):
+        vals = diff.take(lo_a)
+        vals *= fr_a
+        vals += flat.take(lo_a)
+        acc += vals
+    acc /= sg.n_phi
+    out = np.zeros(op.pixel_grid.shape)
+    out.ravel()[idx] = acc
+    return out
+
+
+@pytest.fixture(scope="module")
+def backprojection_ops():
+    """Block operators by geometry: the benchmark's (em-exact-64's one
+    block, compare_table.cfg's blocks at N = 10 and N = 20) and two small
+    ones, with one and with three angles per block."""
+    configs = importlib.resources.files("losem") / "configs"
+    em = load_config(configs / "exact_em_64.cfg")
+    compare = load_config(configs / "compare_table.cfg")
+    ops = {"em-64": em.build_system().ops,
+           "N=10": compare.build_system(10).ops,
+           "N=20": compare.build_system(20).ops}
+    for n_t, n_blocks, n_phi in [(20, 2, 1), (24, 3, 3)]:
+        grid = PixelGrid(n_t, 2.0 / n_t)
+        sino = SinogramGrid(n_blocks=n_blocks, n_phi=n_phi, n_r=n_t)
+        kernel = SmoothingKernel(n_t, 1)
+        ops[f"n_phi={n_phi}"] = [_system_op(grid, sino, j, kernel) for j in range(n_blocks)]
+    return ops
+
+
+@pytest.mark.parametrize("geometry", ["em-64", "N=10", "N=20", "n_phi=1", "n_phi=3"])
+def test_backprojection_matches_the_per_angle_loop(geometry, backprojection_ops):
+    # the contraction sums the angles in another order than the loop: each
+    # of the n_phi terms of a node moves by a few ulps of max|y| at most
+    rng = np.random.default_rng(3)
+    for op in backprojection_ops[geometry]:
+        y = rng.random(op.sino_grid.block_shape) + 0.5
+        atol = 4 * op.sino_grid.n_phi * np.finfo(np.float64).eps * np.abs(y).max()
+        npt.assert_allclose(op.backproject(y), _loop_backproject(op, y),
+                            rtol=0.0, atol=atol)
+
+
+@pytest.mark.parametrize("geometry", ["em-64", "N=10", "N=20"])
+def test_backprojection_holds_one_block_sized_gather(geometry, backprojection_ops):
+    # beyond the kept plan, one call holds one gather of the plan's size
+    # and a few node-sized arrays: two gathers alive at once exceed this
+    op = backprojection_ops[geometry][0]
+    _, _, fr = op._adjoint_plan
+    y = np.random.default_rng(4).random(op.sino_grid.block_shape)
+    tracemalloc.start()
+    try:
+        op.backproject(y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= fr.nbytes + 4 * 8 * (op.pixel_grid.n_t + 1) ** 2
+
+
 def _hypot_adjoint_plan(op: RadonBlockOperator):
     """Reference radial index and fraction of the backprojection plan, with
     each node-to-detector distance from np.hypot."""
