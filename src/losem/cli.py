@@ -340,6 +340,10 @@ def _verify_system(cfg: RunConfig, system, data: SolverData) -> None:
     sizes = [op.row_size() for op in system.ops]
     print(f"forward_row_points{label}={sum(points for points, _ in sizes)}")
     print(f"forward_row_bytes{label}={sum(nbytes for _, nbytes in sizes)}")
+    # the check of ones above built every block's plan; the blocks share
+    # the grid's domain index
+    plan = sum(op.plan_bytes() for op in system.ops)
+    print(f"adjoint_plan_bytes{label}={plan + system.pixel_grid.domain_nodes.nbytes}")
     # interpolation error keeps the defect nonzero; the bounds above make
     # both sides positive
     x0 = uniform_density(system.pixel_grid)

@@ -117,6 +117,13 @@ class PixelGrid:
         out.flags.writeable = False
         return out
 
+    @cached_property
+    def domain_nodes(self) -> np.ndarray:
+        """Flat indices of the nodes inside the disc domain, ascending."""
+        out = np.flatnonzero(self.mask.ravel())
+        out.flags.writeable = False
+        return out
+
 
 def uniform_density(grid: PixelGrid) -> np.ndarray:
     """The constant unit-mass density on the disc domain, as read-only

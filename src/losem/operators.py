@@ -45,10 +45,11 @@ cell's corners from a table of the density's values on the domain,
 padded by zeros: ``forward_raw`` per chunk, one gather and one dot per
 row, and ``support_forward`` per band, one gather and one segment sum;
 node values off the domain are never read.
-The backprojection plan is angle-major, one row of radial indices and
-fractions per angle, built angle by angle and contracted over the angles
-by ``einsum``, one block-sized gather per term; the shifted
-system's adjoint adds its shift on the domain nodes only.
+The backprojection plan holds a radial index and fraction per angle and
+domain node, kept in chunks of domain nodes, each built for all the
+block's angles at once and contracted over the angles by ``einsum``, one
+chunk-sized gather per term; the blocks share the grid's domain index,
+and the shifted system's adjoint adds its shift on the domain nodes only.
 """
 
 from __future__ import annotations
@@ -215,6 +216,14 @@ def _domain_reach(pixel_grid: PixelGrid) -> float:
 # unlimited padding stores 128 entries for 43 points, this rule 96)
 _CHUNK_POINTS = 4096
 _PAD_SHARE = 0.125
+
+# the backprojection plan of a block is kept in chunks of domain nodes of
+# about _PLAN_ENTRIES (angle, node) pairs, so that a call gathers one
+# chunk's worth at a time.  Chunks are never narrower than 64 nodes:
+# einsum can change its summation loop on narrow operands, and chunks of
+# a few nodes, a one-node chunk at the end among them, summed other bits
+# than the whole plan on the bundled configs' plans
+_PLAN_ENTRIES = 32768
 
 
 def _row_bands(pixel_grid: PixelGrid, sino_grid: SinogramGrid, reach: float):
@@ -630,36 +639,62 @@ class RadonBlockOperator:
 
     @cached_property
     def _adjoint_plan(self):
+        """The backprojection plan as chunks ``(c0, c1, lo, fr)`` of the
+        domain nodes c0 <= k < c1 (see ``PixelGrid.domain_nodes``), each
+        shaped (n_phi, c1 - c0): per angle and node, the flat index of the
+        lower radial sample in the data padded with one zero column and
+        the fraction toward the next.  The chunks are of equal width to
+        within one node, about ``_PLAN_ENTRIES`` entries each and never
+        narrower than 64 nodes."""
         grid = self.pixel_grid
         sg = self.sino_grid
-        idx = np.flatnonzero(grid.mask.ravel())
+        idx = grid.domain_nodes
         tx = grid.nodes[idx // (grid.n_t + 1)]
         ty = grid.nodes[idx % (grid.n_t + 1)]
-        angles = sg.block_angles(self.j)
+        angles = sg.block_angles(self.j)[:, None]
         cos, sin = np.cos(angles), np.sin(angles)
-        # radial index and fraction from every detector center of the block
-        # to every domain node, built angle by angle in place; the distance
-        # is sqrt(dx*dx + dy*dy), which rounds alike on every IEEE platform
-        # and costs a fifth of libm's hypot
-        lo = np.empty((sg.n_phi, len(idx)), dtype=np.intp)
-        fr = np.empty((sg.n_phi, len(idx)))
-        dy = np.empty(len(idx))
-        for a in range(sg.n_phi):
-            u = np.subtract(tx, cos[a], out=fr[a])
-            u *= u
-            np.subtract(ty, sin[a], out=dy)
+        # domain nodes lie within distance 2 of every center, so the radial
+        # index is at most n_r and the upper sample reads the zero beyond
+        # the radial range at most
+        row = np.arange(sg.n_phi)[:, None] * (sg.n_r + 2)
+        n_chunks = max(1, min(-(-sg.n_phi * len(idx) // _PLAN_ENTRIES), len(idx) // 64))
+        ends = (len(idx) * np.arange(n_chunks + 1) // n_chunks).tolist()
+        # the chunks are contiguous views of one index and one fraction
+        # array: with arrays of their own, exact_em_64.cfg's solve read about
+        # 2540 minor page faults in place of 750-850 in 11 to 16 of 18
+        # process layouts, its forward and backprojection faulting on every
+        # call (the heap that the calls' arrays come from is trimmed and
+        # grown again, likely by glibc's thresholds; not verified)
+        lo_all = np.empty(sg.n_phi * len(idx), dtype=np.intp)
+        fr_all = np.empty(sg.n_phi * len(idx))
+        chunks = []
+        for c0, c1 in zip(ends[:-1], ends[1:]):
+            lo = lo_all[sg.n_phi * c0 : sg.n_phi * c1].reshape(sg.n_phi, -1)
+            fr = fr_all[sg.n_phi * c0 : sg.n_phi * c1].reshape(sg.n_phi, -1)
+            # radial index and fraction from every detector center of the
+            # block to every node of the chunk; the distance is
+            # sqrt(dx*dx + dy*dy), which rounds alike on every IEEE platform
+            # and costs a fifth of libm's hypot
+            np.subtract(tx[c0:c1], cos, out=fr)
+            fr *= fr
+            # dy in the index's bytes, which the cast below overwrites, so
+            # that the build holds no temporary of the chunk's size
+            dy = np.subtract(ty[c0:c1], sin, out=lo.view(np.float64))
             dy *= dy
-            u += dy
-            np.sqrt(u, out=u)
-            u *= sg.n_r / 2.0
-            lo[a] = u  # truncation is the floor, since u >= 0
-            u -= lo[a]
-        # flat indices into the data padded with one zero column: domain
-        # nodes lie within distance 2 of every center, so the radial index
-        # is at most n_r and the upper sample reads the zero beyond the
-        # radial range at most
-        lo += np.arange(sg.n_phi)[:, None] * (sg.n_r + 2)
-        return idx, lo, fr
+            fr += dy
+            np.sqrt(fr, out=fr)
+            fr *= sg.n_r / 2.0
+            lo[...] = fr  # truncation is the floor, since fr >= 0
+            fr -= lo
+            lo += row
+            chunks.append((c0, c1, lo, fr))
+        return chunks
+
+    def plan_bytes(self) -> int:
+        """The bytes the cached backprojection plan holds, the grid's
+        ``domain_nodes`` aside; zero before the first build."""
+        return sum(lo.nbytes + fr.nbytes
+                   for _, _, lo, fr in vars(self).get("_adjoint_plan", ()))
 
     def backproject(self, y: np.ndarray, shift: float = 0.0,
                     scale: float = 1.0) -> np.ndarray:
@@ -674,14 +709,19 @@ class RadonBlockOperator:
         sg = self.sino_grid
         if y.shape != sg.block_shape:
             raise ValueError(f"block shape {y.shape} does not match grid")
-        idx, lo, fr = self._adjoint_plan
+        chunks = self._adjoint_plan
         padded = np.zeros((sg.n_phi, sg.n_r + 2))
         padded[:, :-1] = y
         flat = padded.ravel()
-        # y0 + fr*(y1 - y0), each term gathered over the whole plan and
-        # contracted over the angles; one block-sized gather alive at a time
-        acc = np.einsum("ij,ij->j", (flat[1:] - flat[:-1]).take(lo), fr)
-        acc += np.einsum("ij->j", flat.take(lo))
+        diff = flat[1:] - flat[:-1]
+        idx = self.pixel_grid.domain_nodes
+        acc = np.empty(len(idx))
+        # y0 + fr*(y1 - y0), each term gathered a chunk of nodes at a time
+        # and contracted over the angles; one chunk-sized gather alive at a
+        # time
+        for c0, c1, lo, fr in chunks:
+            np.einsum("ij,ij->j", diff.take(lo), fr, out=acc[c0:c1])
+            acc[c0:c1] += np.einsum("ij->j", flat.take(lo))
         acc /= sg.n_phi
         acc += shift
         acc /= scale

@@ -841,6 +841,22 @@ def test_verify_checks_every_compare_system(tmp_path, capsys):
     assert "kernel_floor_m_N10=0.0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name", ["exact_em_64.cfg", "loping_n10.cfg",
+                                  "compare_table.cfg"])
+def test_verify_prints_the_bytes_of_the_backprojection_plans(name, capsys):
+    # an index and a fraction per angle and domain node, and one domain
+    # index the blocks share
+    path = importlib.resources.files("losem") / "configs" / name
+    assert main(["verify", str(path), "--seed", "0", "--quiet"]) == 0
+    values = dict(ln.split("=", 1) for ln in capsys.readouterr().out.splitlines()
+                  if ln.startswith("adjoint_plan_bytes"))
+    cfg = load_config(path)
+    n_dom = int(cfg.pixel_grid().mask.sum())
+    want = str(16 * cfg.n_angle * n_dom + 8 * n_dom)
+    assert values == {f"adjoint_plan_bytes{cli._label(cfg, N)}": want
+                      for N in cfg.compare_subsets or (cfg.n_blocks,)}
+
+
 def test_phantom_subcommand(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE)
     out = tmp_path / "ph"

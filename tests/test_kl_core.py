@@ -76,6 +76,13 @@ def test_uniform_density_is_constant_inside():
     assert np.all(inside == inside[0])
 
 
+def test_domain_nodes_index_the_mask_once_per_grid():
+    g = PixelGrid(16, 0.1)
+    assert np.array_equal(g.domain_nodes, np.flatnonzero(g.mask.ravel()))
+    assert g.domain_nodes is g.domain_nodes
+    assert not g.domain_nodes.flags.writeable
+
+
 def test_sinogram_grid_blocks_tile_the_circle():
     sg = SinogramGrid(n_blocks=4, n_phi=3, n_r=10)
     assert sg.n_angles == 12

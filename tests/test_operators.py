@@ -315,11 +315,20 @@ def test_backprojection_matches_interp_reference(n_t, n_blocks, n_phi, K):
                             rtol=1e-13, atol=0.0)
 
 
+def _whole_plan(op: RadonBlockOperator):
+    """The domain's node indices and the plan's chunks joined into one
+    (n_phi, nodes) index and fraction array each."""
+    chunks = op._adjoint_plan
+    return (op.pixel_grid.domain_nodes,
+            np.concatenate([lo for _, _, lo, _ in chunks], axis=1),
+            np.concatenate([fr for _, _, _, fr in chunks], axis=1))
+
+
 def _loop_backproject(op: RadonBlockOperator, y: np.ndarray) -> np.ndarray:
     """Reference backprojection: the plan's angles accumulated one by one,
     a gather, multiply and two adds per angle."""
     sg = op.sino_grid
-    idx, lo, fr = op._adjoint_plan
+    idx, lo, fr = _whole_plan(op)
     padded = np.zeros((sg.n_phi, sg.n_r + 2))
     padded[:, :-1] = y
     flat = padded.ravel()
@@ -368,12 +377,61 @@ def test_backprojection_matches_the_per_angle_loop(geometry, backprojection_ops)
                             rtol=0.0, atol=atol)
 
 
+def _whole_plan_backproject(op: RadonBlockOperator, y: np.ndarray) -> np.ndarray:
+    """Reference backprojection: each term gathered over the whole plan and
+    contracted over the angles by one einsum call."""
+    sg = op.sino_grid
+    idx, lo, fr = _whole_plan(op)
+    padded = np.zeros((sg.n_phi, sg.n_r + 2))
+    padded[:, :-1] = y
+    flat = padded.ravel()
+    acc = np.einsum("ij,ij->j", (flat[1:] - flat[:-1]).take(lo), fr)
+    acc += np.einsum("ij->j", flat.take(lo))
+    acc /= sg.n_phi
+    out = np.zeros(op.pixel_grid.shape)
+    out.ravel()[idx] = acc
+    return out
+
+
+@pytest.mark.parametrize("plan_entries", ["bundled", "floor", "whole"])
+@pytest.mark.parametrize("geometry", ["em-64", "N=10", "N=20", "n_phi=1", "n_phi=3"])
+def test_backprojection_equals_the_whole_plan_contraction(geometry, plan_entries,
+                                                          backprojection_ops,
+                                                          monkeypatch):
+    # on chunks of 64 nodes or more einsum sums each node's angles in the
+    # whole plan's order: the chunked contraction gives the same bits with
+    # the bundled chunk size, with every chunk at the 64-node floor, and
+    # with one chunk holding the whole plan
+    ops = backprojection_ops[geometry]
+    if plan_entries != "bundled":
+        entries = {"floor": 1, "whole": 2 ** 62}[plan_entries]
+        monkeypatch.setattr(operators, "_PLAN_ENTRIES", entries)
+        ops = [RadonBlockOperator(op.pixel_grid, op.sino_grid, op.j, op.kernel,
+                                  op._geometry) for op in ops]
+    rng = np.random.default_rng(5)
+    for op in ops:
+        chunks = op._adjoint_plan
+        widths = [c1 - c0 for c0, c1, _, _ in chunks]
+        n_dom = len(op.pixel_grid.domain_nodes)
+        # contiguous chunks over the domain, equal to within one node
+        assert [c0 for c0, _, _, _ in chunks] == [0, *np.cumsum(widths)[:-1].tolist()]
+        assert sum(widths) == n_dom and max(widths) - min(widths) <= 1
+        assert min(widths) >= 64 or widths == [n_dom]
+        if plan_entries == "floor":
+            assert max(widths) < 128
+        elif plan_entries == "whole":
+            assert widths == [n_dom]
+        for y in (rng.random(op.sino_grid.block_shape) + 0.5,
+                  np.ones(op.sino_grid.block_shape)):
+            assert np.array_equal(op.backproject(y), _whole_plan_backproject(op, y))
+
+
 @pytest.mark.parametrize("geometry", ["em-64", "N=10", "N=20"])
-def test_backprojection_holds_one_block_sized_gather(geometry, backprojection_ops):
-    # beyond the kept plan, one call holds one gather of the plan's size
-    # and a few node-sized arrays: two gathers alive at once exceed this
+def test_backprojection_holds_one_chunk_sized_gather(geometry, backprojection_ops):
+    # beyond the kept plan, one call holds one gather of a chunk's size and
+    # a few node-sized arrays: a gather of the whole plan exceeds this
     op = backprojection_ops[geometry][0]
-    _, _, fr = op._adjoint_plan
+    gather = max(lo.nbytes for _, _, lo, _ in op._adjoint_plan)
     y = np.random.default_rng(4).random(op.sino_grid.block_shape)
     tracemalloc.start()
     try:
@@ -381,7 +439,7 @@ def test_backprojection_holds_one_block_sized_gather(geometry, backprojection_op
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= fr.nbytes + 4 * 8 * (op.pixel_grid.n_t + 1) ** 2
+    assert peak <= gather + 4 * 8 * (op.pixel_grid.n_t + 1) ** 2
 
 
 def _hypot_adjoint_plan(op: RadonBlockOperator):
@@ -410,7 +468,7 @@ def test_adjoint_plan_matches_a_hypot_plan_on_the_bundled_configs(name):
         for op in cfg.build_system(N).ops:
             sg = op.sino_grid
             row = np.arange(sg.n_phi)[:, None] * (sg.n_r + 2)
-            _, lo, fr = op._adjoint_plan
+            _, lo, fr = _whole_plan(op)
             ref_lo, ref_fr = _hypot_adjoint_plan(op)
             assert np.all((lo >= row) & (lo - row <= sg.n_r))
             npt.assert_allclose(lo - row + fr, ref_lo - row + ref_fr,
@@ -528,14 +586,16 @@ def test_one_time_builds_allocate_little_beyond_what_they_keep():
         assert rows_peak - op.row_size()[1] <= 10 * band * 8
         tracemalloc.start()
         try:
-            idx, lo, fr = op._adjoint_plan
+            op._adjoint_plan
             kept, plan_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             sup = op.kernel_sup()
             _, sup_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the plan is built angle by angle: a few rows beyond the plan itself
+        # the plan is built a chunk at a time into the arrays it keeps: a
+        # few node rows beyond the plan itself
+        idx, lo, fr = _whole_plan(op)
         assert plan_peak <= idx.nbytes + lo.nbytes + fr.nbytes + 8 * fr[0].nbytes
         # the sup sums sparse entries, below one dense (samples, padded node)
         # array
