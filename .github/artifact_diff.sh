@@ -1,6 +1,7 @@
 #!/bin/sh
 # Run the three bundled configs with --seed 0 at a base revision and at the
-# working tree, and print the `diff -r` of their artifacts without the
+# working tree, render each config's phantom (`losem phantom`, kept in
+# phantom_<config>/), and print the `diff -r` of their artifacts without the
 # volatile fields: the wall_seconds= line of summary.txt (and the timestamp=
 # line older revisions write there) and the wall_seconds column of
 # table.csv.  What `verify --seed 0` prints on each config is kept as
@@ -42,6 +43,7 @@ for side in base head; do
   for cfg in exact_em_64 loping_n10 compare_table; do
     config="$src/losem/configs/$cfg.cfg"
     losem_at "$src" run "$config" --seed 0 --quiet --out "$work/$side/$cfg"
+    losem_at "$src" phantom "$config" --quiet --out "$work/$side/phantom_$cfg"
     losem_at "$src" verify "$config" --seed 0 --quiet \
       > "$work/$side/verify_$cfg.txt" 2>&1 || echo "exit $?" >> "$work/$side/verify_$cfg.txt"
   done

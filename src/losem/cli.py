@@ -34,7 +34,7 @@ from .experiment import (
     simulate_clean_base,
     simulate_data,
 )
-from .kl_core import save_key_values, save_matrix_csv, save_pgm, uniform_density
+from .kl_core import save_matrix_csv, save_pgm, save_rows, uniform_density
 from .operators import effective_bounds, kernel_floor
 from .solvers import SolverConfig, block_residuals, loping_osem_run, osem_run
 
@@ -186,11 +186,11 @@ def _noise_pairs(data: SolverData) -> list:
 
 def _write_summary(path: Path, cfg: RunConfig, pairs: list) -> None:
     """``summary.txt``: the configured problem, then ``pairs``."""
-    save_key_values(path, [
+    save_rows(path, [
         ("mode", cfg.mode), ("n_t", cfg.n_t), ("n_r", cfg.n_r),
         ("n_angle", cfg.n_angle), ("n_blocks", cfg.n_blocks), ("epsilon", cfg.epsilon),
         ("K", cfg.K), ("lambda", cfg.lam), ("noise_level", cfg.noise_level), *pairs,
-    ])
+    ], "=")
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +238,12 @@ def _run_single(cfg: RunConfig, out: Path, quiet: bool) -> int:
     if data.sinogram is not None:
         save_pgm(out / "sinogram.pgm", data.sinogram)
     save_matrix_csv(out / "data.csv", np.vstack(data.values))
-    save_key_values(out / "noise_meta.txt", _noise_pairs(data))
+    save_rows(out / "noise_meta.txt", _noise_pairs(data), "=")
 
     values, trace, report, wall = _solve(cfg, system, data, x_star, quiet)
     summary = []
     if report is not None:
-        save_key_values(out / "stop_report.txt", report.pairs())
+        save_rows(out / "stop_report.txt", report.pairs(), "=")
         summary.append(("k_star", report.k_star_text))
     trace.write_csv(out / "trace.csv")
     save_pgm(out / "reconstruction.pgm", values)
@@ -276,12 +276,14 @@ def _run_compare(cfg: RunConfig, out: Path, quiet: bool) -> int:
         oracle = oracle_stopped_osem(x0, system, data.values, x_star, cfg.max_cycles)
         oracle_wall = time.perf_counter() - t0
         trace.write_csv(out / f"trace_loping_N{N}.csv")
-        save_key_values(out / f"stop_report_N{N}.txt", report.pairs())
+        save_rows(out / f"stop_report_N{N}.txt", report.pairs(), "=")
         save_pgm(out / f"reconstruction_loping_N{N}.pgm", values)
         save_pgm(out / f"reconstruction_oracle_N{N}.pgm", oracle.values)
         err_oracle = float(oracle.errors[oracle.best_cycle])
-        rows.append(("loping-osem", N, trace.n_cycles, wall, trace.final_error))
-        rows.append(("oracle-osem", N, oracle.best_cycle, oracle_wall, err_oracle))
+        rows.append(("loping-osem", N, trace.n_cycles, f"{wall:.3f}",
+                     trace.final_error))
+        rows.append(("oracle-osem", N, oracle.best_cycle, f"{oracle_wall:.3f}",
+                     err_oracle))
         _say(
             quiet,
             f"N={N}: loping stopped after {trace.n_cycles} cycles "
@@ -289,10 +291,8 @@ def _run_compare(cfg: RunConfig, out: Path, quiet: bool) -> int:
             f"(error {err_oracle:.6g})",
         )
 
-    with open(out / "table.csv", "w") as fh:
-        fh.write("method,N,cycles,wall_seconds,final_kl_error\n")
-        for method, N, cycles, wall, err in rows:
-            fh.write(f"{method},{N},{cycles},{wall:.3f},{err!r}\n")
+    save_rows(out / "table.csv",
+              [("method", "N", "cycles", "wall_seconds", "final_kl_error"), *rows])
     _write_summary(out / "summary.txt", cfg, [
         ("subsets", " ".join(str(s) for s in cfg.compare_subsets)),
         ("counts_scale", data.info["counts_scale"]),

@@ -62,9 +62,11 @@ class Disc:
     amplitude: float
 
     def __post_init__(self):
-        if self.radius <= 0.0:
+        if not (math.isfinite(self.cx) and math.isfinite(self.cy)):
+            raise ValueError(f"disc centre must be finite, got ({self.cx}, {self.cy})")
+        if not self.radius > 0.0:
             raise ValueError(f"disc radius must be positive, got {self.radius}")
-        if self.amplitude <= 0.0:
+        if not self.amplitude > 0.0:
             raise ValueError(f"disc amplitude must be positive, got {self.amplitude}")
 
 

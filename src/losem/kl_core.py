@@ -4,6 +4,12 @@ Everything downstream (operators, solvers, experiments) is built on the two
 quadratures defined here: uniform pixel cells masked to a disc domain for
 densities, and uniform angle/radius samples grouped into angular-sector
 blocks for sinogram data.
+
+Every text artifact the command line writes (CSV tables and traces,
+``key=value`` reports, the ``.scale`` sidecar of an image) goes through
+:func:`save_rows`, with one rule for turning a value into text: a string as
+it is, a bool as 0 or 1, and anything else by its ``repr``, so floats
+round-trip.
 """
 
 from __future__ import annotations
@@ -24,9 +30,9 @@ __all__ = [
     "uniform_density",
     "weighted_l1",
     "weighted_l2",
-    "save_key_values",
     "save_matrix_csv",
     "save_pgm",
+    "save_rows",
 ]
 
 class ConfigError(Exception):
@@ -270,12 +276,15 @@ def weighted_l2(a, b, weights=None) -> float:
 # serialization
 
 
-def save_key_values(path, pairs) -> None:
-    """Write (key, value) pairs as ``key=value`` lines: a string value as
-    it is, any other value as its repr."""
+def save_rows(path, rows, sep=",") -> None:
+    """Write one line per row, the row's values joined by ``sep``: a string
+    as it is, a bool as 0 or 1 and any other value as its repr, so floats
+    round-trip."""
     with open(path, "w") as fh:
-        for key, value in pairs:
-            fh.write(f"{key}={value if isinstance(value, str) else repr(value)}\n")
+        for row in rows:
+            fh.write(sep.join(
+                v if isinstance(v, str) else repr(int(v) if isinstance(v, bool) else v)
+                for v in row) + "\n")
 
 
 def save_matrix_csv(path, arr) -> None:
@@ -283,10 +292,7 @@ def save_matrix_csv(path, arr) -> None:
     arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2D array, got ndim={arr.ndim}")
-    with open(path, "w") as fh:
-        for row in arr:
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")
+    save_rows(path, arr.tolist())
 
 
 def save_pgm(path, arr) -> None:
@@ -309,8 +315,5 @@ def save_pgm(path, arr) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n65535\n".encode("ascii"))
         fh.write(pix.tobytes())
-    scale_path = str(path)
-    if scale_path.endswith(".pgm"):
-        scale_path = scale_path[: -len(".pgm")]
-    with open(scale_path + ".scale", "w") as fh:
-        fh.write(f"min={vmin!r}\nmax={vmax!r}\n")
+    scale_path = str(path).removesuffix(".pgm") + ".scale"
+    save_rows(scale_path, [("min", vmin), ("max", vmax)], "=")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .kl_core import kl_distance
+from .kl_core import kl_distance, save_rows
 
 __all__ = [
     "SolverConfig",
@@ -60,16 +60,17 @@ class SolverConfig:
     max_cycles: int = 200
 
     def __post_init__(self):
-        if not self.tau > 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if self.gamma is not None and not 0.0 < self.gamma < math.inf:
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         if self.max_cycles < 1:
             raise ValueError("max_cycles must be >= 1")
         if self.delta is not None:
             d = np.asarray(self.delta, dtype=np.float64)
-            if np.any(d < 0):
-                raise ValueError("noise bounds must be nonnegative")
+            # a NaN or infinite bound would skip every step and forge a stop
+            if not np.all((d >= 0.0) & (d < math.inf)):
+                raise ValueError("noise bounds must be nonnegative and finite")
             object.__setattr__(self, "delta", d)
 
 
@@ -107,16 +108,8 @@ class IterationTrace:
     def n_cycles(self) -> int:
         return 0 if not self.rows else self.rows[-1][1] + 1
 
-    def errors(self) -> np.ndarray:
-        """Ground-truth errors per step plus the final iterate's error."""
-        return np.asarray(self.error_kl + [self.final_error])
-
     def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(",".join(TRACE_FIELDS) + "\n")
-            for row in self.rows:
-                fh.write(",".join(repr(int(v) if isinstance(v, bool) else v)
-                                  for v in row) + "\n")
+        save_rows(path, [TRACE_FIELDS, *self.rows])
 
 
 @dataclass(frozen=True)

@@ -107,6 +107,12 @@ def assert_unit_blocks(blocks, sample_weight) -> None:
         assert abs(float(np.sum(b) * sample_weight) - 1.0) <= 1e-9
 
 
+def trace_errors(trace) -> np.ndarray:
+    """Ground-truth errors per step of an ``IterationTrace`` plus the final
+    iterate's error."""
+    return np.asarray(trace.error_kl + [trace.final_error])
+
+
 def cycle_errors(trace) -> np.ndarray:
     """Error at the end of cycle c = error before step c*n_blocks, for
     c = 0..n_cycles, ending with the final error of the ``IterationTrace``."""

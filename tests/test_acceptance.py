@@ -10,7 +10,7 @@ import importlib.resources
 import numpy as np
 import pytest
 
-from conftest import kl_l1_bound_check, replay_residuals
+from conftest import kl_l1_bound_check, replay_residuals, trace_errors
 from losem.cli import main
 from losem.config import load_config
 from losem.experiment import (
@@ -150,7 +150,7 @@ def test_03_exact_data_error_decreases_every_step(exact_runs):
     worst_inc = -np.inf
     worst_res = -np.inf
     for x0, system, data, trace in exact_runs.values():
-        worst_inc = max(worst_inc, float(np.max(np.diff(trace.errors()))))
+        worst_inc = max(worst_inc, float(np.max(np.diff(trace_errors(trace)))))
         before, after = replay_residuals(x0, system, data, trace)
         worst_res = max(worst_res, float(np.max(after - before)))
     ok = worst_inc <= 1e-10 and worst_res <= 1e-10

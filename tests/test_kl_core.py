@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import assert_density, kl_l1_bound_check, load_matrix_csv
-from losem.experiment import NoiseSpec, add_poisson_noise
+from losem.experiment import Disc, NoiseSpec, add_poisson_noise
 from losem.kl_core import (
     PixelGrid,
     SinogramGrid,
@@ -17,11 +17,12 @@ from losem.kl_core import (
     normalize_to_simplex,
     save_matrix_csv,
     save_pgm,
+    save_rows,
     uniform_density,
     weighted_l1,
 )
 from losem.operators import RadonSystem, effective_bounds, smooth_radial
-from losem.solvers import osem_run, skip_threshold
+from losem.solvers import SolverConfig, osem_run, skip_threshold
 
 # ---------------------------------------------------------------------------
 # grids
@@ -272,6 +273,28 @@ def test_normalize_pinned_example_and_errors():
 # serialization
 
 
+def test_rows_text_rule(tmp_path):
+    path = tmp_path / "rows.csv"
+    save_rows(path, [("a b", True, False, 7, -3), ("", 2.5, 1e300, "0.10")])
+    # strings verbatim, bools as 0 and 1, ints and floats by repr
+    assert path.read_text() == "a b,1,0,7,-3\n,2.5,1e+300,0.10\n"
+
+
+def test_rows_floats_round_trip(tmp_path):
+    values = [1.0 / 3.0, 1e-17, -0.0, 0.1, 5e-324, math.inf, math.nan]
+    path = tmp_path / "floats.csv"
+    save_rows(path, [values])
+    back = [float(t) for t in path.read_text().rstrip("\n").split(",")]
+    assert back[:-1] == values[:-1] and math.isnan(back[-1])
+    assert math.copysign(1.0, back[2]) == -1.0
+
+
+def test_rows_key_value_lines(tmp_path):
+    path = tmp_path / "report.txt"
+    save_rows(path, [("k_star", "12"), ("tau", 1.5), ("stopped", True)], "=")
+    assert path.read_text() == "k_star=12\ntau=1.5\nstopped=1\n"
+
+
 def test_matrix_csv_round_trip(tmp_path):
     arr = np.array([[0.1, 1.0 / 3.0], [1e-17, 12345.678]])
     path = tmp_path / "m.csv"
@@ -330,6 +353,22 @@ LIBRARY_INPUTS = {
         skip_threshold(1.5, None, 0.1, np.zeros(3), np.ones(3), 1.0))),
     "noise-without-blocks": ("no data blocks",
                              lambda s, path: add_poisson_noise([], 1.0, NoiseSpec())),
+    "nan-noise-bounds": ("nonnegative and finite",
+                         lambda s, path: SolverConfig(delta=np.full(2, math.nan))),
+    "infinite-noise-bound": ("nonnegative and finite",
+                             lambda s, path: SolverConfig(delta=[0.1, math.inf])),
+    "infinite-tau": ("tau must be positive and finite",
+                     lambda s, path: SolverConfig(tau=math.inf)),
+    "nan-tau": ("tau must be positive and finite",
+                lambda s, path: SolverConfig(tau=math.nan)),
+    "nan-disc-radius": ("disc radius must be positive",
+                        lambda s, path: Disc(0.0, 0.0, math.nan, 1.0)),
+    "nan-disc-amplitude": ("disc amplitude must be positive",
+                           lambda s, path: Disc(0.0, 0.0, 0.3, math.nan)),
+    "nan-disc-centre": ("disc centre must be finite",
+                        lambda s, path: Disc(math.nan, 0.0, 0.3, 1.0)),
+    "infinite-disc-centre": ("disc centre must be finite",
+                             lambda s, path: Disc(0.0, -math.inf, 0.3, 1.0)),
 }
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MatrixSystem, cycle_errors, replay_residuals
+from conftest import MatrixSystem, cycle_errors, replay_residuals, trace_errors
 from losem import solvers
 from losem.cli import _pairing_defect
 from losem.experiment import consistent_data
@@ -15,7 +15,7 @@ from losem.kl_core import (
     SinogramGrid,
     kl_distance,
     normalize_to_simplex,
-    save_key_values,
+    save_rows,
     uniform_density,
 )
 from losem.operators import RadonSystem
@@ -97,7 +97,7 @@ def test_osem_trace_shape_and_monotone_error(small_setup):
     vals, trace = osem_run(x0, system, data, cycles=6, x_star=x_star)
     assert len(trace) == 6 * system.n_blocks
     assert trace.n_cycles == 6
-    errs = trace.errors()
+    errs = trace_errors(trace)
     assert len(errs) == len(trace) + 1
     assert np.all(np.diff(errs) <= 1e-12)
     # replayed, no step raises its block's residual
@@ -197,9 +197,9 @@ def test_loping_stops_and_reports(small_setup, tmp_path):
     assert math.isfinite(report.step_bound)
     assert report.k_star <= report.step_bound
     # every performed step kept the ground-truth error from rising
-    assert np.all(np.diff(trace.errors()) <= 1e-8)
+    assert np.all(np.diff(trace_errors(trace)) <= 1e-8)
     path = tmp_path / "stop.txt"
-    save_key_values(path, report.pairs())
+    save_rows(path, report.pairs(), "=")
     text = path.read_text()
     assert "stopped_by_rule=true" in text
     assert f"k_star={report.k_star}" in text
@@ -255,7 +255,7 @@ def test_loping_max_cycles_sentinel(small_setup, tmp_path):
     assert not report.stopped_by_rule
     assert report.k_star is None and report.cycles == 3
     path = tmp_path / "stop.txt"
-    save_key_values(path, report.pairs())
+    save_rows(path, report.pairs(), "=")
     assert "k_star=max_cycles_reached" in path.read_text()
 
 
@@ -376,7 +376,7 @@ def test_osem_on_consistent_data_keeps_mass_and_never_raises_the_error(
     assert np.all(np.abs(trace.drift) <= 1e-12)
     # KL(x*, x) sums terms of size about the unit masses, so its rounding
     # is absolute, about 1e-16
-    errors = trace.errors()
+    errors = trace_errors(trace)
     assert np.all(np.diff(errors) <= 1e-12)
 
 
@@ -427,7 +427,7 @@ def test_loping_on_noisy_data_never_raises_the_error_and_stops_within_the_bound(
     cfg = SolverConfig(tau=tau, gamma=gamma, delta=delta, max_cycles=100)
     _, trace, report = loping_osem_run(x0, system, data, cfg, x_star=x_star)
     # the rounding allowance of the consistent-data property
-    rises = np.diff(trace.errors())
+    rises = np.diff(trace_errors(trace))
     assert np.all(rises[np.asarray(trace.performed)] <= 1e-12)
     if report.stopped_by_rule:
         assert report.k_star <= report.step_bound
@@ -457,7 +457,7 @@ def test_exact_data_descent_fails_on_a_coarse_radon_system_but_not_on_its_exact_
     assert _pairing_defect(system, x0, data) == pytest.approx(0.15454051711199188,
                                                               rel=1e-9)
     _, trace = osem_run(x0, system, data, 8, x_star=x_star)
-    errors = trace.errors()
+    errors = trace_errors(trace)
     assert np.diff(errors).max() > 0.05 * errors[0]
 
     def column(j, k):
@@ -473,4 +473,4 @@ def test_exact_data_descent_fails_on_a_coarse_radon_system_but_not_on_its_exact_
     xd = x_star.ravel()[idx]
     data = [dense.forward(xd, j) for j in range(sino.n_blocks)]
     _, trace = osem_run(np.ones(len(idx)) / w.sum(), dense, data, 8, x_star=xd)
-    assert np.diff(trace.errors()).max() < 0.0
+    assert np.diff(trace_errors(trace)).max() < 0.0
