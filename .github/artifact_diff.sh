@@ -1,16 +1,19 @@
 #!/bin/sh
 # Run the three bundled configs with --seed 0 at a base revision and at the
 # working tree, render each config's phantom (`losem phantom`, kept in
-# phantom_<config>/), and print the `diff -r` of their artifacts without the
-# volatile fields: the wall_seconds= line of summary.txt (and the timestamp=
-# line older revisions write there) and the wall_seconds column of
-# table.csv.  What `verify --seed 0` prints on each config is kept as
-# verify_<config>.txt and diffed with them.  After the diff comes one line
-# per differing text file: how many of its numbers differ, the largest
-# relative difference among them, and whether any word or integer field
-# (k_star, cycles, stopped_by_rule, ...) differs.  A CSV file whose header
-# changed is compared by column name: the line names the added and removed
-# columns, and its counts cover the shared columns only.
+# phantom_<config>/), run loping_n10.cfg once more with its gamma_mode =
+# explicit rewritten to bounds, the mode no bundled config runs (kept in
+# loping_n10_bounds/), and print the `diff -r` of their artifacts without
+# the volatile fields: the wall_seconds= line of summary.txt (and the
+# timestamp= line older revisions write there) and the wall_seconds column
+# of table.csv.  What `verify --seed 0` prints on each config, the bounds
+# variant included, is kept as verify_<config>.txt and diffed with them.
+# After the diff comes one line per differing text file: how many of its
+# numbers differ, the largest relative difference among them, and whether
+# any word or integer field (k_star, cycles, stopped_by_rule, ...) differs.
+# A CSV file whose header changed is compared by column name: the line
+# names the added and removed columns, and its counts cover the shared
+# columns only.
 # Report only: neither the diff nor the summary sets the exit status.
 #
 #   sh .github/artifact_diff.sh BASE_REV WORK_DIR
@@ -47,6 +50,15 @@ for side in base head; do
     losem_at "$src" verify "$config" --seed 0 --quiet \
       > "$work/$side/verify_$cfg.txt" 2>&1 || echo "exit $?" >> "$work/$side/verify_$cfg.txt"
   done
+  # the bounds variant, outside the diffed tree, with its phantom's path
+  # made absolute
+  bounds="$work/loping_n10_bounds_$side.cfg"
+  sed -e 's/^gamma_mode = explicit/gamma_mode = bounds/' \
+      -e "s#^phantom = #phantom = $src/losem/configs/#" \
+      "$src/losem/configs/loping_n10.cfg" > "$bounds"
+  losem_at "$src" run "$bounds" --seed 0 --quiet --out "$work/$side/loping_n10_bounds"
+  losem_at "$src" verify "$bounds" --seed 0 --quiet > "$work/$side/verify_loping_n10_bounds.txt" \
+    2>&1 || echo "exit $?" >> "$work/$side/verify_loping_n10_bounds.txt"
   find "$work/$side" -name summary.txt -exec sed -i '/^timestamp=/d;/^wall_seconds=/d' {} +
   find "$work/$side" -name table.csv -exec sed -i -E 's/^([^,]*,[^,]*,[^,]*),[^,]*,/\1,,/' {} +
 done

@@ -47,7 +47,6 @@ from .solvers import (
     em_step,
     loping_osem_run,
     osem_run,
-    tau_schedule,
 )
 
 __version__ = "0.1.0"

@@ -89,10 +89,8 @@ def _add_noise(cfg: RunConfig, clean, sample_weight: float, quiet: bool):
 
 
 def _shifted(cfg: RunConfig, system, clean, noisy, info, sinogram) -> SolverData:
-    """Shift noisy blocks for the system; the noise bounds are measured in
-    the norm of the configured gamma mode."""
-    raw = realized_deltas(clean, noisy, system.sino_grid.sample_weight,
-                          ord=2 if cfg.gamma_mode == "l2" else 1)
+    """Shift noisy blocks for the system, with their L1 noise bounds."""
+    raw = realized_deltas(clean, noisy, system.sino_grid.sample_weight)
     return SolverData(system.shift_data(noisy), system.shifted_deltas(raw), raw,
                       noisy, info, sinogram)
 
@@ -161,15 +159,15 @@ def _systems(cfg: RunConfig, quiet: bool, verify: bool = False):
 
 def _solver_config(cfg: RunConfig, system, data: SolverData) -> SolverConfig:
     """The loping config of one system, with the threshold constant of the
-    configured gamma mode (None: adaptive)."""
-    gamma = cfg.gamma if cfg.gamma_mode == "explicit" else None
-    if cfg.gamma_mode == "bounds":
-        gamma = effective_bounds(system, data.values).gamma()
-        if not 0.0 < gamma < math.inf:
-            raise ConfigError(
-                f"gamma_mode = bounds gives gamma = {gamma!r} at lambda = {cfg.lam!r}, "
-                "where a positive finite gamma is needed; use gamma_mode = explicit"
-            )
+    configured gamma mode."""
+    if cfg.gamma_mode == "explicit":
+        return cfg.solver_config(cfg.gamma, data.deltas)
+    gamma = effective_bounds(system, data.values).gamma()
+    if not 0.0 < gamma < math.inf:
+        raise ConfigError(
+            f"gamma_mode = bounds gives gamma = {gamma!r} at lambda = {cfg.lam!r}, "
+            "where a positive finite gamma is needed; use gamma_mode = explicit"
+        )
     return cfg.solver_config(gamma, data.deltas)
 
 
@@ -209,10 +207,9 @@ def _solve(cfg: RunConfig, system, data: SolverData, x_star, quiet: bool):
         vals, trace = osem_run(x0, system, data.values, cfg.cycles, x_star=x_star)
         return vals, trace, None, time.perf_counter() - t0
     solver_cfg = _solver_config(cfg, system, data)
-    gamma = solver_cfg.gamma
     _say(quiet, f"N={system.n_blocks}: loping run ..." if cfg.mode == "compare" else
          f"running loping-osem (tau={solver_cfg.tau:.4g}, "
-         f"gamma={'adaptive' if gamma is None else format(gamma, '.4g')}) ...")
+         f"gamma={solver_cfg.gamma:.4g}) ...")
     t0 = time.perf_counter()
     vals, trace, report = loping_osem_run(
         x0, system, data.values, solver_cfg, x_star=x_star

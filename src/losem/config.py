@@ -22,7 +22,7 @@ from .experiment import (MAX_SIM_NODES, OVERSAMPLE, Disc, NoiseSpec, PhantomSpec
 from .kl_core import AssumptionError, ConfigError, PixelGrid, SinogramGrid
 from .operators import (RadonSystem, SmoothingKernel, _check_margin,
                         _circle_point_bound, _row_point_bound)
-from .solvers import SolverConfig, tau_schedule
+from .solvers import SolverConfig
 
 __all__ = [
     "ConfigError",
@@ -34,8 +34,7 @@ __all__ = [
 ]
 
 MODES = ("em", "osem", "loping-osem", "compare")
-GAMMA_MODES = ("bounds", "explicit", "l2")
-TAU_MODES = ("fixed", "scheduled")
+GAMMA_MODES = ("bounds", "explicit")
 
 
 @dataclass
@@ -50,7 +49,6 @@ class RunConfig:
     lam: float = 0.01
     oversample: int = OVERSAMPLE
     tau: float = 1.5
-    tau_mode: str = "fixed"
     gamma_mode: str = "bounds"
     gamma: float | None = None
     max_cycles: int = 200
@@ -83,11 +81,6 @@ class RunConfig:
         except ValueError as e:
             raise ConfigError(str(e)) from e
 
-    def resolved_tau(self) -> float:
-        if self.tau_mode == "scheduled":
-            return tau_schedule(self.noise_level, self.tau)
-        return self.tau
-
     def noise_spec(self) -> NoiseSpec:
         """Noise of a run on simulated data (``noise_level`` > 0)."""
         return NoiseSpec(self.noise_level, self.counts_scale, self.seed)
@@ -95,7 +88,7 @@ class RunConfig:
     def solver_config(self, gamma: float | None, delta=None) -> SolverConfig:
         """Loping parameters with a resolved gamma."""
         return SolverConfig(
-            tau=self.resolved_tau(), gamma=gamma, delta=delta,
+            tau=self.tau, gamma=gamma, delta=delta,
             max_cycles=self.max_cycles,
         )
 
@@ -123,7 +116,7 @@ def _subsets(text: str) -> tuple[int, ...]:
 # converter of each key's value; 'disc' lines are parsed apart, since the
 # key repeats
 _CONVERTERS = {
-    "mode": str, "tau_mode": str, "gamma_mode": str, "out": str, "phantom": str,
+    "mode": str, "gamma_mode": str, "out": str, "phantom": str,
     "n_t": int, "n_r": int, "n_angle": int, "n_phi": int, "n_blocks": int,
     "K": int, "oversample": int, "max_cycles": int, "cycles": int, "seed": int,
     "max_sim_nodes": int,
@@ -273,8 +266,6 @@ def _validate(cfg: RunConfig, path: str) -> None:
         bad(f"lambda must be nonnegative, got {cfg.lam}")
     if cfg.cycles < 1:
         bad("cycles must be >= 1")
-    if cfg.tau_mode not in TAU_MODES:
-        bad(f"tau_mode must be one of {', '.join(TAU_MODES)}")
     if cfg.gamma_mode not in GAMMA_MODES:
         bad(f"gamma_mode must be one of {', '.join(GAMMA_MODES)}")
     explicit = cfg.gamma_mode == "explicit"

@@ -27,7 +27,6 @@ from .kl_core import (
     kl_distance,
     normalize_to_simplex,
     weighted_l1,
-    weighted_l2,
 )
 from .operators import RadonSystem, SmoothingKernel, support_forward
 from .solvers import em_step
@@ -386,11 +385,10 @@ def _bisect_counts(blocks: list[np.ndarray], weight: float, spec: NoiseSpec):
 
 
 def realized_deltas(clean: list[np.ndarray], noisy: list[np.ndarray],
-                    sample_weight: float, ord: int = 1) -> np.ndarray:
-    """Per-block quadrature distances between clean and noisy data blocks
-    of the given sample weight."""
-    dist = weighted_l1 if ord == 1 else weighted_l2
-    return np.array([dist(b, nb, sample_weight) for b, nb in zip(clean, noisy)])
+                    sample_weight: float) -> np.ndarray:
+    """Per-block L1 quadrature distances between clean and noisy data blocks
+    of the given sample weight: the noise bounds delta_j of the skip rule."""
+    return np.array([weighted_l1(b, nb, sample_weight) for b, nb in zip(clean, noisy)])
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ __all__ = [
     "normalize_to_simplex",
     "uniform_density",
     "weighted_l1",
-    "weighted_l2",
     "save_matrix_csv",
     "save_pgm",
     "save_rows",
@@ -263,13 +262,6 @@ def weighted_l1(a, b, weights=None) -> float:
     b = np.asarray(b, dtype=np.float64)
     w = np.float64(1.0) if weights is None else np.asarray(weights, dtype=np.float64)
     return float(np.sum(w * np.abs(a - b)))
-
-
-def weighted_l2(a, b, weights=None) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    w = np.float64(1.0) if weights is None else np.asarray(weights, dtype=np.float64)
-    return float(math.sqrt(np.sum(w * (a - b) ** 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,6 @@ __all__ = [
     "osem_run",
     "loping_osem_run",
     "block_residuals",
-    "skip_threshold",
-    "tau_schedule",
 ]
 
 # the fields of a trace row, in order, as trace.csv writes them
@@ -44,14 +42,12 @@ class SolverConfig:
     """Parameters of a loping run.
 
     ``gamma`` is the resolved threshold constant: a step on block j is
-    skipped while its residual is at or below tau * gamma * delta_j.  With
-    ``gamma`` None the adaptive rule applies instead, with threshold
-    tau * delta_j * ||log(y_j / A_j x)||_2 and delta_j a weighted-L2 noise
-    bound (see :func:`skip_threshold`).
+    skipped while its residual is at or below tau * gamma * delta_j.
 
-    ``delta`` holds one noise bound per block of the system it runs on;
+    ``delta`` holds one L1 noise bound per block of the system it runs on;
     ``None`` or zeros mean exact data, in which case every step is performed
-    and the run only ends at ``max_cycles``.
+    and the run only ends at ``max_cycles``.  Only exact data may leave
+    ``gamma`` None: a nonzero bound needs a gamma.
     """
 
     tau: float = 1.5
@@ -71,7 +67,15 @@ class SolverConfig:
             # a NaN or infinite bound would skip every step and forge a stop
             if not np.all((d >= 0.0) & (d < math.inf)):
                 raise ValueError("noise bounds must be nonnegative and finite")
+            if self.gamma is None and np.any(d != 0.0):
+                raise ValueError("a nonzero noise bound needs a gamma")
             object.__setattr__(self, "delta", d)
+
+    def thresholds(self) -> np.ndarray:
+        """The threshold tau * gamma * delta_j of every block, fixed for a
+        run, of a config with its block bounds set; zeros on exact data,
+        which needs no gamma."""
+        return self.tau * (self.gamma or 0.0) * self.delta
 
 
 @dataclass
@@ -197,7 +201,8 @@ def loping_osem_run(x0, system, data, config: SolverConfig, x_star=None):
                             block_residuals(x, system, data, config))
     d_min = float(np.min(delta))
     step_bound = math.nan
-    if x_star is not None and g is not None and tau > 1.0 and d_min > 0.0:
+    # a positive bound has a gamma (see SolverConfig)
+    if x_star is not None and tau > 1.0 and d_min > 0.0:
         # trace.error_kl[0] is KL(x*, x0)
         step_bound = N * trace.error_kl[0] / ((tau - 1.0) * g * d_min)
     report = StopReport(
@@ -228,19 +233,13 @@ def _with_block_deltas(config: SolverConfig, N: int) -> SolverConfig:
 
 def block_residuals(x, system, data, config: SolverConfig):
     """Residual KL(y_j, A_j x) of every block at the iterate ``x``, and the
-    threshold tau * gamma * delta_j a loping step on it must exceed (gamma
-    None: the adaptive rule at ``x``), for the tau, gamma and delta of
-    ``config``.  Returns two arrays."""
+    threshold tau * gamma * delta_j a loping step on it must exceed, for the
+    tau, gamma and delta of ``config``; the thresholds do not depend on
+    ``x``.  Returns two arrays."""
     config = _with_block_deltas(config, system.n_blocks)
-    w = system.block_weight
-    res = np.empty(system.n_blocks)
-    thr = np.empty(system.n_blocks)
-    for j in range(system.n_blocks):
-        fx = system.forward(x, j)
-        res[j] = kl_distance(data[j], fx, w)
-        thr[j] = skip_threshold(config.tau, config.gamma, config.delta[j],
-                                data[j], fx, w)
-    return res, thr
+    res = np.array([kl_distance(data[j], system.forward(x, j), system.block_weight)
+                    for j in range(system.n_blocks)])
+    return res, config.thresholds()
 
 
 def _run_loop(x0, system, data, config: SolverConfig, x_star):
@@ -254,13 +253,12 @@ def _run_loop(x0, system, data, config: SolverConfig, x_star):
         raise ValueError(f"expected {N} data blocks, got {len(data)}")
     data = [np.asarray(b, dtype=np.float64) for b in data]
     x = np.array(x0, dtype=np.float64)
-    tau, gamma, delta = config.tau, config.gamma, config.delta
+    delta, thr = config.delta, config.thresholds()
     w_nodes = system.node_weights
     w_block = system.block_weight
 
     trace = IterationTrace(N)
     res = np.empty(N)
-    thr = np.empty(N)
     skipped = None
     # the ground-truth error of the current iterate: a skipped step leaves
     # the iterate, and so its error, as it was
@@ -271,8 +269,6 @@ def _run_loop(x0, system, data, config: SolverConfig, x_star):
         for j in range(N):
             fx = system.forward(x, j)
             res[j] = f = kl_distance(data[j], fx, w_block)
-            if delta[j] != 0.0:
-                thr[j] = skip_threshold(tau, gamma, delta[j], data[j], fx, w_block)
             if delta[j] == 0.0 or f > thr[j]:
                 any_performed = True
                 x_new, mass = _update(x, system, j, data[j], fx)
@@ -288,44 +284,3 @@ def _run_loop(x0, system, data, config: SolverConfig, x_star):
             break
     trace.final_error = err
     return x, trace, skipped
-
-
-def skip_threshold(tau, gamma, delta, y=None, fx=None, weight=None):
-    """Noise threshold tau * gamma * delta of a block step.
-
-    A loping step is performed while its block residual exceeds this.  With
-    ``gamma`` None (the adaptive rule) gamma is the weighted L2 norm of
-    log(y / fx) for the block's data ``y`` and forward values ``fx``.
-    ``delta`` may be an array of block bounds when gamma is given.
-    """
-    if gamma is None:
-        return tau * delta * _log_ratio_norm(y, fx, weight)
-    return tau * gamma * delta
-
-
-def _log_ratio_norm(y, fx, weight) -> float:
-    """Weighted L2 norm of log(y / fx); requires strictly positive inputs."""
-    if np.any(y <= 0.0) or np.any(fx <= 0.0):
-        raise ValueError(
-            "adaptive threshold needs strictly positive data and forward values"
-        )
-    logs = np.log(y / fx)
-    return float(math.sqrt(np.sum(weight * logs * logs)))
-
-
-def tau_schedule(delta_level: float, tau_infinity: float) -> float:
-    """Noise-dependent threshold factor tau(delta) = tau_inf / (1 + c*delta).
-
-    ``delta_level`` is the relative noise level (e.g. 0.05 for five percent).
-    The slope c = 25 / tau_inf pushes the factor below one for large noise,
-    trading the per-step guarantee for far fewer skipped updates.
-    """
-    if not tau_infinity > 1.0:
-        raise ValueError(
-            "tau_infinity, the zero-noise limit of tau, must exceed 1, "
-            f"got {tau_infinity}"
-        )
-    if delta_level < 0.0:
-        raise ValueError("delta_level must be nonnegative")
-    c = 25.0 / tau_infinity
-    return tau_infinity / (1.0 + c * delta_level)

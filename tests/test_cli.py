@@ -24,7 +24,6 @@ from losem.cli import main
 from losem.config import (
     GAMMA_MODES,
     MODES,
-    TAU_MODES,
     ConfigError,
     load_config,
     parse_config_text,
@@ -214,12 +213,11 @@ def _with_values(text, values):
         ),
         min_size=1, max_size=3,
     ),
-    st.sampled_from(MODES), st.sampled_from(TAU_MODES), st.sampled_from(GAMMA_MODES),
+    st.sampled_from(MODES), st.sampled_from(GAMMA_MODES),
 )
 @settings(max_examples=300, deadline=None)
-def test_any_numeric_value_parses_or_is_a_config_error(values, mode, tau_mode,
-                                                       gamma_mode):
-    modes = {"mode": mode, "tau_mode": tau_mode, "gamma_mode": gamma_mode}
+def test_any_numeric_value_parses_or_is_a_config_error(values, mode, gamma_mode):
+    modes = {"mode": mode, "gamma_mode": gamma_mode}
     text = _with_values(BASE + "compare_subsets = 2 4\n", {**values, **modes})
     try:
         cfg = parse_config_text(text, "<x>")
@@ -229,13 +227,6 @@ def test_any_numeric_value_parses_or_is_a_config_error(values, mode, tau_mode,
     if cfg.noise_level != 0.0:
         cfg.noise_spec()
     cfg.solver_config(cfg.gamma if gamma_mode == "explicit" else None)
-
-
-def test_resolved_tau_schedule():
-    cfg = parse_config_text(BASE + "tau_mode = scheduled\n", "<x>")
-    assert cfg.resolved_tau() == pytest.approx(1.5 / (1 + 25 / 1.5 * 0.05))
-    fixed = parse_config_text(BASE, "<x>")
-    assert fixed.resolved_tau() == 1.5
 
 
 def test_bundled_configs_parse():
@@ -475,6 +466,8 @@ def test_a_value_error_in_a_command_is_a_bug(tmp_path, monkeypatch):
     ("lambda = 0.01", "lambda = inf"),
     ("mode = loping-osem", "mode = bogus"),
     ("tau = 1.5", "tau_mode = bogus"),
+    ("tau = 1.5", "tau_mode = scheduled"),
+    ("gamma_mode = explicit", "gamma_mode = l2"),
     ("mode = loping-osem", "mode = compare\ncompare_subsets = 0"),
     ("disc = 0.0 0.0 0.4 1.0", "disc = 0.0 0.0 -0.4 1.0"),
     ("disc = 0.0 0.0 0.4 1.0\ndisc = 0.45 0.3 0.18 2.0", "phantom = missing.txt"),
@@ -484,7 +477,15 @@ def test_a_value_error_in_a_command_is_a_bug(tmp_path, monkeypatch):
 def test_unusable_values_are_config_errors(tmp_path, capsys, old, new):
     cfg = write_cfg(tmp_path, BASE.replace(old, new))
     assert main(["run", str(cfg), "--quiet", "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert RETIRED.get(new, "") in err
+
+
+# the values of the retired threshold rules (scheduled tau, the adaptive l2
+# threshold) and what rejects them
+RETIRED = {"tau_mode = scheduled": "unknown key 'tau_mode'",
+           "gamma_mode = l2": "gamma_mode must be one of bounds, explicit"}
 
 
 @pytest.mark.parametrize("command", ["run", "verify", "phantom"])
@@ -624,7 +625,6 @@ def test_only_simulated_data_check_the_simulation_grid(key, value, message):
 @given(
     st.fixed_dictionaries({
         "mode": st.sampled_from(MODES),
-        "tau_mode": st.sampled_from(TAU_MODES),
         "gamma_mode": st.sampled_from(GAMMA_MODES),
         "n_t": st.integers(2, 8),
         "n_r": st.integers(2, 8),
@@ -644,39 +644,39 @@ def test_only_simulated_data_check_the_simulation_grid(key, value, message):
     }),
 )
 @example({  # UNCALIBRATED itself
-    "mode": "loping-osem", "tau_mode": "fixed", "gamma_mode": "explicit",
+    "mode": "loping-osem", "gamma_mode": "explicit",
     "n_t": 8, "n_r": 8, "n_angle": 4, "n_blocks": 2, "lambda": 0.01,
     "noise_level": 0.5, "seed": 0, "oversample": 1, "disc": "0.0 0.0 0.4 1.0",
 })
 @example({  # a negative seed on simulated data
-    "mode": "compare", "tau_mode": "fixed", "gamma_mode": "explicit",
+    "mode": "compare", "gamma_mode": "explicit",
     "n_t": 8, "n_r": 8, "n_angle": 4, "n_blocks": 2, "lambda": 0.01,
     "noise_level": 0.5, "seed": -1, "oversample": 1, "disc": "0.0 0.0 0.4 1.0",
 })
 @example({  # a noise level no finite counts scale reaches
-    "mode": "loping-osem", "tau_mode": "fixed", "gamma_mode": "explicit",
+    "mode": "loping-osem", "gamma_mode": "explicit",
     "n_t": 8, "n_r": 8, "n_angle": 4, "n_blocks": 2, "lambda": 0.01,
     "noise_level": 5e-324, "seed": 0, "oversample": 1, "disc": "0.0 0.0 0.4 1.0",
 })
 @example({  # no circle meets the phantom, so the simulated data have no mass
-    "mode": "loping-osem", "tau_mode": "fixed", "gamma_mode": "explicit",
+    "mode": "loping-osem", "gamma_mode": "explicit",
     "n_t": 6, "n_r": 3, "n_angle": 4, "n_blocks": 4, "lambda": 0.9,
     "noise_level": 0.3, "seed": 3, "oversample": 1, "disc": "0.0 0.0 0.26 1.0",
 })
 @example({  # one block of four has no data mass
-    "mode": "loping-osem", "tau_mode": "fixed", "gamma_mode": "explicit",
+    "mode": "loping-osem", "gamma_mode": "explicit",
     "n_t": 8, "n_r": 4, "n_angle": 4, "n_blocks": 4, "lambda": 0.01,
     "noise_level": 0.2, "seed": 0, "oversample": 1,
     "disc": "-0.027 -0.145 0.109 1.0",
 })
 @example({  # the shift flattens kernel and data: gamma_mode = bounds gives 0
-    "mode": "loping-osem", "tau_mode": "fixed", "gamma_mode": "bounds",
+    "mode": "loping-osem", "gamma_mode": "bounds",
     "n_t": 8, "n_r": 6, "n_angle": 4, "n_blocks": 4, "lambda": 3.6e307,
     "noise_level": 0.0, "seed": 0, "oversample": 1, "disc": "0.0 0.0 0.35 1.0",
 })
 @example({  # at the smallest shift the data floor over the kernel sup
     # underflows: gamma_mode = bounds gives inf
-    "mode": "loping-osem", "tau_mode": "fixed", "gamma_mode": "bounds",
+    "mode": "loping-osem", "gamma_mode": "bounds",
     "n_t": 8, "n_r": 4, "n_angle": 4, "n_blocks": 4, "lambda": 5e-324,
     "noise_level": 0.0, "seed": 0, "oversample": 1, "disc": "0.0 0.0 0.4 1.0",
 })
@@ -739,15 +739,6 @@ def test_gamma_mode_bounds_runs_on_the_gamma_verify_prints(tmp_path, capsys):
     gamma = _summary(out / "stop_report.txt")["gamma"]
     assert gamma == printed["gamma_bounds"]
     assert 0.0 < float(gamma) < math.inf
-
-
-def test_verify_checks_the_adaptive_threshold(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, BASE.replace("gamma_mode = explicit", "gamma_mode = l2"))
-    assert main(["verify", str(cfg), "--quiet"]) == 0
-    values = dict(ln.split("=", 1) for ln in capsys.readouterr().out.splitlines()
-                  if "=" in ln)
-    assert 0.0 < float(values["threshold_max"])
-    assert 0.0 < float(values["initial_residual_min"])
 
 
 def test_compare_builds_each_system_once(tmp_path, monkeypatch):

@@ -22,7 +22,7 @@ from losem.kl_core import (
     weighted_l1,
 )
 from losem.operators import RadonSystem, effective_bounds, smooth_radial
-from losem.solvers import SolverConfig, osem_run, skip_threshold
+from losem.solvers import SolverConfig, osem_run
 
 # ---------------------------------------------------------------------------
 # grids
@@ -349,8 +349,8 @@ LIBRARY_INPUTS = {
         s, [np.full(s.sino_grid.block_shape, np.inf)] * 2)),
     "run-block-count": ("expected 2 data blocks", lambda s, path: osem_run(
         uniform_density(s.pixel_grid), s, [np.ones((2, 9))], 1)),
-    "adaptive-threshold-of-zero-data": ("strictly positive", lambda s, path: (
-        skip_threshold(1.5, None, 0.1, np.zeros(3), np.ones(3), 1.0))),
+    "noise-bound-without-gamma": ("a nonzero noise bound needs a gamma",
+                                  lambda s, path: SolverConfig(delta=[0.1, 0.0])),
     "noise-without-blocks": ("no data blocks",
                              lambda s, path: add_poisson_noise([], 1.0, NoiseSpec())),
     "nan-noise-bounds": ("nonnegative and finite",
