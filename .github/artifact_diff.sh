@@ -1,9 +1,11 @@
 #!/bin/sh
 # Run the three bundled configs with --seed 0 at a base revision and at the
 # working tree, render each config's phantom (`losem phantom`, kept in
-# phantom_<config>/), run loping_n10.cfg once more with its gamma_mode =
-# explicit rewritten to bounds, the mode no bundled config runs (kept in
-# loping_n10_bounds/), and print the `diff -r` of their artifacts without
+# phantom_<config>/), run loping_n10.cfg once more without its gamma line,
+# so that its threshold constant comes from the kernel and data bounds, the
+# way no bundled config runs (kept in loping_n10_bounds/; a base tree whose
+# configs still set gamma_mode = explicit has that line rewritten to
+# bounds), and print the `diff -r` of their artifacts without
 # the volatile fields: the wall_seconds= line of summary.txt (and the
 # timestamp= line older revisions write there) and the wall_seconds column
 # of table.csv.  What `verify --seed 0` prints on each config, the bounds
@@ -53,7 +55,7 @@ for side in base head; do
   # the bounds variant, outside the diffed tree, with its phantom's path
   # made absolute
   bounds="$work/loping_n10_bounds_$side.cfg"
-  sed -e 's/^gamma_mode = explicit/gamma_mode = bounds/' \
+  sed -e 's/^gamma_mode = explicit/gamma_mode = bounds/' -e '/^gamma = /d' \
       -e "s#^phantom = #phantom = $src/losem/configs/#" \
       "$src/losem/configs/loping_n10.cfg" > "$bounds"
   losem_at "$src" run "$bounds" --seed 0 --quiet --out "$work/$side/loping_n10_bounds"

@@ -158,15 +158,15 @@ def _systems(cfg: RunConfig, quiet: bool, verify: bool = False):
 
 
 def _solver_config(cfg: RunConfig, system, data: SolverData) -> SolverConfig:
-    """The loping config of one system, with the threshold constant of the
-    configured gamma mode."""
-    if cfg.gamma_mode == "explicit":
+    """The loping config of one system: the config's gamma when it gives
+    one, else the worst-case constant of the kernel and data bounds."""
+    if cfg.gamma is not None:
         return cfg.solver_config(cfg.gamma, data.deltas)
     gamma = effective_bounds(system, data.values).gamma()
     if not 0.0 < gamma < math.inf:
         raise ConfigError(
-            f"gamma_mode = bounds gives gamma = {gamma!r} at lambda = {cfg.lam!r}, "
-            "where a positive finite gamma is needed; use gamma_mode = explicit"
+            f"the kernel and data bounds give gamma = {gamma!r} at lambda = "
+            f"{cfg.lam!r}, where a positive finite gamma is needed; set 'gamma'"
         )
     return cfg.solver_config(gamma, data.deltas)
 
@@ -197,14 +197,14 @@ def _write_summary(path: Path, cfg: RunConfig, pairs: list) -> None:
 
 def _solve(cfg: RunConfig, system, data: SolverData, x_star, quiet: bool):
     """Run the configured solver on one system from the uniform start:
-    ``osem_run`` for a fixed cycle count in em and osem mode, otherwise
+    ``osem_run`` for ``max_cycles`` cycles in em and osem mode, otherwise
     ``loping_osem_run``.  Returns the iterate, the trace, the stop report
     (None for a fixed cycle count) and the wall seconds of the call."""
     x0 = uniform_density(system.pixel_grid)
     if cfg.mode in ("em", "osem"):
-        _say(quiet, f"running {cfg.mode} for {cfg.cycles} cycles ...")
+        _say(quiet, f"running {cfg.mode} for {cfg.max_cycles} cycles ...")
         t0 = time.perf_counter()
-        vals, trace = osem_run(x0, system, data.values, cfg.cycles, x_star=x_star)
+        vals, trace = osem_run(x0, system, data.values, cfg.max_cycles, x_star=x_star)
         return vals, trace, None, time.perf_counter() - t0
     solver_cfg = _solver_config(cfg, system, data)
     _say(quiet, f"N={system.n_blocks}: loping run ..." if cfg.mode == "compare" else
@@ -355,7 +355,8 @@ def _verify_system(cfg: RunConfig, system, data: SolverData) -> None:
         print("warning: exact data; loping performs every step and only "
               "max_cycles ends the run")
         return
-    residuals, thresholds = block_residuals(x0, system, data.values, solver_cfg)
+    residuals = block_residuals(x0, system, data.values)
+    thresholds = solver_cfg.thresholds()
     print(f"threshold_max{label}={float(thresholds.max())!r}")
     print(f"initial_residual_min{label}={float(residuals.min())!r}")
     if np.all(thresholds >= residuals):

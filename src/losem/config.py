@@ -5,10 +5,13 @@ starting a comment.  The phantom comes either from a ``phantom = <path>``
 reference (resolved relative to the config file) or from inline ``disc =``
 lines, one per disc, never both.
 
-Angles can be given either as ``n_angle`` (total, must split evenly over
-the blocks) or ``n_phi`` (per block), not both.  The support margin and the
-smoothing half-width are tied by margin = 2*K/n_r; give either one and the
-other is derived, or give both and the margin must cover the kernel.
+``n_angle`` is the total angle count, which must split evenly over the
+blocks.  The support margin and the smoothing half-width are tied by
+margin = 2*K/n_r; give either one and the other is derived, or give both
+and the margin must cover the kernel.  A loping run's threshold constant is
+the config's ``gamma`` when it gives one, and otherwise the worst-case
+constant of the kernel and data bounds.  ``max_cycles`` is the cycle count
+of every mode: em and osem run that many cycles, loping runs stop at it.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ __all__ = [
 ]
 
 MODES = ("em", "osem", "loping-osem", "compare")
-GAMMA_MODES = ("bounds", "explicit")
 
 
 @dataclass
@@ -49,10 +51,8 @@ class RunConfig:
     lam: float = 0.01
     oversample: int = OVERSAMPLE
     tau: float = 1.5
-    gamma_mode: str = "bounds"
     gamma: float | None = None
     max_cycles: int = 200
-    cycles: int = 25
     noise_level: float = 0.05
     counts_scale: float | None = None
     seed: int = 0
@@ -116,9 +116,9 @@ def _subsets(text: str) -> tuple[int, ...]:
 # converter of each key's value; 'disc' lines are parsed apart, since the
 # key repeats
 _CONVERTERS = {
-    "mode": str, "gamma_mode": str, "out": str, "phantom": str,
-    "n_t": int, "n_r": int, "n_angle": int, "n_phi": int, "n_blocks": int,
-    "K": int, "oversample": int, "max_cycles": int, "cycles": int, "seed": int,
+    "mode": str, "out": str, "phantom": str,
+    "n_t": int, "n_r": int, "n_angle": int, "n_blocks": int,
+    "K": int, "oversample": int, "max_cycles": int, "seed": int,
     "max_sim_nodes": int,
     "epsilon": _finite_float, "lambda": _finite_float, "tau": _finite_float,
     "gamma": _finite_float, "noise_level": _finite_float,
@@ -201,15 +201,10 @@ def parse_config_text(text: str, path: str = "<config>",
         # checked here because the margin is derived from 2K/n_r below
         raise ConfigError(f"{path}: n_r must be >= 2, got {n_r}")
 
-    n_angle = vals.pop("n_angle", None)
-    n_phi = vals.pop("n_phi", None)
-    if (n_angle is None) == (n_phi is None):
-        raise ConfigError(f"{path}: give exactly one of 'n_angle' or 'n_phi'")
+    n_angle = require("n_angle")
     n_blocks = vals.pop("n_blocks", 1)
     if n_blocks < 1:
         raise ConfigError(f"{where['n_blocks']}: n_blocks must be >= 1")
-    if n_angle is None:
-        n_angle = n_phi * n_blocks
 
     epsilon = vals.pop("epsilon", None)
     K = vals.pop("K", None)
@@ -264,13 +259,6 @@ def _validate(cfg: RunConfig, path: str) -> None:
 
     if cfg.lam < 0.0:
         bad(f"lambda must be nonnegative, got {cfg.lam}")
-    if cfg.cycles < 1:
-        bad("cycles must be >= 1")
-    if cfg.gamma_mode not in GAMMA_MODES:
-        bad(f"gamma_mode must be one of {', '.join(GAMMA_MODES)}")
-    explicit = cfg.gamma_mode == "explicit"
-    if explicit and cfg.gamma is None:
-        bad("gamma_mode = explicit requires a positive gamma")
     if cfg.mode == "em" and cfg.n_blocks != 1:
         bad("mode em is the single-block case; set n_blocks = 1 "
             "(use mode osem for several blocks)")
@@ -305,7 +293,7 @@ def _validate(cfg: RunConfig, path: str) -> None:
             bad(f"the cached forward rows of a system hold {rows} entries, padding "
                 f"included, more than max_sim_nodes = {cfg.max_sim_nodes}; lower "
                 "n_angle, n_r or n_t, or raise the cap")
-        cfg.solver_config(cfg.gamma if explicit else None)
+        cfg.solver_config(cfg.gamma)
     except ValueError as e:
         bad(str(e))
 

@@ -196,9 +196,8 @@ def loping_osem_run(x0, system, data, config: SolverConfig, x_star=None):
     x, trace, skipped = _run_loop(x0, system, data, config, x_star)
     stopped = skipped is not None
     # a fully skipped cycle left the iterate as it was, so its residuals
-    # and thresholds are those of the final iterate
-    final_res, final_thr = (skipped if stopped else
-                            block_residuals(x, system, data, config))
+    # are those of the final iterate
+    final_res = skipped if stopped else block_residuals(x, system, data)
     d_min = float(np.min(delta))
     step_bound = math.nan
     # a positive bound has a gamma (see SolverConfig)
@@ -210,7 +209,7 @@ def loping_osem_run(x0, system, data, config: SolverConfig, x_star=None):
         k_star=(trace.n_cycles - 1) * N if stopped else None,
         cycles=trace.n_cycles,
         final_residuals=final_res,
-        thresholds=final_thr,
+        thresholds=config.thresholds(),
         gamma=g,
         tau=tau,
         step_bound=step_bound,
@@ -231,23 +230,19 @@ def _with_block_deltas(config: SolverConfig, N: int) -> SolverConfig:
     return config
 
 
-def block_residuals(x, system, data, config: SolverConfig):
-    """Residual KL(y_j, A_j x) of every block at the iterate ``x``, and the
-    threshold tau * gamma * delta_j a loping step on it must exceed, for the
-    tau, gamma and delta of ``config``; the thresholds do not depend on
-    ``x``.  Returns two arrays."""
-    config = _with_block_deltas(config, system.n_blocks)
-    res = np.array([kl_distance(data[j], system.forward(x, j), system.block_weight)
-                    for j in range(system.n_blocks)])
-    return res, config.thresholds()
+def block_residuals(x, system, data) -> np.ndarray:
+    """Residual KL(y_j, A_j x) of every block at the iterate ``x``; the
+    thresholds they are held against come from
+    :meth:`SolverConfig.thresholds`."""
+    return np.array([kl_distance(data[j], system.forward(x, j), system.block_weight)
+                     for j in range(system.n_blocks)])
 
 
 def _run_loop(x0, system, data, config: SolverConfig, x_star):
     """Cycle the blocks under the skip rule of ``config``: a step is
     performed when its block's bound is zero or its residual exceeds the
     threshold.  Returns the final iterate, the trace and, when the run
-    stopped on a fully skipped cycle, that cycle's residuals and thresholds
-    (else None)."""
+    stopped on a fully skipped cycle, that cycle's residuals (else None)."""
     N = system.n_blocks
     if len(data) != N:
         raise ValueError(f"expected {N} data blocks, got {len(data)}")
@@ -280,7 +275,7 @@ def _run_loop(x0, system, data, config: SolverConfig, x_star):
                 trace.append(k, j, False, f, 0.0, err)
             k += 1
         if not any_performed:
-            skipped = res, thr
+            skipped = res
             break
     trace.final_error = err
     return x, trace, skipped

@@ -314,7 +314,7 @@ def test_11_command_line_runs_are_reproducible(tmp_path):
     cfg.write_text(
         "mode = loping-osem\nn_t = 32\nn_r = 32\nn_angle = 32\nn_blocks = 4\n"
         "K = 1\nlambda = 0.01\nnoise_level = 0.05\nseed = 3\noversample = 1\n"
-        "tau = 1.5\ngamma_mode = explicit\ngamma = 0.045\nmax_cycles = 30\n"
+        "tau = 1.5\ngamma = 0.045\nmax_cycles = 30\n"
         "disc = 0.0 0.0 0.4 1.0\ndisc = 0.45 0.3 0.18 2.0\n"
     )
     outs = []

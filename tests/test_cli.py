@@ -1,5 +1,6 @@
 import contextlib
 import importlib.resources
+import importlib.util
 import io
 import json
 import math
@@ -22,7 +23,6 @@ import losem
 from losem import cli, operators
 from losem.cli import main
 from losem.config import (
-    GAMMA_MODES,
     MODES,
     ConfigError,
     load_config,
@@ -42,7 +42,6 @@ noise_level = 0.05
 seed = 1
 oversample = 1
 tau = 1.5
-gamma_mode = explicit
 gamma = 0.045
 max_cycles = 30
 disc = 0.0 0.0 0.4 1.0
@@ -86,7 +85,7 @@ def test_duplicate_and_malformed_lines():
 def test_missing_required_keys():
     with pytest.raises(ConfigError, match="missing required key 'mode'"):
         parse_config_text("n_t = 8\n", "<x>")
-    with pytest.raises(ConfigError, match="'n_angle' or 'n_phi'"):
+    with pytest.raises(ConfigError, match="missing required key 'n_angle'"):
         parse_config_text(
             "mode = em\nn_t = 8\nn_r = 8\ndisc = 0 0 0.3 1\n", "<x>"
         )
@@ -96,15 +95,6 @@ def test_angle_block_divisibility():
     bad = BASE.replace("n_angle = 32", "n_angle = 30")
     with pytest.raises(ConfigError, match="not divisible"):
         parse_config_text(bad, "<x>")
-    both = BASE.replace("n_angle = 32", "n_angle = 32\nn_phi = 8")
-    with pytest.raises(ConfigError, match="exactly one"):
-        parse_config_text(both, "<x>")
-
-
-def test_n_phi_gives_the_angles_of_one_block():
-    # 8 angles on each of 4 blocks are BASE's n_angle = 32
-    per_block = parse_config_text(BASE.replace("n_angle = 32", "n_phi = 8"), "<x>")
-    assert per_block == parse_config_text(BASE, "<x>")
 
 
 def test_epsilon_and_kernel_width_tied():
@@ -180,26 +170,20 @@ def test_lambda_zero_parses_but_cannot_build():
         cfg.build_system()
 
 
-def test_gamma_mode_validation():
-    with pytest.raises(ConfigError, match="gamma_mode must be one of"):
-        parse_config_text(BASE.replace("gamma_mode = explicit", "gamma_mode = nope"),
-                          "<x>")
-    with pytest.raises(ConfigError, match="explicit requires a positive gamma"):
-        parse_config_text(BASE.replace("gamma = 0.045\n", ""), "<x>")
-
-
 NUMERIC_KEYS = (
-    "n_t", "n_r", "n_angle", "n_phi", "n_blocks", "K", "oversample",
-    "max_cycles", "cycles", "seed", "max_sim_nodes",
+    "n_t", "n_r", "n_angle", "n_blocks", "K", "oversample",
+    "max_cycles", "seed", "max_sim_nodes",
     "epsilon", "lambda", "tau", "gamma", "noise_level", "counts_scale",
 )
 
 
 def _with_values(text, values):
-    """``text`` with the lines of the given keys replaced by new values."""
+    """``text`` with the lines of the given keys replaced by new values; a
+    key whose value is None is left out."""
     lines = [ln for ln in text.splitlines() if ln.split("=")[0].strip() not in values]
     lines += [
         f"{k} = {v if isinstance(v, str) else repr(v)}" for k, v in values.items()
+        if v is not None
     ]
     return "\n".join(lines) + "\n"
 
@@ -213,12 +197,14 @@ def _with_values(text, values):
         ),
         min_size=1, max_size=3,
     ),
-    st.sampled_from(MODES), st.sampled_from(GAMMA_MODES),
+    st.sampled_from(MODES), st.booleans(),
 )
 @settings(max_examples=300, deadline=None)
-def test_any_numeric_value_parses_or_is_a_config_error(values, mode, gamma_mode):
-    modes = {"mode": mode, "gamma_mode": gamma_mode}
-    text = _with_values(BASE + "compare_subsets = 2 4\n", {**values, **modes})
+def test_any_numeric_value_parses_or_is_a_config_error(values, mode, gamma_given):
+    # without a gamma, a run takes the one of the bounds
+    gamma = {} if gamma_given else {"gamma": None}
+    text = _with_values(BASE + "compare_subsets = 2 4\n",
+                        {**gamma, **values, "mode": mode})
     try:
         cfg = parse_config_text(text, "<x>")
     except ConfigError:
@@ -226,7 +212,7 @@ def test_any_numeric_value_parses_or_is_a_config_error(values, mode, gamma_mode)
     # a config that parses builds the objects that read its values
     if cfg.noise_level != 0.0:
         cfg.noise_spec()
-    cfg.solver_config(cfg.gamma if gamma_mode == "explicit" else None)
+    cfg.solver_config(cfg.gamma)
 
 
 def test_bundled_configs_parse():
@@ -275,16 +261,14 @@ def test_run_is_reproducible(tmp_path):
 
 
 def test_run_exact_em(tmp_path):
-    text = (
-        BASE.replace("mode = loping-osem", "mode = em")
-        .replace("n_blocks = 4", "n_blocks = 1")
-        .replace("noise_level = 0.05", "noise_level = 0")
-        + "cycles = 3\n"
-    )
+    # max_cycles is the cycle count of em and osem runs too
+    text = _with_values(BASE, {"mode": "em", "n_blocks": 1, "noise_level": 0,
+                               "max_cycles": 3})
     cfg = write_cfg(tmp_path, text)
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 0
     assert not (out / "stop_report.txt").exists()
+    assert "cycles_run=3" in (out / "summary.txt").read_text().splitlines()
     trace = (out / "trace.csv").read_text().splitlines()
     assert len(trace) == 1 + 3  # header + one block * three cycles
     assert "noise=none" in (out / "noise_meta.txt").read_text()
@@ -302,7 +286,6 @@ lambda = 0.01
 noise_level = 0.5
 seed = 0
 oversample = 1
-gamma_mode = explicit
 gamma = 0.045
 max_cycles = 5
 disc = 0.0 0.0 0.4 1.0
@@ -373,7 +356,7 @@ def test_run_compare_writes_table(tmp_path):
 
 
 @pytest.mark.parametrize("text,calls", [
-    (_with_values(BASE, {"mode": "em", "n_blocks": 1, "noise_level": 0, "cycles": 2}),
+    (_with_values(BASE, {"mode": "em", "n_blocks": 1, "noise_level": 0, "max_cycles": 2}),
      {"osem_run": 1}),
     (_with_values(BASE, {"max_cycles": 3}), {"loping_osem_run": 1}),
     (_with_values(BASE, {"mode": "compare", "compare_subsets": "2 4", "max_cycles": 3}),
@@ -463,11 +446,17 @@ def test_a_value_error_in_a_command_is_a_bug(tmp_path, monkeypatch):
     ("tau = 1.5", "tau = nan"),
     ("gamma = 0.045", "gamma = nan"),
     ("gamma = 0.045", "gamma = inf"),
+    ("max_cycles = 30", "max_cycles = 0"),
     ("lambda = 0.01", "lambda = inf"),
     ("mode = loping-osem", "mode = bogus"),
     ("tau = 1.5", "tau_mode = bogus"),
     ("tau = 1.5", "tau_mode = scheduled"),
-    ("gamma_mode = explicit", "gamma_mode = l2"),
+    ("tau = 1.5", "gamma_mode = l2"),
+    # the retired second way to give a quantity: the gamma source, the em and
+    # osem cycle count, the angles per block
+    ("tau = 1.5", "gamma_mode = explicit"),
+    ("max_cycles = 30", "cycles = 25"),
+    ("n_angle = 32", "n_phi = 8"),
     ("mode = loping-osem", "mode = compare\ncompare_subsets = 0"),
     ("disc = 0.0 0.0 0.4 1.0", "disc = 0.0 0.0 -0.4 1.0"),
     ("disc = 0.0 0.0 0.4 1.0\ndisc = 0.45 0.3 0.18 2.0", "phantom = missing.txt"),
@@ -479,13 +468,17 @@ def test_unusable_values_are_config_errors(tmp_path, capsys, old, new):
     assert main(["run", str(cfg), "--quiet", "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert RETIRED.get(new, "") in err
+    assert MESSAGES.get(new, "") in err
 
 
-# the values of the retired threshold rules (scheduled tau, the adaptive l2
-# threshold) and what rejects them
-RETIRED = {"tau_mode = scheduled": "unknown key 'tau_mode'",
-           "gamma_mode = l2": "gamma_mode must be one of bounds, explicit"}
+# what a row above must print: the retired keys are unknown, and a cycle
+# count of zero breaks the one rule of every mode's count, in SolverConfig
+MESSAGES = {"tau_mode = scheduled": "unknown key 'tau_mode'",
+            "gamma_mode = l2": "unknown key 'gamma_mode'",
+            "gamma_mode = explicit": "unknown key 'gamma_mode'",
+            "cycles = 25": "unknown key 'cycles'",
+            "n_phi = 8": "unknown key 'n_phi'",
+            "max_cycles = 0": "max_cycles must be >= 1"}
 
 
 @pytest.mark.parametrize("command", ["run", "verify", "phantom"])
@@ -625,7 +618,8 @@ def test_only_simulated_data_check_the_simulation_grid(key, value, message):
 @given(
     st.fixed_dictionaries({
         "mode": st.sampled_from(MODES),
-        "gamma_mode": st.sampled_from(GAMMA_MODES),
+        # without a gamma, a run takes the one of the bounds
+        "gamma": st.sampled_from([0.045, None]),
         "n_t": st.integers(2, 8),
         "n_r": st.integers(2, 8),
         "n_angle": st.sampled_from([4, 8]),
@@ -644,39 +638,39 @@ def test_only_simulated_data_check_the_simulation_grid(key, value, message):
     }),
 )
 @example({  # UNCALIBRATED itself
-    "mode": "loping-osem", "gamma_mode": "explicit",
+    "mode": "loping-osem", "gamma": 0.045,
     "n_t": 8, "n_r": 8, "n_angle": 4, "n_blocks": 2, "lambda": 0.01,
     "noise_level": 0.5, "seed": 0, "oversample": 1, "disc": "0.0 0.0 0.4 1.0",
 })
 @example({  # a negative seed on simulated data
-    "mode": "compare", "gamma_mode": "explicit",
+    "mode": "compare", "gamma": 0.045,
     "n_t": 8, "n_r": 8, "n_angle": 4, "n_blocks": 2, "lambda": 0.01,
     "noise_level": 0.5, "seed": -1, "oversample": 1, "disc": "0.0 0.0 0.4 1.0",
 })
 @example({  # a noise level no finite counts scale reaches
-    "mode": "loping-osem", "gamma_mode": "explicit",
+    "mode": "loping-osem", "gamma": 0.045,
     "n_t": 8, "n_r": 8, "n_angle": 4, "n_blocks": 2, "lambda": 0.01,
     "noise_level": 5e-324, "seed": 0, "oversample": 1, "disc": "0.0 0.0 0.4 1.0",
 })
 @example({  # no circle meets the phantom, so the simulated data have no mass
-    "mode": "loping-osem", "gamma_mode": "explicit",
+    "mode": "loping-osem", "gamma": 0.045,
     "n_t": 6, "n_r": 3, "n_angle": 4, "n_blocks": 4, "lambda": 0.9,
     "noise_level": 0.3, "seed": 3, "oversample": 1, "disc": "0.0 0.0 0.26 1.0",
 })
 @example({  # one block of four has no data mass
-    "mode": "loping-osem", "gamma_mode": "explicit",
+    "mode": "loping-osem", "gamma": 0.045,
     "n_t": 8, "n_r": 4, "n_angle": 4, "n_blocks": 4, "lambda": 0.01,
     "noise_level": 0.2, "seed": 0, "oversample": 1,
     "disc": "-0.027 -0.145 0.109 1.0",
 })
-@example({  # the shift flattens kernel and data: gamma_mode = bounds gives 0
-    "mode": "loping-osem", "gamma_mode": "bounds",
+@example({  # the shift flattens kernel and data: the bounds give gamma = 0
+    "mode": "loping-osem", "gamma": None,
     "n_t": 8, "n_r": 6, "n_angle": 4, "n_blocks": 4, "lambda": 3.6e307,
     "noise_level": 0.0, "seed": 0, "oversample": 1, "disc": "0.0 0.0 0.35 1.0",
 })
 @example({  # at the smallest shift the data floor over the kernel sup
-    # underflows: gamma_mode = bounds gives inf
-    "mode": "loping-osem", "gamma_mode": "bounds",
+    # underflows: the bounds give gamma = inf
+    "mode": "loping-osem", "gamma": None,
     "n_t": 8, "n_r": 4, "n_angle": 4, "n_blocks": 4, "lambda": 5e-324,
     "noise_level": 0.0, "seed": 0, "oversample": 1, "disc": "0.0 0.0 0.4 1.0",
 })
@@ -684,7 +678,7 @@ def test_only_simulated_data_check_the_simulation_grid(key, value, message):
 def test_every_command_exits_with_a_documented_code(values):
     """Tiny configs through every command: exit 0, 2, 3 or 4, no traceback,
     and a FAILED marker exactly when ``run`` fails numerically."""
-    text = _with_values(UNCALIBRATED + "compare_subsets = 1 2\ncycles = 2\n", values)
+    text = _with_values(UNCALIBRATED + "compare_subsets = 1 2\n", values)
     with tempfile.TemporaryDirectory() as tmp:
         cfg = write_cfg(Path(tmp), text)
         for command in ("run", "verify", "phantom"):
@@ -729,8 +723,8 @@ def test_verify_rejects_a_backprojection_of_ones_that_is_not_flat(tmp_path, caps
     assert err.startswith("assumption violated: backprojection of flat data deviates")
 
 
-def test_gamma_mode_bounds_runs_on_the_gamma_verify_prints(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, BASE.replace("gamma_mode = explicit", "gamma_mode = bounds"))
+def test_without_gamma_a_run_uses_the_gamma_verify_prints(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BASE.replace("gamma = 0.045\n", ""))
     assert main(["verify", str(cfg), "--quiet"]) == 0
     printed = dict(ln.split("=", 1) for ln in capsys.readouterr().out.splitlines()
                    if "=" in ln)
@@ -868,27 +862,56 @@ def _summary(path):
     )
 
 
-# seed-0 results of the bundled configs; floats at the tolerance of the
-# benchmark's golden gate, which catches a single changed solver step
+def _load_golden():
+    """The benchmark's correctness gate, ``bench/golden.py``, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "golden.py"
+    spec = importlib.util.spec_from_file_location("bench_golden", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+golden = _load_golden()
+
+# the bundled configs the benchmark runs, by workload: their seed-0 golden
+# values are the benchmark's own
+BENCH_WORKLOADS = {"exact_em_64.cfg": "em-exact-64",
+                   "compare_table.cfg": "compare-oracle"}
+# seed-0 results of the bundled config the benchmark leaves out, checked by
+# the same gate: floats within its tolerance, which catches a single
+# changed solver step
 GOLDEN_RUNS = {
-    "exact_em_64.cfg": {"cycles_run": 25, "final_kl_error": 0.13617457176662007},
     "loping_n10.cfg": {
         "k_star": 50, "cycles_run": 6, "final_kl_error": 0.05830524873768009,
     },
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+@pytest.mark.parametrize("name", sorted({*BENCH_WORKLOADS, *GOLDEN_RUNS}))
 def test_bundled_runs_match_golden_values(tmp_path, name):
     cfg = importlib.resources.files("losem") / "configs" / name
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--seed", "0", "--out", str(out), "--quiet"]) == 0
-    summary = _summary(out / "summary.txt")
-    for key, want in GOLDEN_RUNS[name].items():
-        if isinstance(want, int):
-            assert int(summary[key]) == want, key
-        else:
-            assert float(summary[key]) == pytest.approx(want, rel=1e-9), key
+    expected = GOLDEN_RUNS.get(name) or golden.expected_for(BENCH_WORKLOADS[name], 0)
+    problems, _ = golden.check(out, expected)
+    assert problems == []
+
+
+def test_a_given_gamma_is_the_threshold_constant(tmp_path):
+    # loping_n10.cfg's problem written from BASE, whose one gamma key is
+    # gamma = 0.045: the run stops at that config's golden k* = 50, where the
+    # constant of the bounds, about 9 here, would skip every step (k* = 0)
+    root = importlib.resources.files("losem") / "configs"
+    text = _with_values(BASE, {
+        "n_t": 100, "n_r": 100, "n_angle": 100, "n_blocks": 10, "seed": 0,
+        "oversample": 4, "max_cycles": 200, "disc": None,
+        "phantom": str(root / "phantom_default.txt"), "out": "out_loping_n10",
+    })
+    out = tmp_path / "out"
+    assert main(["run", str(write_cfg(tmp_path, text)), "--out", str(out), "--quiet"]) == 0
+    report = _summary(out / "stop_report.txt")
+    assert report["gamma"] == "0.045" and report["k_star"] == "50"
+    assert parse_config_text(text, "<x>") == load_config(root / "loping_n10.cfg")
 
 
 def test_bundled_runs_do_not_import_numpy_ma(tmp_path):
