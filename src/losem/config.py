@@ -10,8 +10,11 @@ blocks.  The support margin and the smoothing half-width are tied by
 margin = 2*K/n_r; give either one and the other is derived, or give both
 and the margin must cover the kernel.  A loping run's threshold constant is
 the config's ``gamma`` when it gives one, and otherwise the worst-case
-constant of the kernel and data bounds.  ``max_cycles`` is the cycle count
-of every mode: em and osem run that many cycles, loping runs stop at it.
+constant of the kernel and data bounds; an optional ``gamma_mode`` line
+may restate that choice (``explicit`` with a gamma, ``bounds`` without
+one) and is rejected where it does not.  ``max_cycles`` is the cycle
+count of every mode: em and osem run that many cycles, loping runs stop
+at it.
 """
 
 from __future__ import annotations
@@ -116,7 +119,7 @@ def _subsets(text: str) -> tuple[int, ...]:
 # converter of each key's value; 'disc' lines are parsed apart, since the
 # key repeats
 _CONVERTERS = {
-    "mode": str, "out": str, "phantom": str,
+    "mode": str, "gamma_mode": str, "out": str, "phantom": str,
     "n_t": int, "n_r": int, "n_angle": int, "n_blocks": int,
     "K": int, "oversample": int, "max_cycles": int, "seed": int,
     "max_sim_nodes": int,
@@ -239,6 +242,15 @@ def parse_config_text(text: str, path: str = "<config>",
             f"{path}: no phantom given (use 'phantom = <file>' or 'disc =' lines)"
         )
 
+    # a given gamma is always the threshold constant, so a gamma_mode line
+    # loads only where it restates whether one is given
+    gamma_mode = vals.pop("gamma_mode", None)
+    if gamma_mode not in (None, "explicit" if "gamma" in vals else "bounds"):
+        raise ConfigError(
+            f"{where['gamma_mode']}: gamma_mode = {gamma_mode} does not match the "
+            "config: a given 'gamma' is the threshold constant, else the kernel "
+            "and data bounds give it; delete the gamma_mode line"
+        )
     if "lambda" in vals:
         vals["lam"] = vals.pop("lambda")
     if seed is not None:

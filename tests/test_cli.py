@@ -68,6 +68,17 @@ def test_parse_roundtrip_of_base_config():
     assert len(cfg.phantom.discs) == 2
 
 
+def test_a_gamma_mode_line_only_restates_whether_gamma_is_given():
+    # older configs name the gamma source; the line changes nothing where it
+    # matches the config and is an error where it does not (rows of
+    # test_unusable_values_are_config_errors)
+    assert (parse_config_text(BASE + "gamma_mode = explicit\n", "<x>")
+            == parse_config_text(BASE, "<x>"))
+    no_gamma = BASE.replace("gamma = 0.045\n", "")
+    assert (parse_config_text(no_gamma + "gamma_mode = bounds\n", "<x>")
+            == parse_config_text(no_gamma, "<x>"))
+
+
 def test_unknown_key_reports_line_number():
     with pytest.raises(ConfigError, match=r"<x>:3: unknown key 'frob'"):
         parse_config_text("mode = em\nn_t = 8\nfrob = 1\n", "<x>")
@@ -452,9 +463,12 @@ def test_a_value_error_in_a_command_is_a_bug(tmp_path, monkeypatch):
     ("tau = 1.5", "tau_mode = bogus"),
     ("tau = 1.5", "tau_mode = scheduled"),
     ("tau = 1.5", "gamma_mode = l2"),
-    # the retired second way to give a quantity: the gamma source, the em and
-    # osem cycle count, the angles per block
-    ("tau = 1.5", "gamma_mode = explicit"),
+    # a gamma_mode line that contradicts the config: a given gamma is always
+    # used, and explicit has no gamma to use
+    ("tau = 1.5", "gamma_mode = bounds"),
+    ("gamma = 0.045", "gamma_mode = explicit"),
+    # the retired second way to give a quantity: the em and osem cycle
+    # count, the angles per block
     ("max_cycles = 30", "cycles = 25"),
     ("n_angle = 32", "n_phi = 8"),
     ("mode = loping-osem", "mode = compare\ncompare_subsets = 0"),
@@ -471,11 +485,13 @@ def test_unusable_values_are_config_errors(tmp_path, capsys, old, new):
     assert MESSAGES.get(new, "") in err
 
 
-# what a row above must print: the retired keys are unknown, and a cycle
-# count of zero breaks the one rule of every mode's count, in SolverConfig
+# what a row above must print: the retired keys are unknown, a gamma_mode
+# line must match the config, and a cycle count of zero breaks the one rule
+# of every mode's count, in SolverConfig
 MESSAGES = {"tau_mode = scheduled": "unknown key 'tau_mode'",
-            "gamma_mode = l2": "unknown key 'gamma_mode'",
-            "gamma_mode = explicit": "unknown key 'gamma_mode'",
+            "gamma_mode = l2": "gamma_mode = l2 does not match the config",
+            "gamma_mode = bounds": "gamma_mode = bounds does not match the config",
+            "gamma_mode = explicit": "gamma_mode = explicit does not match the config",
             "cycles = 25": "unknown key 'cycles'",
             "n_phi = 8": "unknown key 'n_phi'",
             "max_cycles = 0": "max_cycles must be >= 1"}
@@ -879,10 +895,13 @@ BENCH_WORKLOADS = {"exact_em_64.cfg": "em-exact-64",
                    "compare_table.cfg": "compare-oracle"}
 # seed-0 results of the bundled config the benchmark leaves out, checked by
 # the same gate: floats within its tolerance, which catches a single
-# changed solver step
+# changed solver step.  Its one gamma key is gamma = 0.045, which the stop
+# report must name: the constant of the bounds, about 9 here, would skip
+# every step (k* = 0)
 GOLDEN_RUNS = {
     "loping_n10.cfg": {
-        "k_star": 50, "cycles_run": 6, "final_kl_error": 0.05830524873768009,
+        "gamma": 0.045, "k_star": 50, "cycles_run": 6,
+        "final_kl_error": 0.05830524873768009,
     },
 }
 
@@ -895,23 +914,6 @@ def test_bundled_runs_match_golden_values(tmp_path, name):
     expected = GOLDEN_RUNS.get(name) or golden.expected_for(BENCH_WORKLOADS[name], 0)
     problems, _ = golden.check(out, expected)
     assert problems == []
-
-
-def test_a_given_gamma_is_the_threshold_constant(tmp_path):
-    # loping_n10.cfg's problem written from BASE, whose one gamma key is
-    # gamma = 0.045: the run stops at that config's golden k* = 50, where the
-    # constant of the bounds, about 9 here, would skip every step (k* = 0)
-    root = importlib.resources.files("losem") / "configs"
-    text = _with_values(BASE, {
-        "n_t": 100, "n_r": 100, "n_angle": 100, "n_blocks": 10, "seed": 0,
-        "oversample": 4, "max_cycles": 200, "disc": None,
-        "phantom": str(root / "phantom_default.txt"), "out": "out_loping_n10",
-    })
-    out = tmp_path / "out"
-    assert main(["run", str(write_cfg(tmp_path, text)), "--out", str(out), "--quiet"]) == 0
-    report = _summary(out / "stop_report.txt")
-    assert report["gamma"] == "0.045" and report["k_star"] == "50"
-    assert parse_config_text(text, "<x>") == load_config(root / "loping_n10.cfg")
 
 
 def test_bundled_runs_do_not_import_numpy_ma(tmp_path):
